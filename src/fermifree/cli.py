@@ -63,7 +63,9 @@ def _cmd_nonfreeness(args) -> int:
         "occupations": [float(p) for p in report.occupations],
         "entropy_state": report.entropy_state / scale,
         "entropy_free": report.entropy_free / scale,
-        "cross_check": None if report.cross_check is None else report.cross_check / scale,
+        "cross_check": None
+        if report.cross_check is None
+        else io.value_to_json(report.cross_check / scale),
     }
     _emit(
         io.make_result(

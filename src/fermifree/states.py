@@ -1,7 +1,6 @@
 """Constructors for density operators on finite fermion Fock spaces."""
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.linalg import null_space
@@ -103,10 +102,17 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
 
 
 def bernoulli_weights(p: np.ndarray) -> np.ndarray:
-    """Diagonal Fock weights prod_i p_i^n(i) (1-p_i)^(1-n(i)), bitmask order."""
+    """Diagonal Fock weights prod_i p_i^n(i) (1-p_i)^(1-n(i)), bitmask order.
+
+    A stack of occupation vectors, shape (..., d), gives a stack of weight
+    vectors, shape (..., 2^d).
+    """
     p = np.asarray(p, dtype=float)
-    factors = [np.array([1.0 - q, q]) for q in reversed(p)]
-    return reduce(np.kron, factors, np.array([1.0]))
+    weights = np.ones(p.shape[:-1] + (1,))
+    for q in np.moveaxis(p, -1, 0)[::-1]:
+        factor = np.stack([1.0 - q, q], axis=-1)
+        weights = (weights[..., :, None] * factor[..., None, :]).reshape(*p.shape[:-1], -1)
+    return weights
 
 
 def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:

@@ -175,6 +175,20 @@ def test_cli_invalid_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_cli_cross_check_infinite_breach_exits_1(tmp_path, capsys):
+    # The free reference's smallest Bernoulli weight falls under KERNEL_TOL, so
+    # the direct relative entropy is +inf; it must serialize, not crash.
+    path = tmp_path / "hubbard.json"
+    path.write_text(
+        '{"d":8,"kind":"hubbard","sites":4,"t":1.305,"u":2.0,"n_up":2,"n_down":2}'
+    )
+    code, out, err = run_cli(capsys, ["nonfreeness", str(path), "--cross-check"])
+    assert code == 1
+    assert json.loads(out)["value"]["cross_check"] == "+inf"
+    assert "cross-check breach" in err
+    assert "Traceback" not in err
+
+
 def test_cli_renyi(tmp_path, capsys):
     state = write_remark(tmp_path)
     code, out, _ = run_cli(capsys, ["renyi", state, "--alpha", "0.5", "--sandwiched"])
@@ -245,6 +259,13 @@ def test_cli_verify_small(capsys):
     doc = json.loads(out)
     assert doc["quantity"] == "property-suite"
     assert all(item["passed"] for item in doc["value"])
+
+
+def test_cli_verify_zero_trials_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--trials", "0"])
+    assert code == 2
+    assert out == ""
+    assert "trials must be >= 1" in err
 
 
 def test_cli_demo_hubbard_point_and_sweep(capsys):

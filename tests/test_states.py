@@ -121,6 +121,15 @@ def test_gibbs_weights_sum_to_one():
     assert abs(bernoulli_weights(p).sum() - 1.0) < 1e-12
 
 
+def test_bernoulli_weights_stack_matches_rows():
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.0, 1.0, (5, 3))
+    stacked = bernoulli_weights(p)
+    assert stacked.shape == (5, 8)
+    for row, weights in zip(p, stacked):
+        np.testing.assert_array_equal(weights, bernoulli_weights(row))
+
+
 def test_gibbs_lambda_parametrization_roundtrip():
     # occupations p = exp(-lam) / (1 + exp(-lam)) reproduce the Gibbs weights
     lam = np.array([0.7, -0.3, 1.9])

@@ -6,21 +6,37 @@ import numpy as np
 import pytest
 
 from fermifree import (
+    FreeStateSpec,
     OrbitalSpace,
     SearchConfig,
+    ValidationError,
+    basis_change_unitary,
     correlation_sandwiched,
+    free_from_pdm,
     gamma_of,
     gibbs_free_density,
     min_relent_search,
+    one_pdm,
     pair_state,
     property_suite,
     remark_state,
+    renyi_divergence,
     renyi_min_search,
+    sandwiched_renyi,
     trace_distance,
     wick_check,
 )
 from fermifree.io import dumps
-from fermifree.verify import report_to_document, sample_free_spec
+from fermifree.states import bernoulli_weights
+from fermifree.verify import (
+    GRID_POINTS,
+    GRID_RANGE,
+    free_grid_scorer,
+    report_to_document,
+    sample_density,
+    sample_free_spec,
+    sample_pure,
+)
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
 
@@ -70,6 +86,75 @@ def test_renyi_search_remark_alpha_one_no_improvement():
     assert best >= H23 - 1e-9
 
 
+def _grid_test_states():
+    rng = np.random.default_rng(11)
+    space = OrbitalSpace(2)
+    return {
+        "wishart": sample_density(space, rng),
+        "rank2": sample_density(space, rng, rank=2),
+        "pure": sample_pure(space, rng),
+        "remark": remark_state(),
+    }
+
+
+GRID_TEST_STATES = _grid_test_states()
+# A coarse subgrid of the search grid, plus the boundary occupations whose
+# zero Bernoulli weights exercise the kernel conventions.
+SUBGRID = np.concatenate(
+    [[0.0], np.linspace(*GRID_RANGE, GRID_POINTS)[::33], [1.0]]
+)
+
+
+def _dense_grid(rho, alpha, sandwiched, orbitals, grid):
+    """The loop reference: one validated candidate and one dense divergence per point."""
+    divergence = sandwiched_renyi if sandwiched else renyi_divergence
+    return np.array(
+        [
+            [
+                divergence(
+                    alpha, rho, FreeStateSpec(rho.space, (p1, p2), orbitals).to_density()
+                )
+                for p2 in grid
+            ]
+            for p1 in grid
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TEST_STATES))
+@pytest.mark.parametrize(
+    "alpha,sandwiched",
+    [(0.5, False), (1.0, False), (2.0, False), (0.5, True), (2.0, True)],
+)
+def test_grid_scorer_matches_dense_loop(name, alpha, sandwiched):
+    rho = GRID_TEST_STATES[name]
+    _, spec = free_from_pdm(one_pdm(rho))
+    score = free_grid_scorer(
+        alpha, rho, basis_change_unitary(spec.orbitals, rho.space), sandwiched
+    )
+    batched = np.array(
+        [
+            score(bernoulli_weights(np.column_stack([np.full_like(SUBGRID, p1), SUBGRID])))
+            for p1 in SUBGRID
+        ]
+    )
+    dense = _dense_grid(rho, alpha, sandwiched, spec.orbitals, SUBGRID)
+    np.testing.assert_array_equal(np.isinf(batched), np.isinf(dense))
+    finite = np.isfinite(dense)
+    assert finite[1:-1, 1:-1].all()
+    np.testing.assert_allclose(batched[finite], dense[finite], rtol=0.0, atol=1e-10)
+
+
+def test_renyi_search_remark_pinned_values():
+    cfg = SearchConfig(seed=0, tolerance=1e-4)
+    _, best, improved = renyi_min_search(remark_state(), 0.5, cfg, sandwiched=True)
+    assert abs(best - 0.41133156791592335) < 1e-9
+    assert improved
+    _, best, improved = renyi_min_search(remark_state(), 1.0, cfg)
+    assert abs(best - 0.6365141682948128) < 1e-9
+    assert not improved
+
+
 def test_renyi_search_slater_input():
     from fermifree import slater_density
 
@@ -96,5 +181,5 @@ def test_property_suite_deterministic():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="samples"):
         SearchConfig(samples=0)
