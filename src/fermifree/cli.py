@@ -10,7 +10,7 @@ import json
 import math
 import sys
 from . import io
-from .config import KERNEL_TOL, TOL_HERM, TOL_TRACE, TOL_UNITARY
+from . import config
 from .correlation import nonfreeness, restrict
 from .entropy import renyi_divergence, sandwiched_renyi
 from .errors import ValidationError
@@ -28,10 +28,9 @@ from .verify import (
 LN2 = math.log(2.0)
 
 _TOLERANCES = {
-    "tol_herm": TOL_HERM,
-    "tol_trace": TOL_TRACE,
-    "tol_unitary": TOL_UNITARY,
-    "kernel_tol": KERNEL_TOL,
+    name.lower(): value
+    for name, value in vars(config).items()
+    if name.startswith("TOL_") or name == "KERNEL_TOL"
 }
 
 
@@ -46,8 +45,10 @@ def _read_document(path: str) -> dict:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _emit(doc: dict):
-    print(io.dumps(doc))
+def _emit(quantity: str, value, units: str, inputs: dict, config: dict = _TOLERANCES) -> int:
+    """Print one result document on stdout; returns exit code 0."""
+    print(io.dumps(io.make_result(quantity, value, units, inputs, config)))
+    return 0
 
 
 def _units_scale(bits: bool):
@@ -67,16 +68,9 @@ def _cmd_nonfreeness(args) -> int:
         if report.cross_check is None
         else io.value_to_json(report.cross_check / scale),
     }
-    _emit(
-        io.make_result(
-            "nonfreeness",
-            value,
-            units,
-            inputs={"state": args.state, "d": rho.space.d},
-            config=dict(_TOLERANCES, cross_check=args.cross_check),
-        )
-    )
-    if report.cross_check is not None and report.cross_check > 1e-7:
+    inputs = {"state": args.state, "d": rho.space.d}
+    _emit("nonfreeness", value, units, inputs, dict(_TOLERANCES, cross_check=args.cross_check))
+    if report.cross_check is not None and report.cross_check > config.TOL_NONFREENESS:
         print(
             f"cross-check breach: entropy difference and relative entropy disagree"
             f" by {report.cross_check:.3e}",
@@ -92,16 +86,13 @@ def _cmd_renyi(args) -> int:
     divergence = sandwiched_renyi if args.sandwiched else renyi_divergence
     value = divergence(args.alpha, rho, reference)
     units, scale = _units_scale(args.bits)
-    _emit(
-        io.make_result(
-            "sandwiched-renyi-correlation" if args.sandwiched else "renyi-correlation",
-            value if math.isinf(value) else value / scale,
-            units,
-            inputs={"state": args.state, "d": rho.space.d, "alpha": args.alpha},
-            config=dict(_TOLERANCES, sandwiched=args.sandwiched),
-        )
+    return _emit(
+        "sandwiched-renyi-correlation" if args.sandwiched else "renyi-correlation",
+        value if math.isinf(value) else value / scale,
+        units,
+        {"state": args.state, "d": rho.space.d, "alpha": args.alpha},
+        dict(_TOLERANCES, sandwiched=args.sandwiched),
     )
-    return 0
 
 
 def _cmd_pdm(args) -> int:
@@ -114,16 +105,7 @@ def _cmd_pdm(args) -> int:
         "orbitals": io.matrix_to_json(spectrum.orbitals),
         "particle_number": pdm.trace,
     }
-    _emit(
-        io.make_result(
-            "one-pdm",
-            value,
-            "nats",
-            inputs={"state": args.state, "d": rho.space.d},
-            config=_TOLERANCES,
-        )
-    )
-    return 0
+    return _emit("one-pdm", value, "nats", {"state": args.state, "d": rho.space.d})
 
 
 def _parse_keep(raw: str):
@@ -136,16 +118,8 @@ def _parse_keep(raw: str):
 def _cmd_restrict(args) -> int:
     rho = io.density_from_document(_read_document(args.state))
     sub = restrict(rho, _parse_keep(args.keep))
-    _emit(
-        io.make_result(
-            "restriction",
-            io.density_to_document(sub),
-            "nats",
-            inputs={"state": args.state, "d": rho.space.d, "keep": args.keep},
-            config=_TOLERANCES,
-        )
-    )
-    return 0
+    inputs = {"state": args.state, "d": rho.space.d, "keep": args.keep}
+    return _emit("restriction", io.density_to_document(sub), "nats", inputs)
 
 
 def _cmd_free_from_pdm(args) -> int:
@@ -155,16 +129,7 @@ def _cmd_free_from_pdm(args) -> int:
         "state": io.density_to_document(density),
         "free_spec": io.free_spec_to_document(spec),
     }
-    _emit(
-        io.make_result(
-            "free-state-from-pdm",
-            value,
-            "nats",
-            inputs={"pdm": args.pdm, "d": pdm.space.d},
-            config=_TOLERANCES,
-        )
-    )
-    return 0
+    return _emit("free-state-from-pdm", value, "nats", {"pdm": args.pdm, "d": pdm.space.d})
 
 
 def _cmd_purify(args) -> int:
@@ -175,16 +140,7 @@ def _cmd_purify(args) -> int:
         "kind": "slater",
         "orbitals": io.matrix_to_json(rows),
     }
-    _emit(
-        io.make_result(
-            "purification",
-            value,
-            "nats",
-            inputs={"spec": args.spec, "d": spec.space.d},
-            config=_TOLERANCES,
-        )
-    )
-    return 0
+    return _emit("purification", value, "nats", {"spec": args.spec, "d": spec.space.d})
 
 
 def _cmd_verify(args) -> int:
@@ -204,27 +160,12 @@ def _cmd_verify(args) -> int:
         ):
             _, best, improved = renyi_min_search(rho, alpha, cfg, sandwiched=sandwiched)
             outcome[label] = {"best": io.value_to_json(best), "improved": improved}
-        _emit(
-            io.make_result(
-                "renyi-minimum-counterexample",
-                outcome,
-                "nats",
-                inputs={"state": "built-in one-particle mixed state"},
-                config=config,
-            )
-        )
+        inputs = {"state": "built-in one-particle mixed state"}
+        _emit("renyi-minimum-counterexample", outcome, "nats", inputs, config)
         passed = outcome["sandwiched_half"]["improved"] and not outcome["alpha_one"]["improved"]
         return 0 if passed else 1
     reports = property_suite(seed=args.seed, d_max=args.dmax, trials=args.trials)
-    _emit(
-        io.make_result(
-            "property-suite",
-            [report_to_document(r) for r in reports],
-            "nats",
-            inputs={},
-            config=config,
-        )
-    )
+    _emit("property-suite", [report_to_document(r) for r in reports], "nats", {}, config)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -249,8 +190,7 @@ def _cmd_demo_hubbard(args) -> int:
         rho = hubbard_ground_state(args.sites, args.t, args.u, n_up, n_down)
         value = {"u": args.u, "nonfreeness": nonfreeness(rho, cross_check=False).nonfreeness}
         inputs["u"] = args.u
-    _emit(io.make_result("hubbard-nonfreeness", value, "nats", inputs, _TOLERANCES))
-    return 0
+    return _emit("hubbard-nonfreeness", value, "nats", inputs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, join_index
@@ -48,15 +49,15 @@ def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationRe
 
     Computed as S(free reference) - S(rho), where the free entropy is the
     binary-entropy sum over the natural occupation numbers.  Values in
-    [-1e-7, 0) are treated as float noise and clamped to 0; anything lower is
-    a hard error, since the free entropy can never fall below the state
-    entropy.
+    [-TOL_NONFREENESS, 0) are treated as float noise and clamped to 0;
+    anything lower is a hard error, since the free entropy can never fall
+    below the state entropy.
     """
     spectrum = natural_spectrum(one_pdm(rho))
     entropy_free = binary_entropy(spectrum.occupations)
     entropy_state = von_neumann(rho)
     value = entropy_free - entropy_state
-    if value < -1e-7:
+    if value < -TOL_NONFREENESS:
         raise ValidationError(
             f"nonfreeness evaluated to {value:.3e}; the entropy difference"
             " can only be negative through a computational bug"

@@ -1,32 +1,35 @@
 """Spectral entropy functionals: von Neumann, relative, Renyi, sandwiched Renyi.
 
-Everything is in nats.  All spectral functions hermitize their input,
-eigendecompose, and treat eigenvalues at or below `kernel_tol` as exact
-kernel, which makes the +infinity conventions of the divergences testable.
+Everything is in nats.  All spectral functions read each state's cached
+eigendecomposition (`states.spectrum`, taken once per state) and treat
+eigenvalues at or below `kernel_tol` as exact kernel, which makes the
++infinity conventions of the divergences testable.
 """
 
 import numpy as np
 
-from .config import KERNEL_TOL
+from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
-from .states import DensityOperator
+from .states import DensityOperator, spectrum
 
 
 def _spectral(rho: DensityOperator, kernel_tol: float):
-    m = (rho.matrix + rho.matrix.conj().T) / 2
-    w, v = np.linalg.eigh(m)
-    w = np.where(w > kernel_tol, w, 0.0)
-    return w, v
+    w, v = rho.eigenpairs
+    return np.where(w > kernel_tol, w, 0.0), v
 
 
-def _check_space(a: DensityOperator, b: DensityOperator):
+def _joint(a: DensityOperator, b: DensityOperator, kernel_tol: float):
+    """Masked spectra p, q of both states, b's eigenvectors and |<a_i|b_j>|^2."""
     if a.space.d != b.space.d:
         raise ValidationError("divergences require both states on the same space")
+    p, va = _spectral(a, kernel_tol)
+    q, vb = _spectral(b, kernel_tol)
+    return p, q, vb, np.abs(va.conj().T @ vb) ** 2
 
 
 def _clamp(value: float) -> float:
-    if value < -1e-9:
-        raise ValidationError(f"divergence evaluated to {value:.3e} < -1e-9")
+    if value < -TOL_DIVERGENCE:
+        raise ValidationError(f"divergence evaluated to {value:.3e} < {-TOL_DIVERGENCE:.0e}")
     return max(value, 0.0)
 
 
@@ -50,10 +53,7 @@ def cross_entropy(
     a: DensityOperator, b: DensityOperator, kernel_tol: float = KERNEL_TOL
 ) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
-    _check_space(a, b)
-    p, va = _spectral(a, kernel_tol)
-    q, vb = _spectral(b, kernel_tol)
-    overlap = np.abs(va.conj().T @ vb) ** 2
+    p, q, _, overlap = _joint(a, b, kernel_tol)
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     live = np.ix_(p > 0, q > 0)
@@ -69,10 +69,7 @@ def relative_entropy(
     with 0 log 0 = 0; the value is +inf exactly when ker B is not contained
     in ker A (within `kernel_tol`).
     """
-    _check_space(a, b)
-    p, va = _spectral(a, kernel_tol)
-    q, vb = _spectral(b, kernel_tol)
-    overlap = np.abs(va.conj().T @ vb) ** 2
+    p, q, _, overlap = _joint(a, b, kernel_tol)
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
@@ -105,10 +102,7 @@ def renyi_divergence(
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    _check_space(a, b)
-    p, va = _spectral(a, kernel_tol)
-    q, vb = _spectral(b, kernel_tol)
-    overlap = np.abs(va.conj().T @ vb) ** 2
+    p, q, _, overlap = _joint(a, b, kernel_tol)
     if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     live = np.ix_(p > 0, q > 0)
@@ -136,18 +130,14 @@ def sandwiched_renyi(
         raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    _check_space(a, b)
-    p, va = _spectral(a, kernel_tol)
-    q, vb = _spectral(b, kernel_tol)
-    if alpha > 1.0:
-        overlap = np.abs(va.conj().T @ vb) ** 2
-        if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-            return float("inf")
+    p, q, vb, overlap = _joint(a, b, kernel_tol)
+    if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
+        return float("inf")
     exponent = (1.0 - alpha) / (2.0 * alpha)
     powered = np.where(q > 0, np.where(q > 0, q, 1.0) ** exponent, 0.0)
-    b_half = (vb * powered[None, :]) @ vb.conj().T
-    core = b_half @ a.matrix @ b_half
-    w = np.linalg.eigh((core + core.conj().T) / 2)[0]
+    # B^e A B^e written in B's eigenbasis: the same spectrum, one product fewer
+    core = powered[:, None] * (vb.conj().T @ a.matrix @ vb) * powered[None, :]
+    w = spectrum(core)[0]
     w = w[w > kernel_tol]
     trace = float((w**alpha).sum())
     if trace <= 0.0:

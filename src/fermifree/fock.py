@@ -9,6 +9,7 @@ anticommuting through that normal form.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -57,18 +58,18 @@ def occupation_vector(bits: int, d: int) -> tuple[int, ...]:
 
 def occupied_orbitals(bits: int) -> tuple[int, ...]:
     """1-based indices of occupied orbitals, increasing."""
-    out = []
-    i = 1
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
-def particle_number(bits: int) -> int:
-    return int(bits).bit_count()
+@cache
+def particle_number_sectors(d: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """All occupation lists sorted stably by particle number, and the spans
+    (start, stop) of ``order`` holding N = 0..d particles; shared, so read-only."""
+    counts = np.bitwise_count(np.arange(1 << d))
+    order = np.argsort(counts, kind="stable")
+    order.flags.writeable = False
+    bounds = np.searchsorted(counts[order], np.arange(d + 2)).tolist()
+    return order, tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def _check_orbital_index(i: int, space: OrbitalSpace):
@@ -114,11 +115,8 @@ def orbital_creator(f: np.ndarray, space: OrbitalSpace) -> sparse.csr_matrix:
     f = np.asarray(f, dtype=complex)
     if f.shape != (space.d,):
         raise ValidationError(f"expected a vector of length {space.d}")
-    op = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.d):
-        if f[i] != 0:
-            op = op + f[i] * creator(i + 1, space)
-    return op
+    zero = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    return sum((fi * creator(i, space) for i, fi in enumerate(f, 1) if fi != 0), zero)
 
 
 def ladder_matrices(space: OrbitalSpace):

@@ -161,5 +161,9 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"documents may not contain the non-finite number {name}")
+
+
 def loads(text: str) -> dict:
-    return json.loads(text)
+    return json.loads(text, parse_constant=_reject_constant)

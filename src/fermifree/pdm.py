@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import KERNEL_TOL, TOL_HERM
+from .config import KERNEL_TOL, TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
 from .fock import OrbitalSpace, ladder_matrices
 from .states import DensityOperator
@@ -27,11 +27,13 @@ class OnePdm:
         d = self.space.d
         if g.shape != (d, d):
             raise ValidationError(f"1-pdm shape {g.shape} does not match d={d}")
+        if not np.isfinite(g).all():
+            raise ValidationError("1-pdm has non-finite entries")
         herm = np.abs(g - g.conj().T).max()
         if herm > TOL_HERM:
             raise ValidationError(f"1-pdm is not Hermitian: deviation {herm:.3e}")
         w = np.linalg.eigvalsh((g + g.conj().T) / 2)
-        if w.min() < -1e-10 or w.max() > 1 + 1e-10:
+        if w.min() < -TOL_OCCUPATION or w.max() > 1 + TOL_OCCUPATION:
             raise ValidationError(
                 f"1-pdm eigenvalues outside [0, 1]: range [{w.min():.3e}, {w.max():.3e}]"
             )
@@ -80,7 +82,7 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     w = np.clip(w, 0.0, 1.0)
     for k in range(v.shape[1]):
         col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-10)
+        nz = np.flatnonzero(np.abs(col) > TOL_PHASE_PIVOT)
         pivot = col[nz[0]] if nz.size else 1.0
         phase = pivot / abs(pivot)
         v[:, k] = col / phase

@@ -1,13 +1,36 @@
 """Constructors for density operators on finite fermion Fock spaces."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import null_space
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, ladder_matrices
+from .fock import OrbitalSpace, basis_change_unitary, ladder_matrices, particle_number_sectors
+
+
+def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of the Hermitian part
+    of a 2^d x 2^d Fock-space matrix, eigenvalues in no particular order.
+
+    When every entry between different particle-number sectors is exactly
+    zero, as for states that commute with the particle number, each sector
+    block is diagonalized on its own; otherwise one dense eigensolve runs.
+    """
+    m = (matrix + matrix.conj().T) / 2
+    order, spans = particle_number_sectors(m.shape[0].bit_length() - 1)
+    sorted_m = m[np.ix_(order, order)]
+    blocks = [sorted_m[start:stop, start:stop] for start, stop in spans]
+    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(m):
+        del sorted_m, blocks  # not needed by the dense solve; frees a matrix copy
+        return np.linalg.eigh(m)
+    w, v = np.empty(m.shape[0]), np.zeros_like(m)
+    for (start, stop), block in zip(spans, blocks):
+        w[start:stop], v[order[start:stop], start:stop] = np.linalg.eigh(block)
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -30,17 +53,26 @@ class DensityOperator:
             raise ValidationError(
                 f"density matrix shape {m.shape} does not match Fock dimension {dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix has non-finite entries")
         herm = np.abs(m - m.conj().T).max()
         if herm > TOL_HERM:
             raise ValidationError(f"matrix is not Hermitian: deviation {herm:.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        lo = self.eigenpairs[0].min()
         if lo < -TOL_PSD:
             raise ValidationError(
                 f"matrix is not positive-semidefinite: eigenvalue {lo:.3e}"
             )
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``spectrum(matrix)``, computed once per state; the arrays are read-only."""
+        w, v = spectrum(self.matrix)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     @property
     def dim(self) -> int:
@@ -62,6 +94,8 @@ class PureState:
                 f"amplitude vector length {a.shape} does not match Fock dimension"
                 f" {self.space.dim}"
             )
+        if not np.isfinite(a).all():
+            raise ValidationError("amplitude vector has non-finite entries")
         err = abs(np.linalg.norm(a) - 1.0)
         if err > TOL_NORM:
             raise ValidationError(f"amplitude norm deviates from 1 by {err:.3e}")
@@ -174,25 +208,17 @@ def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOpera
 
 
 def _hubbard_hamiltonian(sites: int, t: float, u_int: float, space: OrbitalSpace):
-    """Open-boundary Hubbard chain on spin-orbitals (1up, 1dn, 2up, 2dn, ...)."""
+    """Open-boundary Hubbard chain on spin-orbitals (1up, 1dn, 2up, 2dn, ...), sparse."""
     creators, annihilators = ladder_matrices(space)
 
-    def up(s):  # 0-based site -> 0-based spin-orbital
-        return 2 * s
-
-    def dn(s):
-        return 2 * s + 1
-
-    dim = space.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    for s in range(sites - 1):
-        for orb in (up, dn):
-            hop = (creators[orb(s)] @ annihilators[orb(s + 1)]).toarray()
-            h += -t * (hop + hop.conj().T)
-    for s in range(sites):
-        h += u_int * (
-            creators[up(s)] @ annihilators[up(s)] @ creators[dn(s)] @ annihilators[dn(s)]
-        ).toarray()
+    h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for orb in range(2 * sites - 2):  # 0-based spin-orbital 2s (up) or 2s+1 (down)
+        hop = creators[orb] @ annihilators[orb + 2]
+        h = h - t * (hop + hop.conj().T)
+    for up in range(0, 2 * sites, 2):
+        h = h + u_int * (
+            creators[up] @ annihilators[up] @ creators[up + 1] @ annihilators[up + 1]
+        )
     return h
 
 
@@ -219,7 +245,7 @@ def hubbard_ground_state(
         (np.bitwise_count(idx & up_mask) == n_up)
         & (np.bitwise_count(idx & dn_mask) == n_down)
     ]
-    block = h[np.ix_(sector, sector)]
+    block = h[sector][:, sector].toarray()
     _, vecs = np.linalg.eigh(block)
     psi = np.zeros(space.dim, dtype=complex)
     psi[sector] = vecs[:, 0]
@@ -230,5 +256,4 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of the difference of two density operators."""
     if a.space.d != b.space.d:
         raise ValidationError("trace distance requires a shared space")
-    diff = (a.matrix - b.matrix + (a.matrix - b.matrix).conj().T) / 2
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * float(np.abs(spectrum(a.matrix - b.matrix)[0]).sum())

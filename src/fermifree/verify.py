@@ -150,7 +150,9 @@ def pair_state() -> DensityOperator:
 # minimum-property searches
 
 
-def _rotate_columns(u, i, j, theta, phi):
+def _rotate_columns(u, i, j, scale, rng):
+    """Givens rotation of columns i, j by a random angle of scale `scale` and phase."""
+    theta, phi = scale * rng.standard_normal(), rng.uniform(0.0, 2 * np.pi)
     out = u.copy()
     ci, cj = u[:, i].copy(), u[:, j].copy()
     out[:, i] = np.cos(theta) * ci + np.exp(1j * phi) * np.sin(theta) * cj
@@ -197,13 +199,7 @@ def min_relent_search(
             i, j = rng.choice(d, size=2, replace=False) if d > 1 else (0, 0)
             if i == j:
                 continue
-            u2 = _rotate_columns(
-                best_spec.orbitals,
-                int(i),
-                int(j),
-                scale * rng.standard_normal(),
-                rng.uniform(0.0, 2 * np.pi),
-            )
+            u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
             p2 = np.clip(np.real(np.diag(u2.conj().T @ gamma @ u2)), 0.0, 1.0)
             cand = FreeStateSpec(space, p2, u2)
             val = evaluate(cand)
@@ -332,13 +328,7 @@ def renyi_min_search(
                 1.0 - OCCUPATION_CLAMP,
             )
             i, j = rng.choice(d, size=2, replace=False)
-            u2 = _rotate_columns(
-                best_spec.orbitals,
-                int(i),
-                int(j),
-                scale * rng.standard_normal(),
-                rng.uniform(0.0, 2 * np.pi),
-            )
+            u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
             cand = FreeStateSpec(space, p2, u2)
             val = divergence(alpha, rho, cand.to_density())
             if val < best_val:

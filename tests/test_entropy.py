@@ -7,21 +7,28 @@ import pytest
 
 from fermifree import (
     DensityOperator,
+    FreeStateSpec,
     OrbitalSpace,
     PureState,
     ValidationError,
     cross_entropy,
     gibbs_free_density,
+    hubbard_ground_state,
+    mixture,
+    nonfreeness,
     pure_density,
     relative_entropy,
     remark_state,
     renyi_divergence,
     sandwiched_renyi,
+    slater_density,
     tensor_product,
     von_neumann,
 )
+from fermifree.config import KERNEL_TOL
 from fermifree.free import gamma_of
-from fermifree.verify import sample_density, sample_pure
+from fermifree.states import spectrum
+from fermifree.verify import sample_density, sample_pure, sample_unitary
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)  # binary entropy of 2/3
 
@@ -259,3 +266,124 @@ def test_monotone_in_alpha():
     alphas = [0.2, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0]
     values = [renyi_divergence(al, a, b) for al in alphas]
     assert all(lo <= hi + 1e-10 for lo, hi in zip(values, values[1:]))
+
+
+# --- sector-blocked spectra against the dense eigensolve -----------------------
+
+
+def _dense_masked_eigh(rho):
+    w, v = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
+    return np.where(w > KERNEL_TOL, w, 0.0), v
+
+
+def _dense_reference(a, b):
+    """von Neumann, relative entropy, Petz and sandwiched Renyi from full-matrix eigh.
+
+    Assumes the support of `b` contains that of `a`, as for every pair below.
+    """
+    p, va = _dense_masked_eigh(a)
+    q, vb = _dense_masked_eigh(b)
+    overlap = np.abs(va.conj().T @ vb)[np.ix_(p > 0, q > 0)] ** 2
+    p_live, q_live = p[p > 0], q[q > 0]
+    plogp = (p_live * np.log(p_live)).sum()
+    out = {
+        "von_neumann": -plogp,
+        "relative": plogp - (p_live[:, None] * overlap * np.log(q_live)).sum()
+        + q.sum() - p.sum(),
+    }
+    for alpha in (0.5, 2.0):
+        petz = (p_live[:, None] ** alpha * overlap * q_live ** (1 - alpha)).sum()
+        out["petz", alpha] = np.log(petz) / (alpha - 1)
+        b_power = (vb[:, q > 0] * q_live ** ((1 - alpha) / (2 * alpha))) @ vb[:, q > 0].conj().T
+        core = b_power @ a.matrix @ b_power
+        w = np.linalg.eigvalsh((core + core.conj().T) / 2)
+        out["sandwiched", alpha] = np.log((w[w > KERNEL_TOL] ** alpha).sum()) / (alpha - 1)
+    return out
+
+
+def _number_conserving_pairs():
+    rng = np.random.default_rng(7)
+    pairs = []
+    for d in (3, 4, 5):
+        space = OrbitalSpace(d)
+        slaters = [
+            slater_density(sample_unitary(d, rng)[:n], space)
+            for n in rng.choice(d + 1, 3, replace=False)
+        ]
+        weights = rng.dirichlet(np.ones(3))
+        rho = mixture(zip(weights, slaters))
+        pairs.append((rho, gamma_of(rho)))
+        free = [
+            FreeStateSpec(space, rng.uniform(0.1, 0.9, d), sample_unitary(d, rng)).to_density()
+            for _ in range(2)
+        ]
+        pairs.append(tuple(free))
+    # At alpha = 2 the overlaps' rounding is divided by the reference's smallest
+    # weight, so no two eigensolvers agree to 1e-10 once it nears 1e-9 (U = 3,
+    # four sites).  U = 8 keeps it above 1e-5.
+    for sites in (2, 3, 4):
+        rho = hubbard_ground_state(sites, 1.0, 8.0, (sites + 1) // 2, sites // 2)
+        pairs.append((rho, gamma_of(rho)))
+    return pairs
+
+
+def _eigh_shapes(monkeypatch):
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def _assert_matches_dense(a, b):
+    for rho in (a, b):
+        w, v = spectrum(rho.matrix)
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(rho.matrix), atol=1e-10)
+        np.testing.assert_allclose(rho.matrix @ v, v * w, atol=1e-10)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), atol=1e-10)
+    reference = _dense_reference(a, b)
+    computed = {
+        "von_neumann": von_neumann(a),
+        "relative": relative_entropy(a, b),
+    }
+    for alpha in (0.5, 2.0):
+        computed["petz", alpha] = renyi_divergence(alpha, a, b)
+        computed["sandwiched", alpha] = sandwiched_renyi(alpha, a, b)
+    for key, value in reference.items():
+        assert abs(computed[key] - max(value, 0.0)) <= 1e-10, key
+
+
+@pytest.mark.parametrize("pair", _number_conserving_pairs())
+def test_sector_spectra_match_dense_reference(pair, monkeypatch):
+    a, b = pair
+    shapes = _eigh_shapes(monkeypatch)
+    spectrum(a.matrix)
+    assert shapes and max(max(shape) for shape in shapes) < a.dim  # sector blocks only
+    _assert_matches_dense(a, b)
+
+
+def test_off_sector_entry_takes_dense_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    space = OrbitalSpace(3)
+    spec = FreeStateSpec(space, rng.uniform(0.2, 0.8, 3), sample_unitary(3, rng))
+    matrix = spec.to_density().matrix.copy()
+    matrix[0b001, 0b011] += 1e-14  # one particle against two
+    matrix[0b011, 0b001] += 1e-14
+    a = DensityOperator(space, matrix)
+    shapes = _eigh_shapes(monkeypatch)
+    spectrum(a.matrix)
+    assert shapes == [(space.dim, space.dim)]
+    _assert_matches_dense(a, sample_density(space, rng))
+
+
+def test_hubbard_nonfreeness_makes_no_full_size_eigh(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
+    rho = hubbard_ground_state(4, 1.0, 4.0, 2, 2)
+    report = nonfreeness(rho, cross_check=True)
+    assert report.cross_check < 1e-7
+    assert shapes and max(max(shape) for shape in shapes) < rho.dim

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fermifree import OrbitalSpace, remark_state
+from fermifree import OrbitalSpace, ValidationError, config, remark_state
 from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.pdm import one_pdm
@@ -173,6 +173,54 @@ def test_cli_invalid_json_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["nonfreeness", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+
+
+NAN_DIAGONAL = (
+    '{"d": 2, "kind": "density", "matrix": [[[0.5, 0], [0, 0], [0, 0], [0, 0]],'
+    ' [[0, 0], [0.5, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [NaN, 0], [0, 0]],'
+    ' [[0, 0], [0, 0], [0, 0], [0, 0]]]}'
+)
+# indices 1 and 2 both hold one particle, so the NaN sits inside a sector block
+NAN_IN_SECTOR = (
+    '{"d": 2, "kind": "density", "matrix": [[[0.25, 0], [0, 0], [0, 0], [0, 0]],'
+    ' [[0, 0], [0.25, 0], [NaN, 0], [0, 0]], [[0, 0], [NaN, 0], [0.25, 0], [0, 0]],'
+    ' [[0, 0], [0, 0], [0, 0], [0.25, 0]]]}'
+)
+INFINITY = '{"d": 1, "kind": "gibbs", "occupations": [Infinity]}'
+
+
+@pytest.mark.parametrize("text", [NAN_DIAGONAL, NAN_IN_SECTOR, INFINITY])
+def test_cli_non_finite_document_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "non-finite.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["nonfreeness", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_non_finite_matrix_rejected_without_json_literals():
+    doc = {"d": 1, "kind": "density", "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    with pytest.raises(ValidationError, match="non-finite"):
+        ffio.density_from_document(doc)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_cli_bad_dmax_env_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("FERMIFREE_DMAX", raw)
+    code, out, err = run_cli(capsys, ["demo-hubbard", "--sites", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: FERMIFREE_DMAX") and err.count("\n") == 1
+
+
+def test_cli_config_echoes_every_tolerance(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, ["nonfreeness", write_remark(tmp_path)])
+    assert code == 0
+    echoed = json.loads(out)["config"]
+    for name, value in vars(config).items():
+        if name.startswith("TOL_") or name == "KERNEL_TOL":
+            assert echoed[name.lower()] == value
 
 
 def test_cli_cross_check_infinite_breach_exits_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from fermifree import (
     DensityOperator,
+    OnePdm,
     OrbitalSpace,
     PureState,
     ValidationError,
@@ -56,6 +57,21 @@ def test_density_validation_messages():
         DensityOperator(space, np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValidationError, match="positive-semidefinite"):
         DensityOperator(space, np.diag([1.5, -0.5]))
+
+
+def test_validation_rejects_non_finite_entries():
+    space = OrbitalSpace(2)
+    nan_diagonal = np.diag([0.5, 0.5, np.nan, 0.0]).astype(complex)
+    # orbitals 1 and 2 singly occupied: both indices lie in the N = 1 sector
+    nan_in_sector = np.eye(4, dtype=complex) / 4
+    nan_in_sector[1, 2] = nan_in_sector[2, 1] = np.nan
+    for matrix in (nan_diagonal, nan_in_sector, np.diag([np.inf, 0, 0, 0])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator(space, matrix)
+    with pytest.raises(ValidationError, match="non-finite"):
+        PureState(OrbitalSpace(1), np.array([np.nan, 1.0]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        OnePdm(OrbitalSpace(1), np.array([[np.nan]]))
 
 
 def test_slater_standard_basis_rows():
