@@ -172,23 +172,19 @@ def _cmd_verify(args) -> int:
 def _cmd_demo_hubbard(args) -> int:
     n_up = args.nup if args.nup is not None else (args.sites + 1) // 2
     n_down = args.ndown if args.ndown is not None else args.sites // 2
-    inputs = {
-        "sites": args.sites,
-        "t": args.t,
-        "n_up": n_up,
-        "n_down": n_down,
-    }
+    inputs = {"sites": args.sites, "t": args.t, "n_up": n_up, "n_down": n_down}
+
+    def nonfreeness_at(u_int: float) -> float:
+        # the state and its cached eigenvectors are freed on return, before the next is built
+        rho = hubbard_ground_state(args.sites, args.t, u_int, n_up, n_down)
+        return nonfreeness(rho, cross_check=False).nonfreeness
+
     if args.sweep is not None:
         grid = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        rows = []
-        for u_int in grid:
-            rho = hubbard_ground_state(args.sites, args.t, u_int, n_up, n_down)
-            rows.append([u_int, nonfreeness(rho, cross_check=False).nonfreeness])
-        value = {"columns": ["u", "nonfreeness"], "rows": rows}
+        value = {"columns": ["u", "nonfreeness"], "rows": [[u, nonfreeness_at(u)] for u in grid]}
         inputs["sweep"] = grid
     else:
-        rho = hubbard_ground_state(args.sites, args.t, args.u, n_up, n_down)
-        value = {"u": args.u, "nonfreeness": nonfreeness(rho, cross_check=False).nonfreeness}
+        value = {"u": args.u, "nonfreeness": nonfreeness_at(args.u)}
         inputs["u"] = args.u
     return _emit("hubbard-nonfreeness", value, "nats", inputs)
 

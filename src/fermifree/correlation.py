@@ -14,7 +14,7 @@ from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, join_index
-from .free import gamma_of, wick_check
+from .free import free_from_pdm, gamma_of, wick_check
 from .pdm import natural_spectrum, one_pdm
 from .states import DensityOperator
 
@@ -53,7 +53,8 @@ def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationRe
     anything lower is a hard error, since the free entropy can never fall
     below the state entropy.
     """
-    spectrum = natural_spectrum(one_pdm(rho))
+    pdm = one_pdm(rho)
+    spectrum = natural_spectrum(pdm)
     entropy_free = binary_entropy(spectrum.occupations)
     entropy_state = von_neumann(rho)
     value = entropy_free - entropy_state
@@ -65,7 +66,8 @@ def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationRe
     value = max(value, 0.0)
     deviation = None
     if cross_check:
-        direct = relative_entropy(rho, gamma_of(rho))
+        reference, _ = free_from_pdm(pdm)
+        direct = relative_entropy(rho, reference)
         deviation = abs(direct - value)
     return CorrelationReport(
         nonfreeness=value,
@@ -101,11 +103,8 @@ def restrict(rho: DensityOperator, keep) -> DensityOperator:
     comp = space.d - k
     sub_dim = 1 << k
     env_dim = 1 << comp
-    full = np.empty((sub_dim, env_dim), dtype=np.int64)
-    sign = np.empty((sub_dim, env_dim))
-    for n1 in range(sub_dim):
-        for n2 in range(env_dim):
-            full[n1, n2], sign[n1, n2] = join_index(n1, n2, keep, space)
+    joined = [[join_index(a, b, keep, space) for b in range(env_dim)] for a in range(sub_dim)]
+    full, sign = np.moveaxis(np.array(joined), -1, 0)
     out = np.zeros((sub_dim, sub_dim), dtype=complex)
     for n2 in range(env_dim):
         idx = full[:, n2]

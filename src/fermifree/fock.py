@@ -125,6 +125,40 @@ def ladder_matrices(space: OrbitalSpace):
     return cs, [c.conj().T.tocsr() for c in cs]
 
 
+@cache
+def ladder_table(word: str, d: int) -> tuple[np.ndarray, ...]:
+    """Every nonzero entry of every ladder monomial spelled by `word`, read-only.
+
+    '+' is a creator, '-' an annihilator; monomial k is the product for the
+    k-th 0-based orbital tuple in row-major order, rightmost operator first.
+    Monomial mono[n] maps |src[n]> to sign[n] |dst[n]>, signs as in ``creator``.
+    """
+    bits = 1 << np.arange(d, dtype=np.int64)
+    src = np.arange(1 << d, dtype=np.int64)
+    dst, mono, sign = src, np.zeros_like(src), np.ones(src.size)
+    for position, letter in enumerate(reversed(word)):
+        occupied = (dst[:, None] & bits) != 0
+        rows, orbs = np.nonzero({"-": occupied, "+": ~occupied}[letter])
+        below = np.bitwise_count(dst[rows] & (bits[orbs] - 1)) % 2
+        sign = sign[rows] * (1.0 - 2.0 * below)
+        src, dst = src[rows], dst[rows] ^ bits[orbs]
+        mono = mono[rows] + orbs * d**position
+    table = (mono, src, dst, sign)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def expectations(matrix: np.ndarray, word: str, d: int) -> np.ndarray:
+    """Tr(matrix M) for every ladder monomial M spelled by `word`, shape (d,)*len(word):
+    one signed gather over ``ladder_table(word, d)``, summed per monomial."""
+    mono, src, dst, sign = ladder_table(word, d)
+    values = sign * matrix[src, dst]
+    size = d ** len(word)
+    sums = np.bincount(mono, values.real, size) + 1j * np.bincount(mono, values.imag, size)
+    return sums.reshape((d,) * len(word))
+
+
 def _require_unitary(u: np.ndarray, d: int, tol: float):
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
@@ -192,6 +226,13 @@ def _keep_mask(keep, d: int) -> int:
     return mask
 
 
+def _orbital_split(keep, d: int) -> tuple[int, list[int], list[int]]:
+    """The keep mask, and the 0-based kept and complement orbitals in increasing order."""
+    mask = _keep_mask(keep, d)
+    kept = [i for i in range(d) if mask >> i & 1]
+    return mask, kept, [i for i in range(d) if not mask >> i & 1]
+
+
 def split_index(bits: int, keep, space: OrbitalSpace) -> tuple[int, int, int]:
     """Factor an occupation list across a subset of orbitals.
 
@@ -200,30 +241,15 @@ def split_index(bits: int, keep, space: OrbitalSpace) -> tuple[int, int, int]:
     complement, and sign the parity of moving the kept creators in front of
     the complement creators.
     """
-    mask = _keep_mask(keep, space.d)
-    keep_sorted = sorted(keep)
-    comp_sorted = [i for i in range(1, space.d + 1) if i not in set(keep_sorted)]
-    n1 = 0
-    for pos, i in enumerate(keep_sorted):
-        if bits & (1 << (i - 1)):
-            n1 |= 1 << pos
-    n2 = 0
-    for pos, i in enumerate(comp_sorted):
-        if bits & (1 << (i - 1)):
-            n2 |= 1 << pos
+    mask, kept, comp = _orbital_split(keep, space.d)
+    n1 = sum(1 << pos for pos, i in enumerate(kept) if bits >> i & 1)
+    n2 = sum(1 << pos for pos, i in enumerate(comp) if bits >> i & 1)
     return n1, n2, _split_sign(bits, mask)
 
 
 def join_index(n1: int, n2: int, keep, space: OrbitalSpace) -> tuple[int, int]:
     """Inverse of ``split_index``: scatter (n1, n2) back into a full occupation list."""
-    mask = _keep_mask(keep, space.d)
-    keep_sorted = sorted(keep)
-    comp_sorted = [i for i in range(1, space.d + 1) if i not in set(keep_sorted)]
-    bits = 0
-    for pos, i in enumerate(keep_sorted):
-        if n1 & (1 << pos):
-            bits |= 1 << (i - 1)
-    for pos, i in enumerate(comp_sorted):
-        if n2 & (1 << pos):
-            bits |= 1 << (i - 1)
+    mask, kept, comp = _orbital_split(keep, space.d)
+    bits = sum(1 << i for pos, i in enumerate(kept) if n1 >> pos & 1)
+    bits += sum(1 << i for pos, i in enumerate(comp) if n2 >> pos & 1)
     return bits, _split_sign(bits, mask)

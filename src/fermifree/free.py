@@ -6,12 +6,11 @@ determinant formula with that 1-pdm.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, ladder_matrices
+from .fock import OrbitalSpace, basis_change_unitary, expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
 from .states import DensityOperator, bernoulli_weights
 
@@ -76,53 +75,18 @@ def wick_check(
     if max_order not in (1, 2):
         raise ValidationError(f"max_order must be 1 or 2, got {max_order}")
     d = rho.space.d
-    m = rho.matrix
-    creators, annihilators = ladder_matrices(rho.space)
     gamma = one_pdm(rho).gamma
-    worst = 0.0
 
-    def expect(op):
-        return complex((op.multiply(m.T)).sum())
+    def expect(word):
+        return expectations(rho.matrix, word, d)
 
-    for i in range(d):
-        worst = max(worst, abs(expect(creators[i])), abs(expect(annihilators[i])))
-    for i, j in product(range(d), repeat=2):
-        worst = max(
-            worst,
-            abs(expect(annihilators[i] @ annihilators[j])),
-            abs(expect(creators[i] @ creators[j])),
-            abs(expect(creators[i] @ annihilators[j]) - gamma[j, i]),
-        )
+    deviations = [expect("+"), expect("-"), expect("--"), expect("++"), expect("+-") - gamma.T]
     if max_order == 2:
-        for i, j in product(range(d), repeat=2):
-            cc = creators[i] @ creators[j]
-            ca = creators[i] @ annihilators[j]
-            for k in range(d):
-                worst = max(
-                    worst,
-                    abs(expect(cc @ annihilators[k])),
-                    abs(expect(ca @ annihilators[k])),
-                )
-        # Tr(rho C_f1 C_f2 A_g2 A_g1) = Tr((A_g1 rho C_f1) (C_f2 A_g2))
-        left = {
-            (g1, f1): annihilators[g1] @ m @ creators[f1]
-            for g1 in range(d)
-            for f1 in range(d)
-        }
-        right = {
-            (f2, g2): creators[f2] @ annihilators[g2]
-            for f2 in range(d)
-            for g2 in range(d)
-        }
-        for f1, f2 in product(range(d), repeat=2):
-            for g1, g2 in product(range(d), repeat=2):
-                lhs = complex(
-                    (right[f2, g2].multiply(left[g1, f1].T)).sum()
-                )
-                det = (
-                    gamma[g1, f1] * gamma[g2, f2] - gamma[g1, f2] * gamma[g2, f1]
-                )
-                worst = max(worst, abs(lhs - det))
+        # <a*_f1 a*_f2 a_g2 a_g1> = gamma[g1, f1] gamma[g2, f2] - gamma[g1, f2] gamma[g2, f1],
+        # laid out as [f1, f2, g2, g1] like expect("++--")
+        minors = np.einsum("ea,cb->abce", gamma, gamma) - np.einsum("eb,ca->abce", gamma, gamma)
+        deviations += [expect("++-"), expect("+--"), expect("++--") - minors]
+    worst = max(float(np.abs(dev).max()) for dev in deviations)
     return bool(worst <= tol), float(worst)
 
 
@@ -134,10 +98,5 @@ def purify_free(spec: FreeStateSpec) -> np.ndarray:
     the resulting Slater determinant state to the first d orbitals recovers the
     free state.
     """
-    d = spec.space.d
-    rows = np.zeros((d, 2 * d), dtype=complex)
     p = spec.occupations
-    for i in range(d):
-        rows[i, :d] = np.sqrt(p[i]) * spec.orbitals[:, i]
-        rows[i, d + i] = np.sqrt(1.0 - p[i])
-    return rows
+    return np.hstack([np.sqrt(p)[:, None] * spec.orbitals.T, np.diag(np.sqrt(1.0 - p))])

@@ -28,24 +28,36 @@ from .states import (
 STATE_KINDS = ("pure", "mixture", "gibbs", "slater", "density", "hubbard")
 
 
-def complex_to_json(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
 def matrix_to_json(m) -> list:
-    return [vector_to_json(row) for row in np.asarray(m, dtype=complex)]
+    """A complex vector or matrix as [re, im] pairs in nested lists."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _numbers(data, ndim: int, what: str) -> np.ndarray:
+    """`data` as a float array; it must be JSON numbers in rectangular lists `ndim` deep."""
+    try:
+        array = np.array(data)
+    except ValueError as exc:  # ragged rows, or nesting deeper than numpy allows
+        raise ValidationError(f"{what} is ragged: {exc}") from exc
+    if array.ndim != ndim or array.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numbers in rectangular lists {ndim} deep")
+    return array.astype(float)
+
+
+def _complex(data, ndim: int) -> np.ndarray:
+    pairs = _numbers(data, ndim + 1, "complex array")
+    if pairs.shape[-1] != 2:
+        raise ValidationError("complex numbers must be [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def vector_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    return _complex(data, 1)
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    return _complex(data, 2)
 
 
 def value_to_json(value):
@@ -61,9 +73,23 @@ def value_from_json(value):
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ValidationError(f"document is missing required field {key!r}")
     return doc[key]
+
+
+def _integer(doc: dict, key: str) -> int:
+    value = _require(doc, key)
+    if type(value) is not int:  # JSON true and false arrive as bools
+        raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """A numeric field: a number (ndim 0) or rectangular lists of numbers, as floats."""
+    return _numbers(_require(doc, key), ndim, f"field {key!r}")
 
 
 def density_to_document(rho: DensityOperator) -> dict:
@@ -79,23 +105,26 @@ def density_to_document(rho: DensityOperator) -> dict:
 
 def density_from_document(doc: dict) -> DensityOperator:
     """Build a density operator from a state document; validations re-run."""
-    d = int(_require(doc, "d"))
+    d = _integer(doc, "d")
     kind = _require(doc, "kind")
-    labels = tuple(doc["labels"]) if doc.get("labels") is not None else None
+    labels = doc.get("labels")
+    strings = isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    if labels is not None and not strings:
+        raise ValidationError("labels must be a list of strings")
     if kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {kind!r}")
     if kind == "hubbard":
-        sites = int(_require(doc, "sites"))
+        sites = _integer(doc, "sites")
         if d != 2 * sites:
             raise ValidationError(
                 f"hubbard documents need d = 2 * sites, got d={d}, sites={sites}"
             )
         return hubbard_ground_state(
             sites,
-            float(_require(doc, "t")),
-            float(_require(doc, "u")),
-            int(_require(doc, "n_up")),
-            int(_require(doc, "n_down")),
+            float(_field(doc, "t", 0)),
+            float(_field(doc, "u", 0)),
+            _integer(doc, "n_up"),
+            _integer(doc, "n_down"),
         )
     space = OrbitalSpace(d, labels)
     if kind == "pure":
@@ -103,17 +132,20 @@ def density_from_document(doc: dict) -> DensityOperator:
     if kind == "density":
         return DensityOperator(space, matrix_from_json(_require(doc, "matrix")))
     if kind == "gibbs":
-        return gibbs_free_density(np.array(_require(doc, "occupations"), float), space)
+        return gibbs_free_density(_field(doc, "occupations", 1), space)
     if kind == "slater":
         rows = _require(doc, "orbitals")
         array = matrix_from_json(rows) if rows else np.zeros((0, d), dtype=complex)
         return slater_density(array, space)
+    items = _require(doc, "components")
+    if not isinstance(items, list):
+        raise ValidationError("mixture components must be a list")
     components = []
-    for item in _require(doc, "components"):
+    for item in items:
         sub = density_from_document(_require(item, "state"))
         if sub.space.d != d:
             raise ValidationError("mixture component dimension differs from document d")
-        components.append((float(_require(item, "weight")), sub))
+        components.append((float(_field(item, "weight", 0)), sub))
     return mixture(components)
 
 
@@ -122,7 +154,7 @@ def pdm_to_document(pdm: OnePdm) -> dict:
 
 
 def pdm_from_document(doc: dict) -> OnePdm:
-    d = int(_require(doc, "d"))
+    d = _integer(doc, "d")
     return OnePdm(OrbitalSpace(d), matrix_from_json(_require(doc, "gamma")))
 
 
@@ -136,10 +168,10 @@ def free_spec_to_document(spec: FreeStateSpec) -> dict:
 
 
 def free_spec_from_document(doc: dict) -> FreeStateSpec:
-    d = int(_require(doc, "d"))
+    d = _integer(doc, "d")
     return FreeStateSpec(
         OrbitalSpace(d),
-        np.array(_require(doc, "occupations"), dtype=float),
+        _field(doc, "occupations", 1),
         matrix_from_json(_require(doc, "orbitals")),
     )
 

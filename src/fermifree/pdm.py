@@ -6,7 +6,7 @@ import numpy as np
 
 from .config import KERNEL_TOL, TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
-from .fock import OrbitalSpace, ladder_matrices
+from .fock import OrbitalSpace, expectations
 from .states import DensityOperator
 
 
@@ -58,14 +58,7 @@ class NaturalSpectrum:
 
 def one_pdm(rho: DensityOperator) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator."""
-    d = rho.space.d
-    creators, annihilators = ladder_matrices(rho.space)
-    g = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        left = annihilators[i] @ rho.matrix  # a_i rho
-        for j in range(d):
-            # Tr(rho a*_j a_i) = Tr(a_i rho a*_j)
-            g[i, j] = (creators[j].multiply(left.T)).sum()
+    g = expectations(rho.matrix, "+-", rho.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
     return OnePdm(rho.space, (g + g.conj().T) / 2)
 
 
@@ -80,12 +73,9 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     w, v = w[::-1], v[:, ::-1]
     clamp = max(0.0, float(-w.min()), float(w.max() - 1.0))
     w = np.clip(w, 0.0, 1.0)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > TOL_PHASE_PIVOT)
-        pivot = col[nz[0]] if nz.size else 1.0
-        phase = pivot / abs(pivot)
-        v[:, k] = col / phase
+    big = np.abs(v) > TOL_PHASE_PIVOT
+    pivot = np.where(big.any(axis=0), v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)
+    v = v / (pivot / np.abs(pivot))
     return NaturalSpectrum(occupations=w, orbitals=v, clamped=clamp)
 
 
@@ -107,12 +97,7 @@ def kernel_inclusion_1pdm(
         raise ValidationError("kernel predicates require a shared space")
     w, v = np.linalg.eigh((gamma_free.gamma + gamma_free.gamma.conj().T) / 2)
     g2 = gamma_state.gamma
-    eye = np.eye(gamma_state.space.d)
-    ker_ok = True
-    coker_ok = True
-    for k in range(w.size):
-        if w[k] < tol:
-            ker_ok = ker_ok and np.linalg.norm(g2 @ v[:, k]) < tol
-        if w[k] > 1.0 - tol:
-            coker_ok = coker_ok and np.linalg.norm((eye - g2) @ v[:, k]) < tol
+    rest = np.eye(gamma_state.space.d) - g2
+    ker_ok = all(np.linalg.norm(g2 @ v[:, k]) < tol for k in np.flatnonzero(w < tol))
+    coker_ok = all(np.linalg.norm(rest @ v[:, k]) < tol for k in np.flatnonzero(w > 1.0 - tol))
     return bool(ker_ok), bool(coker_ok)

@@ -116,7 +116,9 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
     single code path.
     """
     d = space.d
-    rows = np.asarray(orbitals, dtype=complex).reshape(-1, d)
+    rows = np.asarray(orbitals, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValidationError(f"orbitals must be an n x {d} matrix, got shape {rows.shape}")
     n = rows.shape[0]
     if n > d:
         raise ValidationError(f"cannot occupy {n} orbitals in a {d}-orbital space")

@@ -1,5 +1,9 @@
 """Fock combinatorics: ladder signs, induced unitaries, index factorization."""
 
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,13 @@ from fermifree import (
     number_operator,
     split_index,
 )
-from fermifree.fock import occupation_vector, occupied_orbitals
+from fermifree.fock import (
+    expectations,
+    ladder_matrices,
+    ladder_table,
+    occupation_vector,
+    occupied_orbitals,
+)
 from fermifree.verify import sample_unitary
 
 
@@ -154,6 +164,38 @@ def test_car_relations(d):
             np.testing.assert_allclose(
                 (a_i @ a_j + a_j @ a_i).toarray(), 0.0, atol=1e-12
             )
+
+
+LADDER_WORDS = ("+", "-", "++", "--", "+-", "++-", "+--", "++--")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_expectations_match_sparse_ladder_products(d):
+    space = OrbitalSpace(d)
+    rng = np.random.default_rng(d)
+    shape = (space.dim, space.dim)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
+    creators, annihilators = ladder_matrices(space)
+    ops = {"+": creators, "-": annihilators}
+    for word in LADDER_WORDS:
+        got = expectations(m, word, d)
+        assert got.shape == (d,) * len(word)
+        for orbitals in itertools.product(range(d), repeat=len(word)):
+            product = ops[word[0]][orbitals[0]]
+            for letter, i in zip(word[1:], orbitals[1:]):
+                product = product @ ops[letter][i]
+            expected = np.sum(m.T * product.toarray())  # Tr(m M)
+            assert abs(got[orbitals] - expected) < 1e-12, (word, orbitals)
+
+
+def test_ladder_tables_are_cached_read_only_and_built_lazily():
+    table = ladder_table("+-", 3)
+    assert ladder_table("+-", 3) is table
+    assert not any(array.flags.writeable for array in table)
+    # a fresh interpreter has built no table after importing the package
+    code = "import fermifree, fermifree.fock as f; print(f.ladder_table.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
 
 
 def test_index_out_of_range():

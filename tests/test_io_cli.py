@@ -1,12 +1,15 @@
 """Document round-trips and the command-line surface."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermifree import OrbitalSpace, ValidationError, config, remark_state
+from fermifree import DensityOperator, OrbitalSpace, ValidationError, config, remark_state
 from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.pdm import one_pdm
@@ -203,6 +206,113 @@ def test_non_finite_matrix_rejected_without_json_literals():
     doc = {"d": 1, "kind": "density", "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]}
     with pytest.raises(ValidationError, match="non-finite"):
         ffio.density_from_document(doc)
+
+
+HUBBARD_DOC = {"d": 4, "kind": "hubbard", "sites": 2, "t": 1, "u": 0, "n_up": 1, "n_down": 1}
+GIBBS_DOC = {"d": 1, "kind": "gibbs", "occupations": [0.5]}
+DENSITY_DOC = {"d": 1, "kind": "density", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+BAD_TYPE_DOCUMENTS = {
+    "string d": dict(DENSITY_DOC, d="1.5"),
+    "bool d": dict(GIBBS_DOC, d=True),
+    "string matrix entry": dict(DENSITY_DOC, matrix=[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]),
+    "short pair": dict(DENSITY_DOC, matrix=[[[1], [0]], [[0], [0]]]),
+    "ragged rows": dict(DENSITY_DOC, matrix=[[[1, 0], [0, 0]], [[0, 0]]]),
+    "string sites": dict(HUBBARD_DOC, sites="2"),
+    "float n_up": dict(HUBBARD_DOC, n_up=1.0),
+    "string t": dict(HUBBARD_DOC, t="x"),
+    "non-list labels": dict(GIBBS_DOC, labels=7),
+    "non-list components": {"d": 1, "kind": "mixture", "components": 3},
+    "string weight": {
+        "d": 1, "kind": "mixture", "components": [{"weight": "1", "state": GIBBS_DOC}]
+    },
+    "slater row too long": {"d": 2, "kind": "slater", "orbitals": [[[1, 0], [0, 0], [0, 0]]]},
+    "array document": [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TYPE_DOCUMENTS))
+def test_cli_bad_json_types_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_TYPE_DOCUMENTS[name]))
+    code, out, err = run_cli(capsys, ["nonfreeness", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_pdm_and_spec_documents_reject_bad_types():
+    with pytest.raises(ValidationError, match="integer"):
+        ffio.pdm_from_document({"d": "2", "gamma": [[[0.5, 0]]]})
+    with pytest.raises(ValidationError, match="occupations"):
+        ffio.free_spec_from_document({"d": 1, "occupations": ["x"], "orbitals": [[[1, 0]]]})
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)  # io.loads rejects NaN and Infinity
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+VALID_DOCUMENTS = [
+    {"d": 1, "kind": "pure", "amplitudes": [[0.6, 0], [0, 0.8]], "labels": ["a"]},
+    {"d": 1, "kind": "density", "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    {"d": 2, "kind": "gibbs", "occupations": [0.25, 0.5]},
+    {"d": 2, "kind": "slater", "orbitals": [[[0.6, 0], [0, 0.8]]]},
+    {"d": 4, "kind": "hubbard", "sites": 2, "t": 1.0, "u": 2.0, "n_up": 1, "n_down": 1},
+    {
+        "d": 1,
+        "kind": "mixture",
+        "components": [
+            {"weight": 0.5, "state": {"d": 1, "kind": "gibbs", "occupations": [0.5]}},
+            {"weight": 0.5, "state": {"d": 1, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}},
+        ],
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """Every position in a document tree: the root, each dict value and list entry."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.sampled_from(VALID_DOCUMENTS))
+def test_malformed_documents_raise_only_validation_error(data, base):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        rho = ffio.density_from_document(doc)
+    except ValidationError:
+        return
+    assert isinstance(rho, DensityOperator)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -20,7 +20,20 @@ from fermifree import (
     restrict,
     slater_density,
 )
+from fermifree.fock import ladder_matrices
 from fermifree.verify import sample_density, sample_unitary
+
+
+def sparse_one_pdm(rho):
+    """gamma[i, j] = Tr(rho a*_j a_i) from sparse ladder products, hermitized."""
+    creators, annihilators = ladder_matrices(rho.space)
+    d = rho.space.d
+    g = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            op = (creators[j] @ annihilators[i]).tocoo()  # sum of data |row><col|
+            g[i, j] = (op.data * rho.matrix[op.col, op.row]).sum()
+    return (g + g.conj().T) / 2
 
 
 def test_one_pdm_of_slater_is_projector():
@@ -30,6 +43,13 @@ def test_one_pdm_of_slater_is_projector():
     gamma = one_pdm(slater_density(rows, space)).gamma
     np.testing.assert_allclose(gamma, rows.T @ rows.conj(), atol=1e-10)
     np.testing.assert_allclose(gamma @ gamma, gamma, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_one_pdm_matches_sparse_reference(d):
+    space = OrbitalSpace(d)
+    rho = sample_density(space, np.random.default_rng(100 + d), rank=min(space.dim, 3))
+    np.testing.assert_allclose(one_pdm(rho).gamma, sparse_one_pdm(rho), rtol=0, atol=1e-12)
 
 
 def test_one_pdm_of_vacuum_is_zero():

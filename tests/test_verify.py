@@ -1,10 +1,12 @@
 """Brute-force searches and the randomized property suite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import fermifree
 from fermifree import (
     FreeStateSpec,
     OrbitalSpace,
@@ -26,6 +28,7 @@ from fermifree import (
     trace_distance,
     wick_check,
 )
+from fermifree.fock import ladder_matrices, ladder_table
 from fermifree.io import dumps
 from fermifree.states import bernoulli_weights
 from fermifree.verify import (
@@ -183,3 +186,71 @@ def test_property_suite_deterministic():
 def test_search_config_validation():
     with pytest.raises(ValidationError, match="samples"):
         SearchConfig(samples=0)
+
+
+def sparse_wick_check(rho, max_order, tol=1e-10):
+    """``wick_check`` from sparse ladder products, one monomial at a time.
+
+    Anomalous and odd monomials must vanish, <a*_i a_j> = gamma[j, i], and
+    <a*_f1 a*_f2 a_g2 a_g1> = gamma[g1, f1] gamma[g2, f2] - gamma[g1, f2] gamma[g2, f1].
+    """
+    d = rho.space.d
+    creators, annihilators = ladder_matrices(rho.space)
+    ops = {"+": creators, "-": annihilators}
+    gamma = np.empty((d, d), dtype=complex)
+    expect = {}
+    words = ("+", "-", "--", "++", "+-") + (("++-", "+--", "++--") if max_order == 2 else ())
+    for word in words:
+        for orbs in itertools.product(range(d), repeat=len(word)):
+            op = ops[word[0]][orbs[0]]
+            for letter, i in zip(word[1:], orbs[1:]):
+                op = op @ ops[letter][i]
+            op = op.tocoo()
+            expect[word, orbs] = (op.data * rho.matrix[op.col, op.row]).sum()
+    for i, j in itertools.product(range(d), repeat=2):
+        gamma[j, i] = expect["+-", (i, j)]
+    gamma = (gamma + gamma.conj().T) / 2
+    worst = 0.0
+    for (word, orbs), value in expect.items():
+        if word == "+-":
+            value = value - gamma[orbs[1], orbs[0]]
+        elif word == "++--":
+            f1, f2, g2, g1 = orbs
+            value = value - (gamma[g1, f1] * gamma[g2, f2] - gamma[g1, f2] * gamma[g2, f1])
+        worst = max(worst, abs(value))
+    return worst <= tol, worst
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_wick_check_matches_sparse_reference(d):
+    space = OrbitalSpace(d)
+    rng = np.random.default_rng(200 + d)
+    states = [sample_density(space, rng), sample_free_spec(space, rng).to_density()]
+    for rho, max_order in itertools.product(states, (1, 2)):
+        ok, worst = wick_check(rho, max_order=max_order)
+        ref_ok, ref_worst = sparse_wick_check(rho, max_order)
+        assert ok == ref_ok
+        assert abs(worst - ref_worst) <= 1e-12
+    assert wick_check(states[1], max_order=2)[0]
+
+
+def test_wick_check_pair_state_matches_sparse_reference():
+    ok, worst = wick_check(pair_state(), max_order=2)
+    ref_ok, ref_worst = sparse_wick_check(pair_state(), 2)
+    assert not ok and not ref_ok
+    assert abs(worst - 0.5) <= 1e-12 and abs(worst - ref_worst) <= 1e-12
+
+
+def test_one_pdm_and_wick_check_build_no_sparse_ladder_operators(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sparse ladder operator was built")
+
+    for module in (fermifree, fermifree.fock, fermifree.states, fermifree.verify):
+        for name in ("ladder_matrices", "creator", "annihilator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    ladder_table.cache_clear()  # so the tables are rebuilt under the patch
+    rho = sample_density(OrbitalSpace(3), np.random.default_rng(0))
+    one_pdm(rho)
+    wick_check(rho, max_order=2)
+    wick_check(pair_state(), max_order=2)
