@@ -1,7 +1,8 @@
 """Spectral entropy functionals: von Neumann, relative, Renyi, sandwiched Renyi.
 
 Everything is in nats.  All spectral functions read each state's cached
-eigendecomposition (`states.spectrum`, taken once per state) and treat
+eigendecomposition (`DensityOperator.eigenpairs`: carried from construction
+for free and pure states, otherwise `states.spectrum`, taken once) and treat
 eigenvalues at or below `kernel_tol` as exact kernel, which makes the
 +infinity conventions of the divergences testable.
 """
@@ -30,7 +31,8 @@ def _joint(a: DensityOperator, b: DensityOperator, kernel_tol: float):
 def _clamp(value: float) -> float:
     if value < -TOL_DIVERGENCE:
         raise ValidationError(f"divergence evaluated to {value:.3e} < {-TOL_DIVERGENCE:.0e}")
-    return max(value, 0.0)
+    # not max(value, 0.0), which keeps -0.0: the entropy of an exact projector
+    return value if value > 0.0 else 0.0
 
 
 def von_neumann(rho: DensityOperator, kernel_tol: float = KERNEL_TOL) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ValidationError
 from .fock import OrbitalSpace, basis_change_unitary, expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
-from .states import DensityOperator, bernoulli_weights
+from .states import DensityOperator, _with_eigenpairs, bernoulli_weights
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,11 @@ class FreeStateSpec:
             raise ValidationError("occupation probabilities must lie in [0, 1]")
 
     def to_density(self) -> DensityOperator:
+        """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
         fock_u = basis_change_unitary(self.orbitals, self.space)
-        diag = bernoulli_weights(self.occupations)
-        return DensityOperator(
-            self.space, (fock_u * diag[None, :]) @ fock_u.conj().T
-        )
+        w = bernoulli_weights(self.occupations)
+        live = fock_u[:, w > 0]
+        return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
 
 
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:

@@ -7,6 +7,7 @@ Deserialization re-runs every constructor validation.
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,12 @@ def _numbers(data, ndim: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what} is ragged: {exc}") from exc
     if array.ndim != ndim or array.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be numbers in rectangular lists {ndim} deep")
+    # numpy reads a JSON true or false among numbers as 1 or 0, so look at the leaves
+    leaves = [data]
+    for _ in range(ndim):
+        leaves = chain.from_iterable(leaves)
+    if bool in set(map(type, leaves)):
+        raise ValidationError(f"{what} must be numbers, not true or false")
     return array.astype(float)
 
 

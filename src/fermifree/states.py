@@ -29,7 +29,10 @@ def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(m)
     w, v = np.empty(m.shape[0]), np.zeros_like(m)
     for (start, stop), block in zip(spans, blocks):
-        w[start:stop], v[order[start:stop], start:stop] = np.linalg.eigh(block)
+        if stop - start == 1:  # what eigh returns for a 1x1 block, without the call
+            w[start], v[order[start], start] = block[0, 0].real, 1.0
+        else:
+            w[start:stop], v[order[start:stop], start:stop] = np.linalg.eigh(block)
     return w, v
 
 
@@ -69,7 +72,8 @@ class DensityOperator:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum(matrix)``, computed once per state; the arrays are read-only."""
+        """``spectrum(matrix)``, computed once per state unless its constructor
+        supplied the eigenpairs (free and pure states); the arrays are read-only."""
         w, v = spectrum(self.matrix)
         w.flags.writeable = v.flags.writeable = False
         return w, v
@@ -77,6 +81,26 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+
+def _with_eigenpairs(
+    space: OrbitalSpace, matrix: np.ndarray, w: np.ndarray, v: np.ndarray
+) -> DensityOperator:
+    """A density operator whose constructor knows its spectrum: `matrix` is
+    v @ diag(w) @ v^dagger with w >= 0 and v unitary, built by the caller from
+    its own structure.
+
+    The eigenpairs are cached as given, so no eigensolve runs; the shape,
+    finiteness, Hermiticity and trace checks still run on the matrix, and the
+    PSD check reads w.
+    """
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "space", space)
+    object.__setattr__(rho, "matrix", matrix)
+    w.flags.writeable = v.flags.writeable = False
+    rho.__dict__["eigenpairs"] = (w, v)
+    rho.__post_init__()
+    return rho
 
 
 @dataclass(frozen=True)
@@ -102,8 +126,28 @@ class PureState:
 
 
 def pure_density(psi: PureState) -> DensityOperator:
-    """Rank-1 projector |psi><psi|."""
-    return DensityOperator(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    """Rank-1 projector |psi><psi|, with its spectrum known from construction."""
+    return _projector(psi.space, psi.amplitudes)
+
+
+def _projector(space: OrbitalSpace, a: np.ndarray) -> DensityOperator:
+    """|a><a| for a unit vector a, carrying its eigenpairs.
+
+    The eigenvalue 1 sits at k = argmax |a_k|, zeros elsewhere.  The
+    eigenvectors are the columns of the Householder reflector that swaps e_k
+    with a (up to the phase of a_k), with column k set to a exactly; reflecting
+    about a / phase + e_k keeps the pivot away from cancellation.  For a basis
+    vector the reflector is the identity.
+    """
+    k = int(np.argmax(np.abs(a)))
+    u = a * (abs(a[k]) / a[k])
+    u[k] = 1.0 + abs(a[k])
+    v = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
+    v.flat[:: a.size + 1] += 1.0
+    v[:, k] = a
+    w = np.zeros(a.size)
+    w[k] = 1.0
+    return _with_eigenpairs(space, np.outer(a, a.conj()), w, v)
 
 
 def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator:
@@ -125,7 +169,7 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
     if n == 0:
         psi = np.zeros(space.dim, dtype=complex)
         psi[0] = 1.0
-        return DensityOperator(space, np.outer(psi, psi.conj()))
+        return _projector(space, psi)
     gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max()
     if gram_err > TOL_UNITARY:
         raise ValidationError(f"rows are not orthonormal: deviation {gram_err:.3e}")
@@ -133,8 +177,7 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
     u[:, :n] = rows.T
     if n < d:
         u[:, n:] = null_space(rows.conj())
-    psi = basis_change_unitary(u, space)[:, (1 << n) - 1]
-    return DensityOperator(space, np.outer(psi, psi.conj()))
+    return _projector(space, basis_change_unitary(u, space)[:, (1 << n) - 1])
 
 
 def bernoulli_weights(p: np.ndarray) -> np.ndarray:
@@ -165,7 +208,9 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
             "occupation probabilities must lie strictly inside (0, 1);"
             " use free_from_pdm for boundary values"
         )
-    return DensityOperator(space, np.diag(bernoulli_weights(p)).astype(complex))
+    w = bernoulli_weights(p)
+    identity = np.eye(space.dim, dtype=complex)
+    return _with_eigenpairs(space, np.diag(w).astype(complex), w, identity)
 
 
 def mixture(components) -> DensityOperator:

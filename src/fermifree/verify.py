@@ -6,6 +6,7 @@ from alpha = 1) by brute force over sampled free states; the property suite
 re-runs every module invariant on randomized instances.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ class VerificationReport:
     claim: str
     passed: bool
     worst: float
+    trials: int  # instances the claim ran: the requested count or the claim's cap
+    elapsed_s: float
     witness: dict | None = None
 
 
@@ -76,6 +79,8 @@ def report_to_document(report: VerificationReport) -> dict:
         "claim": report.claim,
         "passed": report.passed,
         "worst": report.worst,
+        "trials": report.trials,
+        "elapsed_s": report.elapsed_s,
         "witness": report.witness,
     }
 
@@ -354,7 +359,7 @@ def _sample_d(rng, d_cap, lo=2):
 
 def _claim_car_relations(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 10)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
         creators, annihilators = ladder_matrices(space)
         eye = np.eye(space.dim)
@@ -374,7 +379,7 @@ def _claim_car_relations(rng, d_cap, trials):
 
 def _claim_unitary_representation(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         u1 = sample_unitary(space.d, rng)
         u2 = sample_unitary(space.d, rng)
@@ -390,7 +395,7 @@ def _claim_unitary_representation(rng, d_cap, trials):
 
 def _claim_ladder_covariance(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         u = sample_unitary(space.d, rng)
         fock_u = basis_change_unitary(u, space)
@@ -419,7 +424,7 @@ def _claim_split_roundtrip(rng, d_cap, trials):
 
 def _claim_slater_row_invariance(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
         n = int(rng.integers(1, space.d + 1))
         rows = sample_unitary(space.d, rng)[:n, :]
@@ -462,7 +467,7 @@ def _claim_pdm_compression(rng, d_cap, trials):
 
 def _claim_pdm_covariance(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         rho = sample_density(space, rng)
         u = sample_unitary(space.d, rng)
@@ -527,7 +532,7 @@ def _claim_kernel_inclusion_equivalence(rng, d_cap, trials):
 
 def _claim_free_idempotence(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         free_density, _ = free_from_pdm(one_pdm(sample_density(space, rng)))
         again, _ = free_from_pdm(one_pdm(free_density))
@@ -537,7 +542,7 @@ def _claim_free_idempotence(rng, d_cap, trials):
 
 def _claim_wick(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         spec = sample_free_spec(space, rng)
         ok, violation = wick_check(spec.to_density(), max_order=2, tol=1e-10)
@@ -552,7 +557,7 @@ def _claim_wick(rng, d_cap, trials):
 
 def _claim_free_substate(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
         spec = sample_free_spec(space, rng)
         k = int(rng.integers(1, space.d))
@@ -567,7 +572,7 @@ def _claim_free_substate(rng, d_cap, trials):
 
 def _claim_free_entropy_formula(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         spec = sample_free_spec(space, rng)
         worst = max(
@@ -579,7 +584,7 @@ def _claim_free_entropy_formula(rng, d_cap, trials):
 
 def _claim_gibbs_log(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 10)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         p = rng.uniform(0.05, 0.95, space.d)
         rho = gibbs_free_density(p, space)
@@ -595,7 +600,7 @@ def _claim_gibbs_log(rng, d_cap, trials):
 
 def _claim_independent_occupation(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 10)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         p = rng.uniform(0.05, 0.95, space.d)
         rho = gibbs_free_density(p, space)
@@ -630,7 +635,7 @@ def _claim_entropy_nonneg(rng, d_cap, trials):
 
 def _claim_entropy_unitary_invariance(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
         a = sample_density(space, rng)
         b = sample_density(space, rng)
@@ -648,7 +653,7 @@ def _claim_entropy_unitary_invariance(rng, d_cap, trials):
 
 def _claim_entropy_additivity(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         s1 = OrbitalSpace(2)
         s2 = OrbitalSpace(2)
         a1, b1 = sample_density(s1, rng), sample_density(s1, rng)
@@ -668,7 +673,7 @@ def _claim_entropy_additivity(rng, d_cap, trials):
 def _claim_renyi_alpha_monotone(rng, d_cap, trials):
     worst = 0.0
     alphas = [0.3, 0.6, 0.9, 1.0, 1.2, 1.6, 2.0]
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
         a = sample_density(space, rng)
         b = sample_density(space, rng)
@@ -690,7 +695,7 @@ def _claim_entropy_inequality(rng, d_cap, trials):
 
 def _claim_reference_trace_identity(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 20)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         rho = sample_density(space, rng)
         free_gamma = sample_free_spec(space, rng).to_density()
@@ -701,7 +706,7 @@ def _claim_reference_trace_identity(rng, d_cap, trials):
 
 
 def _claim_reference_trace_boundary(rng, d_cap, trials):
-    for _ in range(min(trials, 10)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
         p = rng.uniform(0.2, 0.8, space.d)
         p[0] = 1.0
@@ -716,7 +721,7 @@ def _claim_reference_trace_boundary(rng, d_cap, trials):
 
 def _claim_slater_zero(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 25)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
         n = int(rng.integers(0, space.d + 1))
         rows = sample_unitary(space.d, rng)[:n, :]
@@ -727,7 +732,7 @@ def _claim_slater_zero(rng, d_cap, trials):
 
 def _claim_prop2_crosscheck(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 30)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         worst = max(worst, nonfreeness(sample_density(space, rng)).cross_check)
     return worst <= 1e-7, worst, None
@@ -735,7 +740,7 @@ def _claim_prop2_crosscheck(rng, d_cap, trials):
 
 def _claim_monotone(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
         rho = sample_pure(space, rng)
         k = int(rng.integers(1, space.d))
@@ -757,7 +762,7 @@ def _claim_monotone(rng, d_cap, trials):
 
 def _claim_additive(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         a = sample_even_density(OrbitalSpace(2), rng)
         b = sample_even_density(OrbitalSpace(2), rng)
         prod = tensor_product(a, b)
@@ -777,7 +782,7 @@ def _claim_additive(rng, d_cap, trials):
 
 def _claim_basis_invariance(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
         rho = sample_density(space, rng)
         fock_u = basis_change_unitary(sample_unitary(space.d, rng), space)
@@ -794,7 +799,7 @@ def _claim_basis_invariance(rng, d_cap, trials):
 
 def _claim_minimum_sampled(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 10)):
+    for _ in range(trials):
         space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
         rho = sample_density(space, rng)
         base = nonfreeness(rho, cross_check=False).nonfreeness
@@ -806,7 +811,7 @@ def _claim_minimum_sampled(rng, d_cap, trials):
 
 def _claim_purification(rng, d_cap, trials):
     worst = 0.0
-    for _ in range(min(trials, 15)):
+    for _ in range(trials):
         d = _sample_d(rng, min(d_cap, 4), lo=1)
         space = OrbitalSpace(d)
         spec = FreeStateSpec(space, rng.uniform(0.0, 1.0, d), sample_unitary(d, rng))
@@ -817,56 +822,63 @@ def _claim_purification(rng, d_cap, trials):
     return worst <= 1e-8, worst, None
 
 
+# (claim id, runner, cap on its trials or None); a runner runs exactly the trials it is given
 _CLAIMS = (
-    ("fock-car-relations", _claim_car_relations),
-    ("fock-unitary-representation", _claim_unitary_representation),
-    ("fock-ladder-covariance", _claim_ladder_covariance),
-    ("fock-split-roundtrip", _claim_split_roundtrip),
-    ("states-slater-row-invariance", _claim_slater_row_invariance),
-    ("pdm-linearity", _claim_pdm_linearity),
-    ("pdm-compression-under-restriction", _claim_pdm_compression),
-    ("pdm-basis-covariance", _claim_pdm_covariance),
-    ("pdm-kernel-inclusion-equivalence", _claim_kernel_inclusion_equivalence),
-    ("free-reconstruction-idempotent", _claim_free_idempotence),
-    ("free-wick-order2", _claim_wick),
-    ("free-substates-are-free", _claim_free_substate),
-    ("free-entropy-formula", _claim_free_entropy_formula),
-    ("free-gibbs-log-quadratic", _claim_gibbs_log),
-    ("free-independent-occupation", _claim_independent_occupation),
-    ("entropy-nonnegative", _claim_entropy_nonneg),
-    ("entropy-unitary-invariance", _claim_entropy_unitary_invariance),
-    ("entropy-additivity", _claim_entropy_additivity),
-    ("entropy-renyi-alpha-monotone", _claim_renyi_alpha_monotone),
-    ("entropy-log-trace-inequality", _claim_entropy_inequality),
-    ("free-reference-trace-identity", _claim_reference_trace_identity),
-    ("free-reference-trace-identity-boundary", _claim_reference_trace_boundary),
-    ("correlation-slater-zero", _claim_slater_zero),
-    ("correlation-entropy-difference-crosscheck", _claim_prop2_crosscheck),
-    ("correlation-monotone-under-restriction", _claim_monotone),
-    ("correlation-additive-over-products", _claim_additive),
-    ("correlation-basis-invariance", _claim_basis_invariance),
-    ("correlation-minimum-over-sampled-free", _claim_minimum_sampled),
-    ("purification-restriction-roundtrip", _claim_purification),
+    ("fock-car-relations", _claim_car_relations, 10),
+    ("fock-unitary-representation", _claim_unitary_representation, 25),
+    ("fock-ladder-covariance", _claim_ladder_covariance, 25),
+    ("fock-split-roundtrip", _claim_split_roundtrip, None),
+    ("states-slater-row-invariance", _claim_slater_row_invariance, 25),
+    ("pdm-linearity", _claim_pdm_linearity, None),
+    ("pdm-compression-under-restriction", _claim_pdm_compression, None),
+    ("pdm-basis-covariance", _claim_pdm_covariance, 25),
+    ("pdm-kernel-inclusion-equivalence", _claim_kernel_inclusion_equivalence, None),
+    ("free-reconstruction-idempotent", _claim_free_idempotence, 25),
+    ("free-wick-order2", _claim_wick, 15),
+    ("free-substates-are-free", _claim_free_substate, 15),
+    ("free-entropy-formula", _claim_free_entropy_formula, 25),
+    ("free-gibbs-log-quadratic", _claim_gibbs_log, 10),
+    ("free-independent-occupation", _claim_independent_occupation, 10),
+    ("entropy-nonnegative", _claim_entropy_nonneg, None),
+    ("entropy-unitary-invariance", _claim_entropy_unitary_invariance, 15),
+    ("entropy-additivity", _claim_entropy_additivity, 15),
+    ("entropy-renyi-alpha-monotone", _claim_renyi_alpha_monotone, 15),
+    ("entropy-log-trace-inequality", _claim_entropy_inequality, None),
+    ("free-reference-trace-identity", _claim_reference_trace_identity, 20),
+    ("free-reference-trace-identity-boundary", _claim_reference_trace_boundary, 10),
+    ("correlation-slater-zero", _claim_slater_zero, 25),
+    ("correlation-entropy-difference-crosscheck", _claim_prop2_crosscheck, 30),
+    ("correlation-monotone-under-restriction", _claim_monotone, 15),
+    ("correlation-additive-over-products", _claim_additive, 15),
+    ("correlation-basis-invariance", _claim_basis_invariance, 15),
+    ("correlation-minimum-over-sampled-free", _claim_minimum_sampled, 10),
+    ("purification-restriction-roundtrip", _claim_purification, 15),
 )
 
 
 def property_suite(seed: int = 42, d_max: int = 4, trials: int = 50):
     """Run every module invariant on randomized instances; deterministic per seed.
 
-    Returns one VerificationReport per claim, in a fixed order; a failing
-    claim carries a witness with the offending states.
+    Each claim runs `trials` instances, or its cap in `_CLAIMS` if that is
+    smaller.  Returns one VerificationReport per claim, in a fixed order, with
+    the trials it ran and its wall time; a failing claim carries a witness
+    with the offending states.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     reports = []
-    for index, (claim_id, runner) in enumerate(_CLAIMS):
+    for index, (claim_id, runner, cap) in enumerate(_CLAIMS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        passed, worst, witness = runner(rng, d_max, trials)
+        ran = trials if cap is None else min(trials, cap)
+        start = time.perf_counter()
+        passed, worst, witness = runner(rng, d_max, ran)
         reports.append(
             VerificationReport(
                 claim=claim_id,
                 passed=bool(passed),
                 worst=float(worst),
+                trials=ran,
+                elapsed_s=time.perf_counter() - start,
                 witness=witness if not passed else None,
             )
         )

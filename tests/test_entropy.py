@@ -387,3 +387,40 @@ def test_hubbard_nonfreeness_makes_no_full_size_eigh(monkeypatch):
     report = nonfreeness(rho, cross_check=True)
     assert report.cross_check < 1e-7
     assert shapes and max(max(shape) for shape in shapes) < rho.dim
+
+
+# --- spectra carried from construction against the dense eigensolve -------------
+
+
+def _carried_pairs():
+    """(a, b) pairs whose states carry their eigenpairs; b's support contains a's."""
+    rng = np.random.default_rng(17)
+    pairs = {}
+    for d in (2, 3, 4, 5):
+        space = OrbitalSpace(d)
+        free = [
+            FreeStateSpec(space, rng.uniform(0.1, 0.9, d), sample_unitary(d, rng)).to_density()
+            for _ in range(2)
+        ]
+        pairs[f"free-free-d{d}"] = tuple(free)
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        pure = pure_density(PureState(space, psi / np.linalg.norm(psi)))
+        pairs[f"pure-gamma-d{d}"] = (pure, gamma_of(pure))
+        pairs[f"pure-free-d{d}"] = (pure, free[0])
+        rows = sample_unitary(d, rng)[: d // 2]
+        pairs[f"slater-free-d{d}"] = (slater_density(rows, space), free[1])
+    gibbs = gibbs_free_density(np.array([0.3, 0.6, 0.8]), OrbitalSpace(3))
+    pairs["gibbs-free"] = (gibbs, pairs["free-free-d3"][0])
+    pairs["basis-gibbs"] = (basis_pure(OrbitalSpace(3), 0b101), gibbs)
+    for sites in (2, 3, 4):  # U = 8: see _number_conserving_pairs
+        rho = hubbard_ground_state(sites, 1.0, 8.0, (sites + 1) // 2, sites // 2)
+        pairs[f"hubbard-{sites}"] = (rho, gamma_of(rho))
+    return pairs
+
+
+CARRIED_PAIRS = _carried_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED_PAIRS))
+def test_carried_spectra_match_dense_reference(name):
+    _assert_matches_dense(*CARRIED_PAIRS[name])

@@ -240,6 +240,36 @@ def test_cli_bad_json_types_exit_2(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+BOOLEAN_AMONG_NUMBERS = {
+    "matrix entry": (
+        "nonfreeness", dict(DENSITY_DOC, matrix=[[[True, 0], [0, 0]], [[0, 0], [0, 0]]])
+    ),
+    "matrix pair": (
+        "nonfreeness", dict(DENSITY_DOC, matrix=[[[1, 0], [0, 0]], [[0, 0], [True, False]]])
+    ),
+    "amplitude entry": (
+        "nonfreeness", {"d": 1, "kind": "pure", "amplitudes": [[True, 0], [0, 0]]}
+    ),
+    "occupation list": (
+        "purify",
+        {"d": 2, "kind": "free-spec", "occupations": [0.5, True],
+         "orbitals": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_AMONG_NUMBERS))
+def test_cli_json_booleans_among_numbers_exit_2(tmp_path, capsys, name):
+    # numpy would read each of these as 1 and 0, giving a valid state
+    command, doc = BOOLEAN_AMONG_NUMBERS[name]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "true or false" in err
+
+
 def test_pdm_and_spec_documents_reject_bad_types():
     with pytest.raises(ValidationError, match="integer"):
         ffio.pdm_from_document({"d": "2", "gamma": [[[0.5, 0]]]})

@@ -1,10 +1,13 @@
 """State constructors: pure, Slater, Gibbs, mixtures, products, Hubbard."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from fermifree import (
     DensityOperator,
+    FreeStateSpec,
     OnePdm,
     OrbitalSpace,
     PureState,
@@ -263,3 +266,78 @@ def test_hubbard_degenerate_sector_still_valid():
 def test_hubbard_rejects_infeasible_fillings():
     with pytest.raises(ValidationError, match="infeasible"):
         hubbard_ground_state(2, 1.0, 1.0, 3, 0)
+
+
+# --- spectra carried from construction ------------------------------------------
+
+
+def _carried_states():
+    """Builders of states whose constructors know their spectrum, by name."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for d in range(1, 7):
+        p = rng.uniform(0.0, 1.0, d)
+        p[: min(d, 2)] = [0.0, 1.0][: min(d, 2)]  # boundary occupations
+        cases[f"free-d{d}"] = FreeStateSpec(OrbitalSpace(d), p, sample_unitary(d, rng)).to_density
+    cases["gibbs"] = partial(gibbs_free_density, np.array([0.2, 0.7, 0.45]), OrbitalSpace(3))
+    for d in (1, 3, 5):
+        a = rng.standard_normal(1 << d) + 1j * rng.standard_normal(1 << d)
+        psi = PureState(OrbitalSpace(d), a / np.linalg.norm(a))
+        cases[f"pure-d{d}"] = partial(pure_density, psi)
+    for d, n in ((2, 0), (4, 2), (5, 3)):
+        cases[f"slater-d{d}-n{n}"] = partial(
+            slater_density, sample_unitary(d, rng)[:n], OrbitalSpace(d)
+        )
+    for sites in (2, 3, 4, 5):
+        cases[f"hubbard-{sites}"] = partial(
+            hubbard_ground_state, sites, 1.0, 4.0, (sites + 1) // 2, sites // 2
+        )
+    basis = np.zeros(16, dtype=complex)
+    basis[0b0110] = 1.0
+    cases["basis-vector"] = partial(pure_density, PureState(OrbitalSpace(4), basis))
+    return cases
+
+
+CARRIED = _carried_states()
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_eigenpairs_diagonalize_the_state(name, monkeypatch):
+    shapes = []
+    for solver in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, solver)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, recorded)
+    rho = CARRIED[name]()
+    monkeypatch.undo()
+    # the only eigensolve is the Hubbard Hamiltonian's sector block, never the state
+    assert len(shapes) == name.startswith("hubbard") and all(max(s) < rho.dim for s in shapes)
+    w, v = rho.eigenpairs
+    assert not w.flags.writeable and not v.flags.writeable
+    np.testing.assert_allclose(rho.matrix @ v, v * w, atol=1e-12)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), atol=1e-12)
+    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(rho.matrix), atol=1e-12)
+
+
+def test_basis_vector_reflector_is_the_identity():
+    rho = CARRIED["basis-vector"]()
+    w, v = rho.eigenpairs
+    assert np.array_equal(v, np.eye(16)) and w[0b0110] == 1.0 and w.sum() == 1.0
+
+
+def test_carried_constructors_still_validate():
+    rng = np.random.default_rng(5)
+    space = OrbitalSpace(3)
+    skewed = sample_unitary(3, rng) @ np.diag([1.0, 1.0, 1.0 + 1e-6])
+    with pytest.raises(ValidationError, match="unitary"):
+        FreeStateSpec(space, np.full(3, 0.5), skewed).to_density()
+    for bad in ([-1e-3, 0.5, 0.5], [0.5, 1.0 + 1e-3, 0.5]):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            FreeStateSpec(space, np.array(bad), np.eye(3))
+    a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    with pytest.raises(ValidationError, match="norm"):
+        pure_density(PureState(space, a * (1.0 + 1e-6) / np.linalg.norm(a)))

@@ -1,12 +1,14 @@
 """Brute-force searches and the randomized property suite."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import fermifree
+import fermifree.cli
 from fermifree import (
     FreeStateSpec,
     OrbitalSpace,
@@ -178,9 +180,61 @@ def test_property_suite_default_passes():
 def test_property_suite_deterministic():
     first = property_suite(seed=7, d_max=3, trials=5)
     second = property_suite(seed=7, d_max=3, trials=5)
-    a = dumps({"reports": [report_to_document(r) for r in first]})
-    b = dumps({"reports": [report_to_document(r) for r in second]})
-    assert a == b
+    documents = []
+    for reports in (first, second):
+        docs = [report_to_document(r) for r in reports]
+        # every field repeats except the wall time, which is measured
+        assert all(type(doc.pop("elapsed_s")) is float for doc in docs)
+        documents.append(dumps({"reports": docs}))
+    assert documents[0] == documents[1]
+
+
+UNCAPPED_CLAIMS = {
+    "fock-split-roundtrip",
+    "pdm-linearity",
+    "pdm-compression-under-restriction",
+    "pdm-kernel-inclusion-equivalence",
+    "entropy-nonnegative",
+    "entropy-log-trace-inequality",
+}
+CLAIM_CAPS = {
+    "fock-car-relations": 10,
+    "fock-unitary-representation": 25,
+    "fock-ladder-covariance": 25,
+    "states-slater-row-invariance": 25,
+    "pdm-basis-covariance": 25,
+    "free-reconstruction-idempotent": 25,
+    "free-wick-order2": 15,
+    "free-substates-are-free": 15,
+    "free-entropy-formula": 25,
+    "free-gibbs-log-quadratic": 10,
+    "free-independent-occupation": 10,
+    "entropy-unitary-invariance": 15,
+    "entropy-additivity": 15,
+    "entropy-renyi-alpha-monotone": 15,
+    "free-reference-trace-identity": 20,
+    "free-reference-trace-identity-boundary": 10,
+    "correlation-slater-zero": 25,
+    "correlation-entropy-difference-crosscheck": 30,
+    "correlation-monotone-under-restriction": 15,
+    "correlation-additive-over-products": 15,
+    "correlation-basis-invariance": 15,
+    "correlation-minimum-over-sampled-free": 10,
+    "purification-restriction-roundtrip": 15,
+}
+
+
+def test_cli_verify_reports_trials_run_and_elapsed_time(capsys):
+    code = fermifree.cli.main(["verify", "--dmax", "2", "--trials", "50", "--seed", "0"])
+    assert code == 0
+    reports = json.loads(capsys.readouterr().out)["value"]
+    assert len(reports) == 29 and len(CLAIM_CAPS) == 23
+    for report in reports:
+        expected = 50 if report["claim"] in UNCAPPED_CLAIMS else CLAIM_CAPS[report["claim"]]
+        assert report["trials"] == expected, report["claim"]
+        assert report["elapsed_s"] >= 0.0
+    few = property_suite(seed=0, d_max=2, trials=3)
+    assert [r.trials for r in few] == [3] * 29
 
 
 def test_search_config_validation():
