@@ -30,7 +30,6 @@ from .fock import (
     annihilator,
     basis_change_unitary,
     creator,
-    enumerate_basis,
     join_index,
     number_operator,
     split_index,
@@ -86,7 +85,6 @@ __all__ = [
     "correlation_sandwiched",
     "creator",
     "cross_entropy",
-    "enumerate_basis",
     "expected_particle_number",
     "free_from_pdm",
     "gamma_of",

@@ -180,7 +180,14 @@ def _cmd_demo_hubbard(args) -> int:
         return nonfreeness(rho, cross_check=False).nonfreeness
 
     if args.sweep is not None:
-        grid = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+        try:
+            grid = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValidationError(
+                f"--sweep expects comma-separated numbers, got {args.sweep!r}"
+            ) from exc
+        if not grid:
+            raise ValidationError("--sweep needs at least one interaction value")
         value = {"columns": ["u", "nonfreeness"], "rows": [[u, nonfreeness_at(u)] for u in grid]}
         inputs["sweep"] = grid
     else:

@@ -13,7 +13,7 @@ import numpy as np
 from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
-from .fock import OrbitalSpace, join_index
+from .fock import OrbitalSpace, split_table
 from .free import free_from_pdm, gamma_of, wick_check
 from .pdm import natural_spectrum, one_pdm
 from .states import DensityOperator
@@ -95,23 +95,20 @@ def restrict(rho: DensityOperator, keep) -> DensityOperator:
     the reordering signs of the tensor factorization; the result's 1-pdm is
     the keep x keep compression of the input's.
     """
-    keep = sorted(keep)
     space = rho.space
-    if not keep:
-        raise ValidationError("kept orbital subset must be nonempty")
-    k = len(keep)
-    comp = space.d - k
-    sub_dim = 1 << k
-    env_dim = 1 << comp
-    joined = [[join_index(a, b, keep, space) for b in range(env_dim)] for a in range(sub_dim)]
-    full, sign = np.moveaxis(np.array(joined), -1, 0)
-    out = np.zeros((sub_dim, sub_dim), dtype=complex)
-    for n2 in range(env_dim):
-        idx = full[:, n2]
-        out += np.outer(sign[:, n2], sign[:, n2]) * rho.matrix[np.ix_(idx, idx)]
+    keep = tuple(keep)
+    _, n2, sign = split_table(keep, space.d)
+    # joined[b, a] is the occupation list with factors (a, b): for each
+    # complement list b, the kept lists a appear in increasing order
+    joined = np.argsort(n2, kind="stable").reshape(1 << (space.d - len(keep)), -1)
+    s = sign[joined]
+    terms = rho.matrix[joined[:, :, None], joined[:, None, :]]
+    terms *= s[:, :, None]
+    terms *= s[:, None, :]
+    out = terms.sum(axis=0)
     labels = space.labels
-    sub_labels = tuple(labels[i - 1] for i in keep) if labels is not None else None
-    return DensityOperator(OrbitalSpace(k, sub_labels), out)
+    sub_labels = tuple(labels[i - 1] for i in sorted(keep)) if labels is not None else None
+    return DensityOperator(OrbitalSpace(len(keep), sub_labels), out)
 
 
 def chain_rule_terms(

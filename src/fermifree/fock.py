@@ -9,7 +9,7 @@ anticommuting through that normal form.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -44,21 +44,6 @@ class OrbitalSpace:
     @property
     def dim(self) -> int:
         return 1 << self.d
-
-
-def enumerate_basis(space: OrbitalSpace) -> list[int]:
-    """All 2^d occupation lists in increasing-bitmask order; index 0 is the vacuum."""
-    return list(range(space.dim))
-
-
-def occupation_vector(bits: int, d: int) -> tuple[int, ...]:
-    """The 0/1 occupation of each orbital 1..d encoded in `bits`."""
-    return tuple((bits >> i) & 1 for i in range(d))
-
-
-def occupied_orbitals(bits: int) -> tuple[int, ...]:
-    """1-based indices of occupied orbitals, increasing."""
-    return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 @cache
@@ -108,15 +93,6 @@ def number_operator(i: int, space: OrbitalSpace) -> sparse.csr_matrix:
     bit = 1 << (i - 1)
     occ = ((np.arange(space.dim, dtype=np.int64) & bit) != 0).astype(complex)
     return sparse.diags(occ, format="csr")
-
-
-def orbital_creator(f: np.ndarray, space: OrbitalSpace) -> sparse.csr_matrix:
-    """Creation operator a*(f) for an arbitrary 1-particle vector f = sum f_i e_i."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (space.d,):
-        raise ValidationError(f"expected a vector of length {space.d}")
-    zero = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    return sum((fi * creator(i, space) for i, fi in enumerate(f, 1) if fi != 0), zero)
 
 
 def ladder_matrices(space: OrbitalSpace):
@@ -194,62 +170,75 @@ def basis_change_unitary(
     return out
 
 
-def _split_sign(bits: int, keep_mask: int) -> int:
-    """Parity of reordering the creators of `bits` into (kept, complement) blocks.
-
-    Counts pairs (a kept-occupied, b complement-occupied) with b < a; only
-    occupied modes transpose.
-    """
-    bits = int(bits)
-    kept_occ = bits & keep_mask
-    comp_occ = bits & ~keep_mask
-    crossings = 0
-    b = comp_occ
-    while b:
-        low = b & -b  # lowest occupied complement mode
-        crossings += int(kept_occ >> low.bit_length()).bit_count()
-        b ^= low
-    return -1 if crossings % 2 else 1
+def _integer(value, what: str) -> int:
+    """`value` as an int; Python and numpy integers only, so no bool, float or str."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _keep_mask(keep, d: int) -> int:
-    keep = tuple(int(i) for i in keep)
-    if not keep:
-        raise ValidationError("kept orbital subset must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValidationError(f"kept orbital subset has duplicates: {keep}")
+    """Bitmask of a kept orbital subset: distinct orbital indices in 1..d, at least one."""
     mask = 0
     for i in keep:
+        i = _integer(i, "orbital index")
         if not 1 <= i <= d:
             raise ValidationError(f"orbital index {i} out of range 1..{d}")
+        if (mask >> (i - 1)) & 1:
+            raise ValidationError(f"kept orbital subset has duplicates: orbital {i}")
         mask |= 1 << (i - 1)
+    if not mask:
+        raise ValidationError("kept orbital subset must be nonempty")
     return mask
 
 
-def _orbital_split(keep, d: int) -> tuple[int, list[int], list[int]]:
-    """The keep mask, and the 0-based kept and complement orbitals in increasing order."""
-    mask = _keep_mask(keep, d)
-    kept = [i for i in range(d) if mask >> i & 1]
-    return mask, kept, [i for i in range(d) if not mask >> i & 1]
+def split_table(keep, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor every occupation list n = 0..2^d-1 across the orbital subset `keep`.
+
+    Returns read-only arrays (n1, n2, sign) indexed by n: n1[n] is the
+    occupation list on the kept orbitals (compressed, preserving their
+    relative order), n2[n] the one on the complement, and sign[n] the parity
+    of moving the kept creators of n in front of its complement creators.
+    """
+    return _split_table(_keep_mask(keep, d), d)
+
+
+@lru_cache(maxsize=64)  # one table per (keep set, d); bounded, as keep sets are many
+def _split_table(mask: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = np.arange(1 << d, dtype=np.int64)
+    n1, n2, crossings = np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
+    kept = 0
+    for i in range(d):
+        occupied = n >> i & 1
+        if mask >> i & 1:
+            # a kept creator passes every occupied complement creator below it
+            crossings += occupied * np.bitwise_count(n2)
+            n1 |= occupied << kept
+            kept += 1
+        else:
+            n2 |= occupied << (i - kept)
+    table = (n1, n2, 1 - 2 * (crossings % 2))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def split_index(bits: int, keep, space: OrbitalSpace) -> tuple[int, int, int]:
-    """Factor an occupation list across a subset of orbitals.
-
-    Returns (n1, n2, sign): n1 is the occupation list on the kept orbitals
-    (compressed, preserving their relative order), n2 the one on the
-    complement, and sign the parity of moving the kept creators in front of
-    the complement creators.
-    """
-    mask, kept, comp = _orbital_split(keep, space.d)
-    n1 = sum(1 << pos for pos, i in enumerate(kept) if bits >> i & 1)
-    n2 = sum(1 << pos for pos, i in enumerate(comp) if bits >> i & 1)
-    return n1, n2, _split_sign(bits, mask)
+    """Factor one occupation list across a subset of orbitals: entry `bits` of
+    ``split_table(keep, space.d)``, as (n1, n2, sign)."""
+    n1, n2, sign = split_table(keep, space.d)
+    bits = _integer(bits, "occupation list")
+    if not 0 <= bits < space.dim:
+        raise ValidationError(f"occupation list {bits} out of range 0..{space.dim - 1}")
+    return int(n1[bits]), int(n2[bits]), int(sign[bits])
 
 
 def join_index(n1: int, n2: int, keep, space: OrbitalSpace) -> tuple[int, int]:
-    """Inverse of ``split_index``: scatter (n1, n2) back into a full occupation list."""
-    mask, kept, comp = _orbital_split(keep, space.d)
-    bits = sum(1 << i for pos, i in enumerate(kept) if n1 >> pos & 1)
-    bits += sum(1 << i for pos, i in enumerate(comp) if n2 >> pos & 1)
-    return bits, _split_sign(bits, mask)
+    """Inverse of ``split_index``: the occupation list with factors (n1, n2), and its sign."""
+    n1_of, n2_of, sign = split_table(keep, space.d)
+    match = np.flatnonzero(
+        (n1_of == _integer(n1, "occupation list")) & (n2_of == _integer(n2, "occupation list"))
+    )
+    if not match.size:
+        raise ValidationError(f"no occupation list on {space.d} orbitals has factors ({n1}, {n2})")
+    return int(match[0]), int(sign[match[0]])

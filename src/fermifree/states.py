@@ -4,12 +4,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import null_space
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, ladder_matrices, particle_number_sectors
+from .fock import OrbitalSpace, basis_change_unitary, ladder_table, particle_number_sectors
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,28 +253,18 @@ def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOpera
     return DensityOperator(space, np.kron(rho2.matrix, rho1.matrix))
 
 
-def _hubbard_hamiltonian(sites: int, t: float, u_int: float, space: OrbitalSpace):
-    """Open-boundary Hubbard chain on spin-orbitals (1up, 1dn, 2up, 2dn, ...), sparse."""
-    creators, annihilators = ladder_matrices(space)
-
-    h = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for orb in range(2 * sites - 2):  # 0-based spin-orbital 2s (up) or 2s+1 (down)
-        hop = creators[orb] @ annihilators[orb + 2]
-        h = h - t * (hop + hop.conj().T)
-    for up in range(0, 2 * sites, 2):
-        h = h + u_int * (
-            creators[up] @ annihilators[up] @ creators[up + 1] @ annihilators[up + 1]
-        )
-    return h
-
-
 def hubbard_ground_state(
     sites: int, t: float, u_int: float, n_up: int, n_down: int
 ) -> DensityOperator:
     """Pure ground state of a small open Hubbard chain in a fixed-(N_up, N_down) sector.
 
-    Degeneracies are resolved deterministically by taking the first column of
-    the Hermitian eigensolve of the sector block.
+    Spin-orbitals are ordered (1up, 1dn, 2up, 2dn, ...).  The sector block of
+    H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is built from the signed
+    ``ladder_table("+-", d)``: the hopping entries are its monomials with
+    |i - j| = 2 whose source lies in the sector, and the interaction is a
+    diagonal count of doubly occupied sites.  Degeneracies are resolved
+    deterministically by taking the first column of the Hermitian eigensolve
+    of the sector block.
     """
     if sites < 1 or sites > 5:
         raise ValidationError(f"site count must be within 1..5, got {sites}")
@@ -283,8 +272,9 @@ def hubbard_ground_state(
         raise ValidationError(
             f"infeasible particle numbers N_up={n_up}, N_down={n_down} for {sites} sites"
         )
+    if not (np.isfinite(t) and np.isfinite(u_int)):
+        raise ValidationError(f"hopping t and interaction U must be finite, got t={t}, U={u_int}")
     space = OrbitalSpace(2 * sites)
-    h = _hubbard_hamiltonian(sites, t, u_int, space)
     up_mask = sum(1 << (2 * s) for s in range(sites))
     dn_mask = up_mask << 1
     idx = np.arange(space.dim)
@@ -292,7 +282,14 @@ def hubbard_ground_state(
         (np.bitwise_count(idx & up_mask) == n_up)
         & (np.bitwise_count(idx & dn_mask) == n_down)
     ]
-    block = h[sector][:, sector].toarray()
+    position = np.full(space.dim, -1)
+    position[sector] = np.arange(sector.size)
+    mono, src, dst, sign = ladder_table("+-", space.d)
+    i, j = np.divmod(mono, space.d)
+    hops = (np.abs(i - j) == 2) & (position[src] >= 0)
+    doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
+    block = np.diag(u_int * doubly_occupied).astype(complex)
+    block[position[dst[hops]], position[src[hops]]] = -t * sign[hops]
     _, vecs = np.linalg.eigh(block)
     psi = np.zeros(space.dim, dtype=complex)
     psi[sector] = vecs[:, 0]

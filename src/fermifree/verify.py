@@ -7,7 +7,7 @@ re-runs every module invariant on randomized instances.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import logm
@@ -30,7 +30,14 @@ from .entropy import (
     von_neumann,
 )
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, ladder_matrices, number_operator
+from .fock import (
+    OrbitalSpace,
+    basis_change_unitary,
+    join_index,
+    ladder_matrices,
+    number_operator,
+    split_index,
+)
 from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_check
 from .pdm import OnePdm, kernel_inclusion_1pdm, one_pdm
 from .states import (
@@ -69,20 +76,14 @@ class VerificationReport:
     claim: str
     passed: bool
     worst: float
+    threshold: float  # the claim passes when `worst` is at most this
     trials: int  # instances the claim ran: the requested count or the claim's cap
     elapsed_s: float
     witness: dict | None = None
 
 
 def report_to_document(report: VerificationReport) -> dict:
-    return {
-        "claim": report.claim,
-        "passed": report.passed,
-        "worst": report.worst,
-        "trials": report.trials,
-        "elapsed_s": report.elapsed_s,
-        "witness": report.witness,
-    }
+    return asdict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -349,135 +350,106 @@ def renyi_min_search(
 # property suite
 
 
-def _witness(*states: DensityOperator) -> dict:
-    return {"states": [io.density_to_document(s) for s in states]}
-
-
 def _sample_d(rng, d_cap, lo=2):
     return int(rng.integers(lo, max(d_cap, lo) + 1))
 
 
-def _claim_car_relations(rng, d_cap, trials):
+def _sample_keep(rng, d, k):
+    return sorted(rng.choice(d, size=k, replace=False) + 1)
+
+
+# Each claim's trial draws one random instance with `rng` (orbital counts up to
+# `d_cap`) and returns how far that instance is from satisfying the claim, or
+# (that value, the states a failure's witness should show).
+
+
+def _claim_car_relations(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
+    creators, annihilators = ladder_matrices(space)
+    eye = np.eye(space.dim)
     worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
-        creators, annihilators = ladder_matrices(space)
-        eye = np.eye(space.dim)
-        for i in range(space.d):
-            for j in range(space.d):
-                anti = (annihilators[i] @ creators[j] + creators[j] @ annihilators[i]).toarray()
-                target = eye if i == j else 0.0
-                worst = max(worst, np.abs(anti - target).max())
-                worst = max(
-                    worst,
-                    np.abs(
-                        (annihilators[i] @ annihilators[j] + annihilators[j] @ annihilators[i]).toarray()
-                    ).max(),
-                )
-    return worst <= 1e-12, worst, None
+    for i in range(space.d):
+        for j in range(space.d):
+            anti = (annihilators[i] @ creators[j] + creators[j] @ annihilators[i]).toarray()
+            pair = (annihilators[i] @ annihilators[j] + annihilators[j] @ annihilators[i]).toarray()
+            target = eye if i == j else 0.0
+            worst = max(worst, np.abs(anti - target).max(), np.abs(pair).max())
+    return worst
 
 
-def _claim_unitary_representation(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        u1 = sample_unitary(space.d, rng)
-        u2 = sample_unitary(space.d, rng)
-        f1 = basis_change_unitary(u1, space)
-        f2 = basis_change_unitary(u2, space)
-        f12 = basis_change_unitary(u1 @ u2, space)
-        worst = max(worst, np.abs(f12 - f1 @ f2).max())
-        worst = max(
-            worst, np.abs(basis_change_unitary(u1.conj().T, space) - f1.conj().T).max()
-        )
-    return worst <= 1e-10, worst, None
+def _claim_unitary_representation(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    u1 = sample_unitary(space.d, rng)
+    u2 = sample_unitary(space.d, rng)
+    f1 = basis_change_unitary(u1, space)
+    f2 = basis_change_unitary(u2, space)
+    f12 = basis_change_unitary(u1 @ u2, space)
+    return max(
+        np.abs(f12 - f1 @ f2).max(),
+        np.abs(basis_change_unitary(u1.conj().T, space) - f1.conj().T).max(),
+    )
 
 
-def _claim_ladder_covariance(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        u = sample_unitary(space.d, rng)
-        fock_u = basis_change_unitary(u, space)
-        creators, _ = ladder_matrices(space)
-        for i in range(space.d):
-            lhs = fock_u @ creators[i].toarray() @ fock_u.conj().T
-            rhs = sum(u[j, i] * creators[j].toarray() for j in range(space.d))
-            worst = max(worst, np.abs(lhs - rhs).max())
-    return worst <= 1e-10, worst, None
+def _claim_ladder_covariance(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    u = sample_unitary(space.d, rng)
+    fock_u = basis_change_unitary(u, space)
+    creators, _ = ladder_matrices(space)
+    return max(
+        np.abs(
+            fock_u @ creators[i].toarray() @ fock_u.conj().T
+            - sum(u[j, i] * creators[j].toarray() for j in range(space.d))
+        ).max()
+        for i in range(space.d)
+    )
 
 
-def _claim_split_roundtrip(rng, d_cap, trials):
-    from .fock import join_index, split_index
-
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, d_cap))
-        k = int(rng.integers(1, space.d + 1))
-        keep = sorted(rng.choice(space.d, size=k, replace=False) + 1)
-        for bits in range(space.dim):
-            n1, n2, sign = split_index(bits, keep, space)
-            back, sign2 = join_index(n1, n2, keep, space)
-            if back != bits or sign * sign2 != 1:
-                return False, 1.0, {"detail": f"bits={bits}, keep={keep}"}
-    return True, 0.0, None
+def _claim_split_roundtrip(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, d_cap))
+    keep = _sample_keep(rng, space.d, int(rng.integers(1, space.d + 1)))
+    for bits in range(space.dim):
+        n1, n2, sign = split_index(bits, keep, space)
+        back, sign2 = join_index(n1, n2, keep, space)
+        if back != bits or sign * sign2 != 1:
+            return 1.0
+    return 0.0
 
 
-def _claim_slater_row_invariance(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
-        n = int(rng.integers(1, space.d + 1))
-        rows = sample_unitary(space.d, rng)[:n, :]
-        mixer = sample_unitary(n, rng)
-        a = slater_density(rows, space)
-        b = slater_density(mixer @ rows, space)
-        worst = max(worst, np.abs(a.matrix - b.matrix).max())
-    return worst <= 1e-10, worst, None
+def _claim_slater_row_invariance(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
+    n = int(rng.integers(1, space.d + 1))
+    rows = sample_unitary(space.d, rng)[:n, :]
+    mixer = sample_unitary(n, rng)
+    a = slater_density(rows, space)
+    b = slater_density(mixer @ rows, space)
+    return np.abs(a.matrix - b.matrix).max()
 
 
-def _claim_pdm_linearity(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, d_cap))
-        a = sample_density(space, rng)
-        b = sample_density(space, rng)
-        w = float(rng.uniform())
-        mixed = mixture([(w, a), (1.0 - w, b)])
-        lhs = one_pdm(mixed).gamma
-        rhs = w * one_pdm(a).gamma + (1.0 - w) * one_pdm(b).gamma
-        worst = max(worst, np.abs(lhs - rhs).max())
-    return worst <= 1e-12, worst, None
+def _claim_pdm_linearity(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, d_cap))
+    a = sample_density(space, rng)
+    b = sample_density(space, rng)
+    w = float(rng.uniform())
+    lhs = one_pdm(mixture([(w, a), (1.0 - w, b)])).gamma
+    rhs = w * one_pdm(a).gamma + (1.0 - w) * one_pdm(b).gamma
+    return np.abs(lhs - rhs).max()
 
 
-def _claim_pdm_compression(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, d_cap))
-        rho = sample_density(space, rng)
-        k = int(rng.integers(1, space.d + 1))
-        keep = sorted(rng.choice(space.d, size=k, replace=False) + 1)
-        sub = restrict(rho, keep)
-        idx = [i - 1 for i in keep]
-        worst = max(
-            worst,
-            np.abs(one_pdm(sub).gamma - one_pdm(rho).gamma[np.ix_(idx, idx)]).max(),
-        )
-    return worst <= 1e-10, worst, None
+def _claim_pdm_compression(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, d_cap))
+    rho = sample_density(space, rng)
+    keep = _sample_keep(rng, space.d, int(rng.integers(1, space.d + 1)))
+    idx = [i - 1 for i in keep]
+    return np.abs(one_pdm(restrict(rho, keep)).gamma - one_pdm(rho).gamma[np.ix_(idx, idx)]).max()
 
 
-def _claim_pdm_covariance(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        rho = sample_density(space, rng)
-        u = sample_unitary(space.d, rng)
-        fock_u = basis_change_unitary(u, space)
-        rotated = DensityOperator(space, fock_u @ rho.matrix @ fock_u.conj().T)
-        worst = max(
-            worst,
-            np.abs(one_pdm(rotated).gamma - u @ one_pdm(rho).gamma @ u.conj().T).max(),
-        )
-    return worst <= 1e-10, worst, None
+def _claim_pdm_covariance(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    rho = sample_density(space, rng)
+    u = sample_unitary(space.d, rng)
+    fock_u = basis_change_unitary(u, space)
+    rotated = DensityOperator(space, fock_u @ rho.matrix @ fock_u.conj().T)
+    return np.abs(one_pdm(rotated).gamma - u @ one_pdm(rho).gamma @ u.conj().T).max()
 
 
 def _boundary_free_spec(space, rng):
@@ -494,365 +466,284 @@ def _boundary_free_spec(space, rng):
     return FreeStateSpec(space, p, sample_unitary(space.d, rng))
 
 
-def _claim_kernel_inclusion_equivalence(rng, d_cap, trials):
+def _claim_kernel_inclusion_equivalence(rng, d_cap):
     tol = 1e-8
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        spec = _boundary_free_spec(space, rng)
-        gamma_matrix = spec.to_density()
-        fock_u = basis_change_unitary(spec.orbitals, space)
-        # configurations compatible with the free state's support
-        weights = bernoulli_weights(spec.occupations)
-        support = np.flatnonzero(weights > 0)
-        kernel = np.flatnonzero(weights == 0)
-        amplitudes = np.zeros(space.dim, dtype=complex)
-        picks = rng.choice(support, size=min(2, support.size), replace=False)
-        amplitudes[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(
-            picks.size
-        )
-        violate = kernel.size > 0 and rng.uniform() < 0.5
-        if violate:
-            amplitudes[kernel[0]] = 0.7
-        amplitudes /= np.linalg.norm(amplitudes)
-        rho = pure_density(PureState(space, fock_u @ amplitudes))
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    spec = _boundary_free_spec(space, rng)
+    gamma_matrix = spec.to_density()
+    fock_u = basis_change_unitary(spec.orbitals, space)
+    # configurations compatible with the free state's support
+    weights = bernoulli_weights(spec.occupations)
+    support = np.flatnonzero(weights > 0)
+    kernel = np.flatnonzero(weights == 0)
+    amplitudes = np.zeros(space.dim, dtype=complex)
+    picks = rng.choice(support, size=min(2, support.size), replace=False)
+    amplitudes[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(picks.size)
+    if kernel.size > 0 and rng.uniform() < 0.5:
+        amplitudes[kernel[0]] = 0.7
+    amplitudes /= np.linalg.norm(amplitudes)
+    rho = pure_density(PureState(space, fock_u @ amplitudes))
 
-        w, v = np.linalg.eigh(gamma_matrix.matrix)
-        direct = all(
-            np.linalg.norm(rho.matrix @ v[:, k]) < tol
-            for k in range(w.size)
-            if w[k] < tol
-        )
-        ker_ok, coker_ok = kernel_inclusion_1pdm(
-            one_pdm(gamma_matrix), one_pdm(rho), tol=tol
-        )
-        if direct != (ker_ok and coker_ok):
-            return False, 1.0, _witness(gamma_matrix, rho)
-    return True, 0.0, None
+    w, v = np.linalg.eigh(gamma_matrix.matrix)
+    direct = all(np.linalg.norm(rho.matrix @ v[:, k]) < tol for k in range(w.size) if w[k] < tol)
+    ker_ok, coker_ok = kernel_inclusion_1pdm(one_pdm(gamma_matrix), one_pdm(rho), tol=tol)
+    return float(direct != (ker_ok and coker_ok)), (gamma_matrix, rho)
 
 
-def _claim_free_idempotence(rng, d_cap, trials):
+def _claim_free_idempotence(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    free_density, _ = free_from_pdm(one_pdm(sample_density(space, rng)))
+    again, _ = free_from_pdm(one_pdm(free_density))
+    return np.abs(free_density.matrix - again.matrix).max()
+
+
+def _claim_wick(rng, d_cap):
+    free_density = sample_free_spec(OrbitalSpace(_sample_d(rng, min(d_cap, 4))), rng).to_density()
+    return wick_check(free_density, max_order=2)[1], (free_density,)
+
+
+def _pair_state_fails_wick():
+    """Negative control: the correlated pair state must fail the check by a clear margin."""
+    violation = wick_check(pair_state(), max_order=2)[1]
+    return None if violation > 0.1 else (violation, pair_state())
+
+
+def _claim_free_substate(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
+    spec = sample_free_spec(space, rng)
+    keep = _sample_keep(rng, space.d, int(rng.integers(1, space.d)))
+    sub = restrict(spec.to_density(), keep)
+    return wick_check(sub, max_order=2)[1], (sub,)
+
+
+def _claim_free_entropy_formula(rng, d_cap):
+    spec = sample_free_spec(OrbitalSpace(_sample_d(rng, min(d_cap, 4))), rng)
+    return abs(von_neumann(spec.to_density()) - binary_entropy(spec.occupations))
+
+
+def _claim_gibbs_log(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    p = rng.uniform(0.05, 0.95, space.d)
+    quad = np.zeros((space.dim, space.dim), dtype=complex)
+    eye = np.eye(space.dim)
+    for i in range(space.d):
+        n_op = number_operator(i + 1, space).toarray()
+        quad += np.log(p[i]) * n_op + np.log(1.0 - p[i]) * (eye - n_op)
+    return np.abs(logm(gibbs_free_density(p, space).matrix) - quad).max()
+
+
+def _claim_independent_occupation(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    p = rng.uniform(0.05, 0.95, space.d)
+    rho = gibbs_free_density(p, space)
     worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        free_density, _ = free_from_pdm(one_pdm(sample_density(space, rng)))
-        again, _ = free_from_pdm(one_pdm(free_density))
-        worst = max(worst, np.abs(free_density.matrix - again.matrix).max())
-    return worst <= 1e-9, worst, None
-
-
-def _claim_wick(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        spec = sample_free_spec(space, rng)
-        ok, violation = wick_check(spec.to_density(), max_order=2, tol=1e-10)
-        if not ok:
-            return False, violation, _witness(spec.to_density())
-        worst = max(worst, violation)
-    ok, violation = wick_check(pair_state(), max_order=2, tol=1e-10)
-    if ok or violation <= 0.1:
-        return False, violation, _witness(pair_state())
-    return True, worst, None
-
-
-def _claim_free_substate(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
-        spec = sample_free_spec(space, rng)
-        k = int(rng.integers(1, space.d))
-        keep = sorted(rng.choice(space.d, size=k, replace=False) + 1)
-        sub = restrict(spec.to_density(), keep)
-        ok, violation = wick_check(sub, max_order=2, tol=1e-9)
-        worst = max(worst, violation)
-        if not ok:
-            return False, violation, _witness(sub)
-    return True, worst, None
-
-
-def _claim_free_entropy_formula(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        spec = sample_free_spec(space, rng)
-        worst = max(
-            worst,
-            abs(von_neumann(spec.to_density()) - binary_entropy(spec.occupations)),
-        )
-    return worst <= 1e-9, worst, None
-
-
-def _claim_gibbs_log(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        p = rng.uniform(0.05, 0.95, space.d)
-        rho = gibbs_free_density(p, space)
-        log_matrix = logm(rho.matrix)
-        quad = np.zeros((space.dim, space.dim), dtype=complex)
-        eye = np.eye(space.dim)
-        for i in range(space.d):
-            n_op = number_operator(i + 1, space).toarray()
-            quad += np.log(p[i]) * n_op + np.log(1.0 - p[i]) * (eye - n_op)
-        worst = max(worst, np.abs(log_matrix - quad).max())
-    return worst <= 1e-9, worst, None
-
-
-def _claim_independent_occupation(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        p = rng.uniform(0.05, 0.95, space.d)
-        rho = gibbs_free_density(p, space)
-        for i in range(space.d):
-            for j in range(space.d):
-                if i == j:
-                    continue
-                pair = (
-                    number_operator(i + 1, space) @ number_operator(j + 1, space)
-                ).toarray()
+    for i in range(space.d):
+        for j in range(space.d):
+            if i != j:
+                pair = (number_operator(i + 1, space) @ number_operator(j + 1, space)).toarray()
                 worst = max(worst, abs((rho.matrix @ pair).trace() - p[i] * p[j]))
-    return worst <= 1e-10, worst, None
+    return worst
 
 
-def _claim_entropy_nonneg(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        a = sample_density(space, rng)
-        b = sample_density(space, rng)
-        values = [
-            von_neumann(a),
-            relative_entropy(a, b),
-            renyi_divergence(0.7, a, b),
-            renyi_divergence(1.5, a, b),
-            sandwiched_renyi(0.5, a, b),
-            sandwiched_renyi(2.0, a, b),
-        ]
-        worst = min(worst, min(values))
-    return worst >= 0.0, abs(worst), None
+def _claim_entropy_nonneg(rng, d_cap):
+    """How far the most negative of the entropies and divergences falls below 0."""
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    a = sample_density(space, rng)
+    b = sample_density(space, rng)
+    values = [
+        von_neumann(a),
+        relative_entropy(a, b),
+        renyi_divergence(0.7, a, b),
+        renyi_divergence(1.5, a, b),
+        sandwiched_renyi(0.5, a, b),
+        sandwiched_renyi(2.0, a, b),
+    ]
+    return -min(values)
 
 
-def _claim_entropy_unitary_invariance(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        a = sample_density(space, rng)
-        b = sample_density(space, rng)
-        fock_u = basis_change_unitary(sample_unitary(space.d, rng), space)
-        a2 = DensityOperator(space, fock_u @ a.matrix @ fock_u.conj().T)
-        b2 = DensityOperator(space, fock_u @ b.matrix @ fock_u.conj().T)
+def _claim_entropy_unitary_invariance(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    a = sample_density(space, rng)
+    b = sample_density(space, rng)
+    fock_u = basis_change_unitary(sample_unitary(space.d, rng), space)
+    a2 = DensityOperator(space, fock_u @ a.matrix @ fock_u.conj().T)
+    b2 = DensityOperator(space, fock_u @ b.matrix @ fock_u.conj().T)
+    return max(
+        abs(fn(a, b) - fn(a2, b2))
         for fn in (
             relative_entropy,
             lambda x, y: renyi_divergence(1.5, x, y),
             lambda x, y: sandwiched_renyi(0.6, x, y),
-        ):
-            worst = max(worst, abs(fn(a, b) - fn(a2, b2)))
-    return worst <= 1e-9, worst, None
+        )
+    )
 
 
-def _claim_entropy_additivity(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        s1 = OrbitalSpace(2)
-        s2 = OrbitalSpace(2)
-        a1, b1 = sample_density(s1, rng), sample_density(s1, rng)
-        a2, b2 = sample_density(s2, rng), sample_density(s2, rng)
-        at, bt = tensor_product(a1, a2), tensor_product(b1, b2)
+def _claim_entropy_additivity(rng, d_cap):
+    s1 = OrbitalSpace(2)
+    s2 = OrbitalSpace(2)
+    a1, b1 = sample_density(s1, rng), sample_density(s1, rng)
+    a2, b2 = sample_density(s2, rng), sample_density(s2, rng)
+    at, bt = tensor_product(a1, a2), tensor_product(b1, b2)
+    return max(
+        abs(fn(at, bt) - fn(a1, b1) - fn(a2, b2))
         for fn in (
             relative_entropy,
             lambda x, y: renyi_divergence(0.7, x, y),
             lambda x, y: renyi_divergence(2.0, x, y),
             lambda x, y: sandwiched_renyi(0.6, x, y),
             lambda x, y: sandwiched_renyi(2.0, x, y),
-        ):
-            worst = max(worst, abs(fn(at, bt) - fn(a1, b1) - fn(a2, b2)))
-    return worst <= 1e-8, worst, None
-
-
-def _claim_renyi_alpha_monotone(rng, d_cap, trials):
-    worst = 0.0
-    alphas = [0.3, 0.6, 0.9, 1.0, 1.2, 1.6, 2.0]
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        a = sample_density(space, rng)
-        b = sample_density(space, rng)
-        values = [renyi_divergence(al, a, b) for al in alphas]
-        for lo, hi in zip(values, values[1:]):
-            worst = max(worst, lo - hi)
-    return worst <= 1e-9, worst, None
-
-
-def _claim_entropy_inequality(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        a = sample_density(space, rng)
-        b = sample_density(space, rng)
-        worst = max(worst, von_neumann(a) - cross_entropy(a, b))
-    return worst <= 1e-9, worst, None
-
-
-def _claim_reference_trace_identity(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        rho = sample_density(space, rng)
-        free_gamma = sample_free_spec(space, rng).to_density()
-        lhs = cross_entropy(rho, free_gamma)
-        rhs = cross_entropy(gamma_of(rho), free_gamma)
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-8, worst, None
-
-
-def _claim_reference_trace_boundary(rng, d_cap, trials):
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        p = rng.uniform(0.2, 0.8, space.d)
-        p[0] = 1.0
-        blocked, _ = free_from_pdm(OnePdm(space, np.diag(p).astype(complex)))
-        rho = sample_density(space, rng)  # full rank, so <h1|gamma h1> < 1
-        lhs = cross_entropy(rho, blocked)
-        rhs = cross_entropy(gamma_of(rho), blocked)
-        if not (np.isinf(lhs) and np.isinf(rhs)):
-            return False, 0.0, _witness(rho, blocked)
-    return True, 0.0, None
-
-
-def _claim_slater_zero(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
-        n = int(rng.integers(0, space.d + 1))
-        rows = sample_unitary(space.d, rng)[:n, :]
-        report = nonfreeness(slater_density(rows, space))
-        worst = max(worst, report.nonfreeness, report.cross_check)
-    return worst <= 1e-7, worst, None
-
-
-def _claim_prop2_crosscheck(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        worst = max(worst, nonfreeness(sample_density(space, rng)).cross_check)
-    return worst <= 1e-7, worst, None
-
-
-def _claim_monotone(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
-        rho = sample_pure(space, rng)
-        k = int(rng.integers(1, space.d))
-        keep = sorted(rng.choice(space.d, size=k, replace=False) + 1)
-        sub = restrict(rho, keep)
-        worst = max(
-            worst,
-            nonfreeness(sub, cross_check=False).nonfreeness
-            - nonfreeness(rho, cross_check=False).nonfreeness,
         )
-        for alpha, fn in ((0.5, correlation_renyi), (2.0, correlation_renyi),
-                          (0.5, correlation_sandwiched), (2.0, correlation_sandwiched)):
-            full = fn(rho, alpha)
-            if np.isinf(full):
-                continue
-            worst = max(worst, fn(sub, alpha) - full)
-    return worst <= 1e-7, worst, None
+    )
 
 
-def _claim_additive(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        a = sample_even_density(OrbitalSpace(2), rng)
-        b = sample_even_density(OrbitalSpace(2), rng)
-        prod = tensor_product(a, b)
-        worst = max(
-            worst,
-            abs(
-                nonfreeness(prod, cross_check=False).nonfreeness
-                - nonfreeness(a, cross_check=False).nonfreeness
-                - nonfreeness(b, cross_check=False).nonfreeness
-            ),
+def _claim_renyi_alpha_monotone(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    a = sample_density(space, rng)
+    b = sample_density(space, rng)
+    values = [renyi_divergence(al, a, b) for al in (0.3, 0.6, 0.9, 1.0, 1.2, 1.6, 2.0)]
+    return max(lo - hi for lo, hi in zip(values, values[1:]))
+
+
+def _claim_entropy_inequality(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    a = sample_density(space, rng)
+    b = sample_density(space, rng)
+    return von_neumann(a) - cross_entropy(a, b)
+
+
+def _claim_reference_trace_identity(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    rho = sample_density(space, rng)
+    free_gamma = sample_free_spec(space, rng).to_density()
+    return abs(cross_entropy(rho, free_gamma) - cross_entropy(gamma_of(rho), free_gamma))
+
+
+def _claim_reference_trace_boundary(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    p = rng.uniform(0.2, 0.8, space.d)
+    p[0] = 1.0
+    blocked, _ = free_from_pdm(OnePdm(space, np.diag(p).astype(complex)))
+    rho = sample_density(space, rng)  # full rank, so <h1|gamma h1> < 1
+    both_infinite = np.isinf(cross_entropy(rho, blocked)) and np.isinf(
+        cross_entropy(gamma_of(rho), blocked)
+    )
+    return float(not both_infinite), (rho, blocked)
+
+
+def _claim_slater_zero(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
+    n = int(rng.integers(0, space.d + 1))
+    report = nonfreeness(slater_density(sample_unitary(space.d, rng)[:n, :], space))
+    return max(report.nonfreeness, report.cross_check)
+
+
+def _claim_prop2_crosscheck(rng, d_cap):
+    return nonfreeness(sample_density(OrbitalSpace(_sample_d(rng, min(d_cap, 4))), rng)).cross_check
+
+
+_RENYI_FUNCTIONALS = (
+    (0.5, correlation_renyi),
+    (2.0, correlation_renyi),
+    (0.5, correlation_sandwiched),
+    (2.0, correlation_sandwiched),
+)
+
+
+def _claim_monotone(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4), lo=3))
+    rho = sample_pure(space, rng)
+    keep = _sample_keep(rng, space.d, int(rng.integers(1, space.d)))
+    sub = restrict(rho, keep)
+    excess = [
+        nonfreeness(sub, cross_check=False).nonfreeness
+        - nonfreeness(rho, cross_check=False).nonfreeness
+    ]
+    for alpha, fn in _RENYI_FUNCTIONALS:
+        full = fn(rho, alpha)
+        if not np.isinf(full):
+            excess.append(fn(sub, alpha) - full)
+    return max(excess)
+
+
+def _claim_additive(rng, d_cap):
+    a = sample_even_density(OrbitalSpace(2), rng)
+    b = sample_even_density(OrbitalSpace(2), rng)
+    prod = tensor_product(a, b)
+    gaps = [
+        abs(
+            nonfreeness(prod, cross_check=False).nonfreeness
+            - nonfreeness(a, cross_check=False).nonfreeness
+            - nonfreeness(b, cross_check=False).nonfreeness
         )
-        for alpha, fn in ((0.5, correlation_renyi), (2.0, correlation_renyi),
-                          (0.5, correlation_sandwiched), (2.0, correlation_sandwiched)):
-            worst = max(worst, abs(fn(prod, alpha) - fn(a, alpha) - fn(b, alpha)))
-    return worst <= 1e-7, worst, None
+    ]
+    for alpha, fn in _RENYI_FUNCTIONALS:
+        gaps.append(abs(fn(prod, alpha) - fn(a, alpha) - fn(b, alpha)))
+    return max(gaps)
 
 
-def _claim_basis_invariance(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
-        rho = sample_density(space, rng)
-        fock_u = basis_change_unitary(sample_unitary(space.d, rng), space)
-        rotated = DensityOperator(space, fock_u @ rho.matrix @ fock_u.conj().T)
-        worst = max(
-            worst,
-            abs(
-                nonfreeness(rotated, cross_check=False).nonfreeness
-                - nonfreeness(rho, cross_check=False).nonfreeness
-            ),
-        )
-    return worst <= 1e-8, worst, None
+def _claim_basis_invariance(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
+    rho = sample_density(space, rng)
+    fock_u = basis_change_unitary(sample_unitary(space.d, rng), space)
+    rotated = DensityOperator(space, fock_u @ rho.matrix @ fock_u.conj().T)
+    return abs(
+        nonfreeness(rotated, cross_check=False).nonfreeness
+        - nonfreeness(rho, cross_check=False).nonfreeness
+    )
 
 
-def _claim_minimum_sampled(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
-        rho = sample_density(space, rng)
-        base = nonfreeness(rho, cross_check=False).nonfreeness
-        for _ in range(10):
-            gamma_candidate = sample_free_spec(space, rng).to_density()
-            worst = max(worst, base - relative_entropy(rho, gamma_candidate))
-    return worst <= 1e-9, worst, None
+def _claim_minimum_sampled(rng, d_cap):
+    space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
+    rho = sample_density(space, rng)
+    base = nonfreeness(rho, cross_check=False).nonfreeness
+    return max(
+        base - relative_entropy(rho, sample_free_spec(space, rng).to_density())
+        for _ in range(10)
+    )
 
 
-def _claim_purification(rng, d_cap, trials):
-    worst = 0.0
-    for _ in range(trials):
-        d = _sample_d(rng, min(d_cap, 4), lo=1)
-        space = OrbitalSpace(d)
-        spec = FreeStateSpec(space, rng.uniform(0.0, 1.0, d), sample_unitary(d, rng))
-        rows = purify_free(spec)
-        doubled = slater_density(rows, OrbitalSpace(2 * d))
-        recovered = restrict(doubled, range(1, d + 1))
-        worst = max(worst, trace_distance(recovered, spec.to_density()))
-    return worst <= 1e-8, worst, None
+def _claim_purification(rng, d_cap):
+    d = _sample_d(rng, min(d_cap, 4), lo=1)
+    space = OrbitalSpace(d)
+    spec = FreeStateSpec(space, rng.uniform(0.0, 1.0, d), sample_unitary(d, rng))
+    doubled = slater_density(purify_free(spec), OrbitalSpace(2 * d))
+    recovered = restrict(doubled, range(1, d + 1))
+    return trace_distance(recovered, spec.to_density())
 
 
-# (claim id, runner, cap on its trials or None); a runner runs exactly the trials it is given
+# (claim id, trial, cap on its trials or None, threshold on the worst trial's
+# value[, negative controls]); a control returns None, or (value, *states) when
+# it fails and so fails the claim
 _CLAIMS = (
-    ("fock-car-relations", _claim_car_relations, 10),
-    ("fock-unitary-representation", _claim_unitary_representation, 25),
-    ("fock-ladder-covariance", _claim_ladder_covariance, 25),
-    ("fock-split-roundtrip", _claim_split_roundtrip, None),
-    ("states-slater-row-invariance", _claim_slater_row_invariance, 25),
-    ("pdm-linearity", _claim_pdm_linearity, None),
-    ("pdm-compression-under-restriction", _claim_pdm_compression, None),
-    ("pdm-basis-covariance", _claim_pdm_covariance, 25),
-    ("pdm-kernel-inclusion-equivalence", _claim_kernel_inclusion_equivalence, None),
-    ("free-reconstruction-idempotent", _claim_free_idempotence, 25),
-    ("free-wick-order2", _claim_wick, 15),
-    ("free-substates-are-free", _claim_free_substate, 15),
-    ("free-entropy-formula", _claim_free_entropy_formula, 25),
-    ("free-gibbs-log-quadratic", _claim_gibbs_log, 10),
-    ("free-independent-occupation", _claim_independent_occupation, 10),
-    ("entropy-nonnegative", _claim_entropy_nonneg, None),
-    ("entropy-unitary-invariance", _claim_entropy_unitary_invariance, 15),
-    ("entropy-additivity", _claim_entropy_additivity, 15),
-    ("entropy-renyi-alpha-monotone", _claim_renyi_alpha_monotone, 15),
-    ("entropy-log-trace-inequality", _claim_entropy_inequality, None),
-    ("free-reference-trace-identity", _claim_reference_trace_identity, 20),
-    ("free-reference-trace-identity-boundary", _claim_reference_trace_boundary, 10),
-    ("correlation-slater-zero", _claim_slater_zero, 25),
-    ("correlation-entropy-difference-crosscheck", _claim_prop2_crosscheck, 30),
-    ("correlation-monotone-under-restriction", _claim_monotone, 15),
-    ("correlation-additive-over-products", _claim_additive, 15),
-    ("correlation-basis-invariance", _claim_basis_invariance, 15),
-    ("correlation-minimum-over-sampled-free", _claim_minimum_sampled, 10),
-    ("purification-restriction-roundtrip", _claim_purification, 15),
+    ("fock-car-relations", _claim_car_relations, 10, 1e-12),
+    ("fock-unitary-representation", _claim_unitary_representation, 25, 1e-10),
+    ("fock-ladder-covariance", _claim_ladder_covariance, 25, 1e-10),
+    ("fock-split-roundtrip", _claim_split_roundtrip, None, 0.0),
+    ("states-slater-row-invariance", _claim_slater_row_invariance, 25, 1e-10),
+    ("pdm-linearity", _claim_pdm_linearity, None, 1e-12),
+    ("pdm-compression-under-restriction", _claim_pdm_compression, None, 1e-10),
+    ("pdm-basis-covariance", _claim_pdm_covariance, 25, 1e-10),
+    ("pdm-kernel-inclusion-equivalence", _claim_kernel_inclusion_equivalence, None, 0.0),
+    ("free-reconstruction-idempotent", _claim_free_idempotence, 25, 1e-9),
+    ("free-wick-order2", _claim_wick, 15, 1e-10, _pair_state_fails_wick),
+    ("free-substates-are-free", _claim_free_substate, 15, 1e-9),
+    ("free-entropy-formula", _claim_free_entropy_formula, 25, 1e-9),
+    ("free-gibbs-log-quadratic", _claim_gibbs_log, 10, 1e-9),
+    ("free-independent-occupation", _claim_independent_occupation, 10, 1e-10),
+    ("entropy-nonnegative", _claim_entropy_nonneg, None, 0.0),
+    ("entropy-unitary-invariance", _claim_entropy_unitary_invariance, 15, 1e-9),
+    ("entropy-additivity", _claim_entropy_additivity, 15, 1e-8),
+    ("entropy-renyi-alpha-monotone", _claim_renyi_alpha_monotone, 15, 1e-9),
+    ("entropy-log-trace-inequality", _claim_entropy_inequality, None, 1e-9),
+    ("free-reference-trace-identity", _claim_reference_trace_identity, 20, 1e-8),
+    ("free-reference-trace-identity-boundary", _claim_reference_trace_boundary, 10, 0.0),
+    ("correlation-slater-zero", _claim_slater_zero, 25, 1e-7),
+    ("correlation-entropy-difference-crosscheck", _claim_prop2_crosscheck, 30, 1e-7),
+    ("correlation-monotone-under-restriction", _claim_monotone, 15, 1e-7),
+    ("correlation-additive-over-products", _claim_additive, 15, 1e-7),
+    ("correlation-basis-invariance", _claim_basis_invariance, 15, 1e-8),
+    ("correlation-minimum-over-sampled-free", _claim_minimum_sampled, 10, 1e-9),
+    ("purification-restriction-roundtrip", _claim_purification, 15, 1e-8),
 )
 
 
@@ -860,26 +751,41 @@ def property_suite(seed: int = 42, d_max: int = 4, trials: int = 50):
     """Run every module invariant on randomized instances; deterministic per seed.
 
     Each claim runs `trials` instances, or its cap in `_CLAIMS` if that is
-    smaller.  Returns one VerificationReport per claim, in a fixed order, with
-    the trials it ran and its wall time; a failing claim carries a witness
-    with the offending states.
+    smaller, and passes when its worst trial value is at most its threshold
+    (a NaN value fails) and each of its negative controls passes.  Returns one
+    VerificationReport per claim, in a fixed order, with the threshold, the
+    trials it ran and its wall time; a failing claim carries a witness with
+    the worst trial's states, when its trial names them.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     reports = []
-    for index, (claim_id, runner, cap) in enumerate(_CLAIMS):
+    for index, (claim_id, trial, cap, threshold, *controls) in enumerate(_CLAIMS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         ran = trials if cap is None else min(trials, cap)
         start = time.perf_counter()
-        passed, worst, witness = runner(rng, d_max, ran)
+        worst, states = 0.0, ()
+        for _ in range(ran):
+            outcome = trial(rng, d_max)
+            value, found = outcome if isinstance(outcome, tuple) else (outcome, ())
+            if value > worst or np.isnan(value):  # once NaN, worst stays NaN
+                worst, states = value, found
+        passed = worst <= threshold
+        for control in controls:
+            breach = control()
+            if breach is not None:
+                passed = False
+                worst, *states = breach
+        witness = [io.density_to_document(s) for s in states] if not passed else []
         reports.append(
             VerificationReport(
                 claim=claim_id,
                 passed=bool(passed),
                 worst=float(worst),
+                threshold=threshold,
                 trials=ran,
                 elapsed_s=time.perf_counter() - start,
-                witness=witness if not passed else None,
+                witness={"states": witness} if witness else None,
             )
         )
     return reports

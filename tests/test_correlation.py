@@ -16,12 +16,14 @@ from fermifree import (
     free_from_pdm,
     gamma_of,
     gibbs_free_density,
+    join_index,
     nonfreeness,
     pair_state,
     relative_entropy,
     remark_state,
     restrict,
     slater_density,
+    split_index,
     tensor_product,
 )
 from fermifree.verify import (
@@ -132,8 +134,16 @@ def test_restrict_pair_state_to_first_half():
 
 def test_restrict_rejects_empty_subset():
     rng = np.random.default_rng(6)
-    with pytest.raises(ValidationError):
-        restrict(sample_density(OrbitalSpace(2), rng), [])
+    rho = sample_density(OrbitalSpace(2), rng)
+    for keep in ([], [1.5], ["2"], [True], [np.float64(1.0)], [1, 1], [3]):
+        with pytest.raises(ValidationError):
+            restrict(rho, keep)
+        with pytest.raises(ValidationError):
+            split_index(0b11, keep, rho.space)
+        with pytest.raises(ValidationError):
+            join_index(1, 1, keep, rho.space)
+    # numpy integers are orbital indices like Python ints
+    np.testing.assert_array_equal(restrict(rho, [np.int64(2)]).matrix, restrict(rho, [2]).matrix)
 
 
 def test_monotone_under_restriction_spot():

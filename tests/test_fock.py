@@ -15,20 +15,15 @@ from fermifree import (
     ValidationError,
     annihilator,
     basis_change_unitary,
+    DensityOperator,
     creator,
-    enumerate_basis,
     join_index,
     number_operator,
+    restrict,
     split_index,
 )
-from fermifree.fock import (
-    expectations,
-    ladder_matrices,
-    ladder_table,
-    occupation_vector,
-    occupied_orbitals,
-)
-from fermifree.verify import sample_unitary
+from fermifree.fock import expectations, ladder_matrices, ladder_table
+from fermifree.verify import sample_density, sample_unitary
 
 
 # --- independent oracles -----------------------------------------------------
@@ -50,6 +45,10 @@ def symbolic_create(i, occupied):
         sign = -sign
         k += 1
     return sign, tuple(lst)
+
+
+def occupied(bits):
+    return tuple(i for i in range(1, bits.bit_length() + 1) if bits >> (i - 1) & 1)
 
 
 def inversion_parity(sequence):
@@ -81,23 +80,12 @@ def fock_unitary_by_creator_products(u, space):
     return out
 
 
-# --- enumeration -------------------------------------------------------------
-
-
-def test_enumerate_basis_small():
-    assert enumerate_basis(OrbitalSpace(1)) == [0, 1]
-    assert enumerate_basis(OrbitalSpace(2)) == [0, 1, 2, 3]
-    assert len(enumerate_basis(OrbitalSpace(10))) == 1024
+# --- capacity ----------------------------------------------------------------
 
 
 def test_capacity_error():
     with pytest.raises(CapacityError):
         OrbitalSpace(13)
-
-
-def test_occupation_helpers():
-    assert occupation_vector(0b101, 3) == (1, 0, 1)
-    assert occupied_orbitals(0b101) == (1, 3)
 
 
 # --- ladder operators --------------------------------------------------------
@@ -123,7 +111,7 @@ def test_creator_matches_symbolic_anticommutation(d):
     for i in range(1, d + 1):
         mat = creator(i, space).toarray()
         for bits in range(space.dim):
-            result = symbolic_create(i, occupied_orbitals(bits))
+            result = symbolic_create(i, occupied(bits))
             column = mat[:, bits]
             if result is None:
                 np.testing.assert_allclose(column, 0.0)
@@ -310,7 +298,7 @@ def test_split_sign_matches_inversion_parity():
     keep = [2, 4, 5]
     comp = [1, 3]
     for bits in range(space.dim):
-        occ = occupied_orbitals(bits)
+        occ = occupied(bits)
         target = [i for i in keep if i in occ] + [i for i in comp if i in occ]
         _, _, sign = split_index(bits, keep, space)
         assert sign == inversion_parity(target)
@@ -337,15 +325,35 @@ def test_split_join_roundtrip(data, d):
     assert sign * sign2 == 1
 
 
-def test_orbital_creator_linearity():
-    from fermifree.fock import orbital_creator
 
-    space = OrbitalSpace(2)
-    f = np.array([0.6, 0.8j])
-    op = orbital_creator(f, space).toarray()
-    expected = 0.6 * creator(1, space).toarray() + 0.8j * creator(2, space).toarray()
-    np.testing.assert_allclose(op, expected)
-    vacuum = np.zeros(4)
-    vacuum[0] = 1.0
-    one_particle = op @ vacuum
-    np.testing.assert_allclose(one_particle[[1, 2]], f)
+def partial_trace_by_inversion_parity(rho, keep):
+    """Fermionic partial trace over the orbitals outside `keep` (increasing), one
+    matrix element at a time: |n> = sign (kept creators)(complement creators)|0>,
+    with sign the inversion parity of that reordering of n's creators."""
+    comp = [i for i in range(1, rho.space.d + 1) if i not in keep]
+
+    def factor(bits):
+        occ = occupied(bits)
+        n1 = sum(1 << pos for pos, i in enumerate(keep) if i in occ)
+        n2 = sum(1 << pos for pos, i in enumerate(comp) if i in occ)
+        return n1, n2, inversion_parity([i for i in keep + comp if i in occ])
+
+    factors = [factor(bits) for bits in range(rho.dim)]
+    out = np.zeros((1 << len(keep), 1 << len(keep)), dtype=complex)
+    for m, (a, b, s) in enumerate(factors):
+        for n, (a2, b2, s2) in enumerate(factors):
+            if b == b2:
+                out[a, a2] += s * s2 * rho.matrix[m, n]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_restrict_matches_partial_trace_by_inversion_parity(d):
+    rng = np.random.default_rng(40 + d)
+    rho = sample_density(OrbitalSpace(d), rng)
+    for _ in range(3):
+        keep = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False) + 1
+        got = restrict(rho, keep)  # in random order: the subset, not its order, matters
+        assert isinstance(got, DensityOperator) and got.space.d == keep.size
+        expected = partial_trace_by_inversion_parity(rho, sorted(keep.tolist()))
+        np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-14)

@@ -470,6 +470,24 @@ def test_cli_demo_hubbard_point_and_sweep(capsys):
     assert len(rows) == 2 and rows[0][1] < 1e-8 < rows[1][1]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--u", "nan"], "finite"),
+        (["--t", "inf"], "finite"),
+        (["--sweep", "0,inf"], "finite"),
+        (["--u=-inf"], "finite"),
+        (["--sweep", "0,a"], "--sweep"),
+        (["--sweep", ","], "--sweep"),
+    ],
+)
+def test_cli_demo_hubbard_bad_parameters_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["demo-hubbard", "--sites", "2", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_env_dmax_override(monkeypatch):
     monkeypatch.setenv("FERMIFREE_DMAX", "3")
     with pytest.raises(Exception, match="D_MAX"):

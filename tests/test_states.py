@@ -1,5 +1,6 @@
 """State constructors: pure, Slater, Gibbs, mixtures, products, Hubbard."""
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -22,6 +23,7 @@ from fermifree import (
     slater_density,
     tensor_product,
 )
+from fermifree.fock import ladder_matrices
 from fermifree.states import bernoulli_weights
 from fermifree.verify import sample_density, sample_unitary
 
@@ -266,6 +268,48 @@ def test_hubbard_degenerate_sector_still_valid():
 def test_hubbard_rejects_infeasible_fillings():
     with pytest.raises(ValidationError, match="infeasible"):
         hubbard_ground_state(2, 1.0, 1.0, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "t, u_int", [(1.0, np.nan), (np.inf, 4.0), (-np.inf, 0.0), (np.nan, np.nan)]
+)
+def test_hubbard_rejects_non_finite_parameters(t, u_int):
+    with pytest.raises(ValidationError, match="finite"):
+        hubbard_ground_state(2, t, u_int, 1, 1)
+
+
+def sparse_hubbard_hamiltonian(sites, t, u_int):
+    """Open-chain Hubbard Hamiltonian on (1up, 1dn, 2up, ...) from sparse ladder products."""
+    creators, annihilators = ladder_matrices(OrbitalSpace(2 * sites))
+    h = 0 * creators[0]
+    for orb in range(2 * sites - 2):
+        hop = creators[orb] @ annihilators[orb + 2]
+        h = h - t * (hop + hop.conj().T)
+    for up in range(0, 2 * sites, 2):
+        h = h + u_int * (creators[up] @ annihilators[up] @ creators[up + 1] @ annihilators[up + 1])
+    return h.toarray()
+
+
+@pytest.mark.parametrize("sites, fillings", [
+    (1, [(1, 0), (1, 1)]),
+    (2, [(1, 1), (2, 1)]),
+    (3, [(2, 1), (1, 1)]),
+    (4, [(2, 2), (2, 1)]),
+    (5, [(3, 2), (2, 2)]),
+])
+def test_hubbard_matches_sparse_hamiltonian_ground_state(sites, fillings):
+    idx = np.arange(1 << (2 * sites))
+    up_count = np.bitwise_count(idx & int("01" * sites, 2))
+    down_count = np.bitwise_count(idx & int("10" * sites, 2))
+    for (n_up, n_down), u_int in itertools.product(fillings, (0.0, 4.0)):
+        h = sparse_hubbard_hamiltonian(sites, 1.0, u_int)
+        sector = np.flatnonzero((up_count == n_up) & (down_count == n_down))
+        energies, vectors = np.linalg.eigh(h[np.ix_(sector, sector)])
+        assert energies.size == 1 or energies[1] - energies[0] > 1e-3  # nondegenerate
+        psi = np.zeros(idx.size, dtype=complex)
+        psi[sector] = vectors[:, 0]
+        rho = hubbard_ground_state(sites, 1.0, u_int, n_up, n_down)
+        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), rtol=0, atol=1e-12)
 
 
 # --- spectra carried from construction ------------------------------------------

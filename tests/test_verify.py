@@ -19,6 +19,7 @@ from fermifree import (
     free_from_pdm,
     gamma_of,
     gibbs_free_density,
+    hubbard_ground_state,
     min_relent_search,
     one_pdm,
     pair_state,
@@ -233,8 +234,30 @@ def test_cli_verify_reports_trials_run_and_elapsed_time(capsys):
         expected = 50 if report["claim"] in UNCAPPED_CLAIMS else CLAIM_CAPS[report["claim"]]
         assert report["trials"] == expected, report["claim"]
         assert report["elapsed_s"] >= 0.0
+        assert 0.0 <= report["worst"] <= report["threshold"] <= 1e-7, report["claim"]
     few = property_suite(seed=0, d_max=2, trials=3)
     assert [r.trials for r in few] == [3] * 29
+
+
+def test_property_suite_driver_fails_nan_trials_and_control_breaches(monkeypatch):
+    values = iter([0.5, float("nan"), 0.25])
+    rho = pair_state()
+    claims = (
+        ("passes", lambda rng, d_cap: 1e-9, None, 1e-8),
+        ("over-threshold", lambda rng, d_cap: (2e-8, (rho,)), 3, 1e-8),
+        ("nan-sticks", lambda rng, d_cap: next(values), 3, 1.0),
+        ("control-breach", lambda rng, d_cap: 0.0, 2, 0.0, lambda: (0.01, rho)),
+    )
+    monkeypatch.setattr(fermifree.verify, "_CLAIMS", claims)
+    reports = {r.claim: r for r in property_suite(seed=0, d_max=2, trials=4)}
+    assert reports["passes"].passed and reports["passes"].trials == 4
+    assert reports["passes"].witness is None and reports["passes"].threshold == 1e-8
+    assert not reports["over-threshold"].passed and reports["over-threshold"].worst == 2e-8
+    assert len(reports["over-threshold"].witness["states"]) == 1
+    assert not reports["nan-sticks"].passed and math.isnan(reports["nan-sticks"].worst)
+    assert reports["nan-sticks"].witness is None
+    assert not reports["control-breach"].passed and reports["control-breach"].worst == 0.01
+    assert len(reports["control-breach"].witness["states"]) == 1
 
 
 def test_search_config_validation():
@@ -308,3 +331,4 @@ def test_one_pdm_and_wick_check_build_no_sparse_ladder_operators(monkeypatch):
     one_pdm(rho)
     wick_check(rho, max_order=2)
     wick_check(pair_state(), max_order=2)
+    hubbard_ground_state(3, 1.0, 4.0, 2, 1)
