@@ -27,6 +27,7 @@ from .entropy import (
 from .errors import CapacityError, ValidationError
 from .fock import (
     OrbitalSpace,
+    amplitudes_in_basis,
     annihilator,
     basis_change_unitary,
     creator,
@@ -47,9 +48,11 @@ from .states import (
     DensityOperator,
     PureState,
     gibbs_free_density,
+    hubbard_ground_amplitudes,
     hubbard_ground_state,
     mixture,
     pure_density,
+    slater_amplitudes,
     slater_density,
     tensor_product,
     trace_distance,
@@ -77,6 +80,7 @@ __all__ = [
     "SearchConfig",
     "ValidationError",
     "VerificationReport",
+    "amplitudes_in_basis",
     "annihilator",
     "basis_change_unitary",
     "binary_entropy",
@@ -89,6 +93,7 @@ __all__ = [
     "free_from_pdm",
     "gamma_of",
     "gibbs_free_density",
+    "hubbard_ground_amplitudes",
     "hubbard_ground_state",
     "join_index",
     "kernel_inclusion_1pdm",
@@ -108,6 +113,7 @@ __all__ = [
     "renyi_min_search",
     "restrict",
     "sandwiched_renyi",
+    "slater_amplitudes",
     "slater_density",
     "split_index",
     "tensor_product",

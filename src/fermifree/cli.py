@@ -11,12 +11,11 @@ import math
 import sys
 from . import io
 from . import config
-from .correlation import nonfreeness, restrict
-from .entropy import renyi_divergence, sandwiched_renyi
+from .correlation import correlation_renyi, correlation_sandwiched, nonfreeness, restrict
 from .errors import ValidationError
 from .free import free_from_pdm, purify_free
 from .pdm import natural_spectrum, one_pdm
-from .states import hubbard_ground_state
+from .states import hubbard_ground_amplitudes
 from .verify import (
     SearchConfig,
     property_suite,
@@ -56,8 +55,8 @@ def _units_scale(bits: bool):
 
 
 def _cmd_nonfreeness(args) -> int:
-    rho = io.density_from_document(_read_document(args.state))
-    report = nonfreeness(rho, cross_check=args.cross_check)
+    state = io.state_from_document(_read_document(args.state))
+    report = nonfreeness(state, cross_check=args.cross_check)
     units, scale = _units_scale(args.bits)
     value = {
         "nonfreeness": report.nonfreeness / scale,
@@ -68,7 +67,7 @@ def _cmd_nonfreeness(args) -> int:
         if report.cross_check is None
         else io.value_to_json(report.cross_check / scale),
     }
-    inputs = {"state": args.state, "d": rho.space.d}
+    inputs = {"state": args.state, "d": state.space.d}
     _emit("nonfreeness", value, units, inputs, dict(_TOLERANCES, cross_check=args.cross_check))
     if report.cross_check is not None and report.cross_check > config.TOL_NONFREENESS:
         print(
@@ -81,23 +80,22 @@ def _cmd_nonfreeness(args) -> int:
 
 
 def _cmd_renyi(args) -> int:
-    rho = io.density_from_document(_read_document(args.state))
-    reference, _ = free_from_pdm(one_pdm(rho))
-    divergence = sandwiched_renyi if args.sandwiched else renyi_divergence
-    value = divergence(args.alpha, rho, reference)
+    state = io.state_from_document(_read_document(args.state))
+    divergence = correlation_sandwiched if args.sandwiched else correlation_renyi
+    value = divergence(state, args.alpha)
     units, scale = _units_scale(args.bits)
     return _emit(
         "sandwiched-renyi-correlation" if args.sandwiched else "renyi-correlation",
         value if math.isinf(value) else value / scale,
         units,
-        {"state": args.state, "d": rho.space.d, "alpha": args.alpha},
+        {"state": args.state, "d": state.space.d, "alpha": args.alpha},
         dict(_TOLERANCES, sandwiched=args.sandwiched),
     )
 
 
 def _cmd_pdm(args) -> int:
-    rho = io.density_from_document(_read_document(args.state))
-    pdm = one_pdm(rho)
+    state = io.state_from_document(_read_document(args.state))
+    pdm = one_pdm(state)
     spectrum = natural_spectrum(pdm)
     value = {
         "gamma": io.matrix_to_json(pdm.gamma),
@@ -105,7 +103,7 @@ def _cmd_pdm(args) -> int:
         "orbitals": io.matrix_to_json(spectrum.orbitals),
         "particle_number": pdm.trace,
     }
-    return _emit("one-pdm", value, "nats", {"state": args.state, "d": rho.space.d})
+    return _emit("one-pdm", value, "nats", {"state": args.state, "d": state.space.d})
 
 
 def _parse_keep(raw: str):
@@ -116,9 +114,9 @@ def _parse_keep(raw: str):
 
 
 def _cmd_restrict(args) -> int:
-    rho = io.density_from_document(_read_document(args.state))
-    sub = restrict(rho, _parse_keep(args.keep))
-    inputs = {"state": args.state, "d": rho.space.d, "keep": args.keep}
+    state = io.state_from_document(_read_document(args.state))
+    sub = restrict(state, _parse_keep(args.keep))
+    inputs = {"state": args.state, "d": state.space.d, "keep": args.keep}
     return _emit("restriction", io.density_to_document(sub), "nats", inputs)
 
 
@@ -175,9 +173,8 @@ def _cmd_demo_hubbard(args) -> int:
     inputs = {"sites": args.sites, "t": args.t, "n_up": n_up, "n_down": n_down}
 
     def nonfreeness_at(u_int: float) -> float:
-        # the state and its cached eigenvectors are freed on return, before the next is built
-        rho = hubbard_ground_state(args.sites, args.t, u_int, n_up, n_down)
-        return nonfreeness(rho, cross_check=False).nonfreeness
+        psi = hubbard_ground_amplitudes(args.sites, args.t, u_int, n_up, n_down)
+        return nonfreeness(psi, cross_check=False).nonfreeness
 
     if args.sweep is not None:
         try:

@@ -14,9 +14,9 @@ from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
-from .free import free_from_pdm, gamma_of, wick_check
-from .pdm import natural_spectrum, one_pdm
-from .states import DensityOperator
+from .free import FreeStateSpec, free_from_pdm, gamma_of, wick_check
+from .pdm import OnePdm, natural_spectrum, one_pdm
+from .states import DensityOperator, PureState, State
 
 
 def binary_entropy(p: np.ndarray) -> float:
@@ -44,19 +44,30 @@ class CorrelationReport:
     cross_check: float | None
 
 
-def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationReport:
-    """Entropy of `rho` relative to its free reference state.
+def _free_reference(state: State, pdm: OnePdm):
+    """The free state with the 1-pdm of `state`: a density operator for a
+    density operator, and for a pure state only its spec, which the
+    divergences reach through Givens rotations of the amplitudes."""
+    if isinstance(state, PureState):
+        natural = natural_spectrum(pdm)
+        return FreeStateSpec(pdm.space, natural.occupations, natural.orbitals)
+    density, _ = free_from_pdm(pdm)
+    return density
 
-    Computed as S(free reference) - S(rho), where the free entropy is the
-    binary-entropy sum over the natural occupation numbers.  Values in
-    [-TOL_NONFREENESS, 0) are treated as float noise and clamped to 0;
-    anything lower is a hard error, since the free entropy can never fall
-    below the state entropy.
+
+def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
+    """Entropy of `state` relative to its free reference state.
+
+    Computed as S(free reference) - S(state), where the free entropy is the
+    binary-entropy sum over the natural occupation numbers and a pure state's
+    entropy is 0.  Values in [-TOL_NONFREENESS, 0) are treated as float noise
+    and clamped to 0; anything lower is a hard error, since the free entropy
+    can never fall below the state entropy.
     """
-    pdm = one_pdm(rho)
+    pdm = one_pdm(state)
     spectrum = natural_spectrum(pdm)
     entropy_free = binary_entropy(spectrum.occupations)
-    entropy_state = von_neumann(rho)
+    entropy_state = von_neumann(state)
     value = entropy_free - entropy_state
     if value < -TOL_NONFREENESS:
         raise ValidationError(
@@ -66,8 +77,7 @@ def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationRe
     value = max(value, 0.0)
     deviation = None
     if cross_check:
-        reference, _ = free_from_pdm(pdm)
-        direct = relative_entropy(rho, reference)
+        direct = relative_entropy(state, _free_reference(state, pdm))
         deviation = abs(direct - value)
     return CorrelationReport(
         nonfreeness=value,
@@ -78,34 +88,45 @@ def nonfreeness(rho: DensityOperator, cross_check: bool = True) -> CorrelationRe
     )
 
 
-def correlation_renyi(rho: DensityOperator, alpha: float) -> float:
-    """D_alpha of `rho` from its free reference state, alpha in (0, 2]."""
-    return renyi_divergence(alpha, rho, gamma_of(rho))
+def correlation_renyi(state: State, alpha: float) -> float:
+    """D_alpha of `state` from its free reference state, alpha in (0, 2]."""
+    return renyi_divergence(alpha, state, _free_reference(state, one_pdm(state)))
 
 
-def correlation_sandwiched(rho: DensityOperator, alpha: float) -> float:
-    """Sandwiched D_alpha of `rho` from its free reference state, alpha >= 1/2."""
-    return sandwiched_renyi(alpha, rho, gamma_of(rho))
+def correlation_sandwiched(state: State, alpha: float) -> float:
+    """Sandwiched D_alpha of `state` from its free reference state, alpha >= 1/2."""
+    return sandwiched_renyi(alpha, state, _free_reference(state, one_pdm(state)))
 
 
-def restrict(rho: DensityOperator, keep) -> DensityOperator:
+def restrict(state: State, keep) -> DensityOperator:
     """Substate delimited by the orbitals in `keep` (fermionic partial trace).
 
     Matrix elements are summed over the complement's occupation lists with
     the reordering signs of the tensor factorization; the result's 1-pdm is
-    the keep x keep compression of the input's.
+    the keep x keep compression of the input's.  A pure state's amplitudes,
+    signed and laid out as M[a, b] over (kept, complement) lists, give
+    M @ M^dagger.
     """
-    space = rho.space
-    keep = tuple(keep)
+    space = state.space
+    try:
+        keep = tuple(keep)
+    except TypeError as exc:
+        raise ValidationError(
+            f"kept orbitals must be a collection of indices, got {keep!r}"
+        ) from exc
     _, n2, sign = split_table(keep, space.d)
     # joined[b, a] is the occupation list with factors (a, b): for each
     # complement list b, the kept lists a appear in increasing order
     joined = np.argsort(n2, kind="stable").reshape(1 << (space.d - len(keep)), -1)
     s = sign[joined]
-    terms = rho.matrix[joined[:, :, None], joined[:, None, :]]
-    terms *= s[:, :, None]
-    terms *= s[:, None, :]
-    out = terms.sum(axis=0)
+    if isinstance(state, PureState):
+        m = (s * state.amplitudes[joined]).T
+        out = m @ m.conj().T
+    else:
+        terms = state.matrix[joined[:, :, None], joined[:, None, :]]
+        terms *= s[:, :, None]
+        terms *= s[:, None, :]
+        out = terms.sum(axis=0)
     labels = space.labels
     sub_labels = tuple(labels[i - 1] for i in sorted(keep)) if labels is not None else None
     return DensityOperator(OrbitalSpace(len(keep), sub_labels), out)

@@ -4,14 +4,21 @@ Everything is in nats.  All spectral functions read each state's cached
 eigendecomposition (`DensityOperator.eigenpairs`: carried from construction
 for free and pure states, otherwise `states.spectrum`, taken once) and treat
 eigenvalues at or below `kernel_tol` as exact kernel, which makes the
-+infinity conventions of the divergences testable.
++infinity conventions of the divergences testable.  The first state may also
+be a `PureState` (eigenvalue 1 on its amplitudes) and the second a
+`FreeStateSpec` (Bernoulli weights on the Fock basis of its orbitals), which
+no 2^d x 2^d matrix represents.
 """
 
 import numpy as np
 
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
-from .states import DensityOperator, spectrum
+from .fock import amplitudes_in_basis
+from .free import FreeStateSpec
+from .states import DensityOperator, PureState, State, bernoulli_weights, spectrum
+
+Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
 
 def _spectral(rho: DensityOperator, kernel_tol: float):
@@ -19,13 +26,35 @@ def _spectral(rho: DensityOperator, kernel_tol: float):
     return np.where(w > kernel_tol, w, 0.0), v
 
 
-def _joint(a: DensityOperator, b: DensityOperator, kernel_tol: float):
-    """Masked spectra p, q of both states, b's eigenvectors and |<a_i|b_j>|^2."""
+def _live(a: State, kernel_tol: float):
+    """The eigenvalues of `a` above kernel_tol and their eigenvectors (columns);
+    a pure state is its own eigenvector, with eigenvalue 1."""
+    if isinstance(a, PureState):
+        return np.ones(1), a.amplitudes[:, None]
+    w, v = a.eigenpairs
+    live = w > kernel_tol
+    return (w, v) if live.all() else (w[live], v[:, live])
+
+
+def _coefficients(vectors: np.ndarray, b: Reference, kernel_tol: float):
+    """The masked spectrum q of b and the coefficients of `vectors` (columns)
+    in b's eigenbasis.  A free state given by its spec is diagonal, with its
+    Bernoulli weights, in the Fock basis of its orbitals, which the vectors
+    reach by Givens rotations."""
+    if isinstance(b, FreeStateSpec):
+        q = bernoulli_weights(b.occupations)
+        return np.where(q > kernel_tol, q, 0.0), amplitudes_in_basis(b.orbitals, vectors, b.space)
+    q, vb = _spectral(b, kernel_tol)
+    return q, vb.conj().T @ vectors
+
+
+def _joint(a: State, b: Reference, kernel_tol: float):
+    """Live spectrum p of a, masked spectrum q of b, and |<a_i|b_j>|^2 for live i."""
     if a.space.d != b.space.d:
         raise ValidationError("divergences require both states on the same space")
-    p, va = _spectral(a, kernel_tol)
-    q, vb = _spectral(b, kernel_tol)
-    return p, q, vb, np.abs(va.conj().T @ vb) ** 2
+    p, va = _live(a, kernel_tol)
+    q, c = _coefficients(va, b, kernel_tol)
+    return p, q, np.abs(c.T) ** 2
 
 
 def _clamp(value: float) -> float:
@@ -35,63 +64,50 @@ def _clamp(value: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def von_neumann(rho: DensityOperator, kernel_tol: float = KERNEL_TOL) -> float:
-    """-Tr(rho log rho), in nats; always finite at finite dimension."""
-    w, _ = _spectral(rho, kernel_tol)
-    pos = w[w > 0]
-    return _clamp(float(-(pos * np.log(pos)).sum()))
+def von_neumann(rho: State, kernel_tol: float = KERNEL_TOL) -> float:
+    """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
+    w, _ = _live(rho, kernel_tol)
+    return _clamp(float(-(w * np.log(w)).sum()))
 
 
 def _kernel_crossing_mass(p, q, overlap):
     """Weight of the first state's support lying inside the second's kernel."""
-    live = p > 0
     dead = q <= 0
     if not dead.any():
         return 0.0
-    return float((p[live, None] * overlap[np.ix_(live, dead)]).sum())
+    return float((p[:, None] * overlap[:, dead]).sum())
 
 
-def cross_entropy(
-    a: DensityOperator, b: DensityOperator, kernel_tol: float = KERNEL_TOL
-) -> float:
+def cross_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
-    p, q, _, overlap = _joint(a, b, kernel_tol)
+    p, q, overlap = _joint(a, b, kernel_tol)
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
-    live = np.ix_(p > 0, q > 0)
-    return float(-(p[p > 0, None] * overlap[live] * np.log(q[q > 0])[None, :]).sum())
+    live = q > 0
+    return float(-(p[:, None] * overlap[:, live] * np.log(q[live])[None, :]).sum())
 
 
-def relative_entropy(
-    a: DensityOperator, b: DensityOperator, kernel_tol: float = KERNEL_TOL
-) -> float:
+def relative_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> float:
     """S(A||B) via the nonnegative double sum over joint eigenpairs.
 
     Each term is |<phi_i, psi_j>|^2 (p_i log p_i - p_i log q_j + q_j - p_i)
     with 0 log 0 = 0; the value is +inf exactly when ker B is not contained
-    in ker A (within `kernel_tol`).
+    in ker A (within `kernel_tol`).  The rows of A's kernel (p_i = 0) weigh
+    only q_j, so they enter through their total overlap 1 - sum_live_i.
     """
-    p, q, _, overlap = _joint(a, b, kernel_tol)
+    p, q, overlap = _joint(a, b, kernel_tol)
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
-    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-    logq = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), 0.0)
     # p_i > 0 with q_j = 0 carries only the stray crossing mass already bounded
     # by kernel_tol, so the log q term is masked there.
-    terms = (
-        p[:, None] * logp[:, None]
-        - np.where((p[:, None] > 0) & (q[None, :] > 0), p[:, None] * logq[None, :], 0.0)
-        + q[None, :]
-        - p[:, None]
-    )
-    return _clamp(float((overlap * terms).sum()))
+    logq = np.log(np.where(q > 0, q, 1.0))
+    terms = p[:, None] * (np.log(p)[:, None] - logq[None, :]) + q[None, :] - p[:, None]
+    kernel_rows = q * (1.0 - overlap.sum(axis=0))
+    return _clamp(float((overlap * terms).sum() + kernel_rows.sum()))
 
 
 def renyi_divergence(
-    alpha: float,
-    a: DensityOperator,
-    b: DensityOperator,
-    kernel_tol: float = KERNEL_TOL,
+    alpha: float, a: State, b: Reference, kernel_tol: float = KERNEL_TOL
 ) -> float:
     """D_alpha(A||B) = log Tr(A^alpha B^(1-alpha)) / (alpha - 1), alpha in (0, 2].
 
@@ -104,42 +120,52 @@ def renyi_divergence(
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    p, q, _, overlap = _joint(a, b, kernel_tol)
+    p, q, overlap = _joint(a, b, kernel_tol)
     if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
-    live = np.ix_(p > 0, q > 0)
-    trace = float(
-        (p[p > 0, None] ** alpha * overlap[live] * q[q > 0][None, :] ** (1.0 - alpha)).sum()
-    )
+    live = q > 0
+    trace = float((p[:, None] ** alpha * overlap[:, live] * q[live][None, :] ** (1.0 - alpha)).sum())
     if trace <= 0.0:
         return float("inf")
     return _clamp(np.log(trace) / (alpha - 1.0))
 
 
 def sandwiched_renyi(
-    alpha: float,
-    a: DensityOperator,
-    b: DensityOperator,
-    kernel_tol: float = KERNEL_TOL,
+    alpha: float, a: State, b: Reference, kernel_tol: float = KERNEL_TOL
 ) -> float:
     """D~_alpha(A||B) = log Tr((B^e A B^e)^alpha) / (alpha - 1), e = (1-alpha)/(2 alpha).
 
     Defined for alpha >= 1/2; alpha = 1 dispatches to the relative entropy.
     B powers are taken on the support of B; for alpha > 1 the value is +inf
-    when ker B is not contained in ker A.
+    when ker B is not contained in ker A.  When A has one live eigenvalue p_1
+    (every pure state), the core B^e A B^e has rank one and its eigenvalue is
+    p_1 sum_j |<a_1|b_j>|^2 q_j^(2e), so no 2^d x 2^d core is formed.
     """
     if alpha < 0.5:
         raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    p, q, vb, overlap = _joint(a, b, kernel_tol)
-    if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-        return float("inf")
+    if a.space.d != b.space.d:
+        raise ValidationError("divergences require both states on the same space")
+    p, va = _live(a, kernel_tol)
+    if p.size > 1 and isinstance(b, FreeStateSpec):
+        b = b.to_density()  # the full core needs B's Fock eigenvectors
+    if p.size == 1 or alpha > 1.0:
+        q, c = _coefficients(va, b, kernel_tol)
+        overlap = np.abs(c.T) ** 2
+        if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
+            return float("inf")
+    else:
+        q, _ = _spectral(b, kernel_tol)
     exponent = (1.0 - alpha) / (2.0 * alpha)
     powered = np.where(q > 0, np.where(q > 0, q, 1.0) ** exponent, 0.0)
-    # B^e A B^e written in B's eigenbasis: the same spectrum, one product fewer
-    core = powered[:, None] * (vb.conj().T @ a.matrix @ vb) * powered[None, :]
-    w = spectrum(core)[0]
+    if p.size == 1:
+        w = p * (overlap[0] * powered**2).sum()
+    else:
+        vb = b.eigenpairs[1]
+        # B^e A B^e written in B's eigenbasis: the same spectrum, one product fewer
+        core = powered[:, None] * (vb.conj().T @ a.matrix @ vb) * powered[None, :]
+        w = spectrum(core)[0]
     w = w[w > kernel_tol]
     trace = float((w**alpha).sum())
     if trace <= 0.0:

@@ -125,11 +125,16 @@ def ladder_table(word: str, d: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def expectations(matrix: np.ndarray, word: str, d: int) -> np.ndarray:
-    """Tr(matrix M) for every ladder monomial M spelled by `word`, shape (d,)*len(word):
-    one signed gather over ``ladder_table(word, d)``, summed per monomial."""
+def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
+    """Tr(rho M) for every ladder monomial M spelled by `word`, shape (d,)*len(word):
+    one signed gather over ``ladder_table(word, d)``, summed per monomial.
+
+    `state` is the 2^d x 2^d matrix rho, or an amplitude vector psi standing
+    for rho = |psi><psi|, whose entry rho[src, dst] is psi[src] conj(psi[dst]).
+    """
     mono, src, dst, sign = ladder_table(word, d)
-    values = sign * matrix[src, dst]
+    pairs = state[src, dst] if state.ndim == 2 else state[src] * state[dst].conj()
+    values = sign * pairs
     size = d ** len(word)
     sums = np.bincount(mono, values.real, size) + 1j * np.bincount(mono, values.imag, size)
     return sums.reshape((d,) * len(word))
@@ -167,6 +172,38 @@ def basis_change_unitary(
         for col_bits, col_occ in zip(bits, occs):
             minors = u[:, list(col_occ)][rows]  # (m, k, k)
             out[bits, col_bits] = np.linalg.det(minors)
+    return out
+
+
+def amplitudes_in_basis(u: np.ndarray, vectors: np.ndarray, space: OrbitalSpace) -> np.ndarray:
+    """``basis_change_unitary(u, space).conj().T @ vectors``, without the Fock unitary.
+
+    `vectors` is one amplitude vector (2^d,) or a stack of them as columns
+    (2^d, k).  Givens rotations h of neighbouring rows reduce u to a diagonal
+    of phases, h_m ... h_1 u = D, in d(d-1)/2 steps, so the Fock image of
+    u^dagger is that of D^dagger h_m ... h_1.  The image of a rotation of
+    orbitals (k, k+1) mixes each list holding one particle in k with the list
+    that moves it to k+1, with no sign since no orbital lies between them, and
+    multiplies lists holding both by det h = 1; each step costs O(2^d).  The
+    image of D^dagger multiplies each list by its occupied phases' conjugates.
+    """
+    d = space.d
+    r = _require_unitary(u, d, TOL_UNITARY).copy()
+    out = np.array(vectors, dtype=complex)
+    for col in range(d - 1):
+        for row in range(d - 1, col, -1):
+            x, y = r[row - 1, col], r[row, col]
+            if y == 0:
+                continue
+            norm = np.hypot(abs(x), abs(y))
+            h00, h01, h10, h11 = x.conjugate() / norm, y.conjugate() / norm, -y / norm, x / norm
+            r[row - 1], r[row] = h00 * r[row - 1] + h01 * r[row], h10 * r[row - 1] + h11 * r[row]
+            # axes (higher orbitals, orbital row, orbital row - 1, lower orbitals, columns)
+            pair = out.reshape(-1, 2, 2, 1 << (row - 1), *out.shape[1:])
+            a, b = pair[:, 0, 1], pair[:, 1, 0]
+            pair[:, 0, 1], pair[:, 1, 0] = h00 * a + h01 * b, h10 * a + h11 * b
+    for k, phase in enumerate(r.diagonal().conj()):
+        out.reshape(-1, 2, 1 << k, *out.shape[1:])[:, 1] *= phase
     return out
 
 

@@ -19,11 +19,12 @@ from .pdm import OnePdm
 from .states import (
     DensityOperator,
     PureState,
+    State,
     gibbs_free_density,
-    hubbard_ground_state,
+    hubbard_ground_amplitudes,
     mixture,
     pure_density,
-    slater_density,
+    slater_amplitudes,
 )
 
 STATE_KINDS = ("pure", "mixture", "gibbs", "slater", "density", "hubbard")
@@ -110,8 +111,12 @@ def density_to_document(rho: DensityOperator) -> dict:
     return doc
 
 
-def density_from_document(doc: dict) -> DensityOperator:
-    """Build a density operator from a state document; validations re-run."""
+def state_from_document(doc: dict) -> State:
+    """Build a state from a state document; validations re-run.
+
+    `pure`, `slater` and `hubbard` documents give their amplitudes as a
+    `PureState`, every other kind a `DensityOperator`.
+    """
     d = _integer(doc, "d")
     kind = _require(doc, "kind")
     labels = doc.get("labels")
@@ -126,7 +131,7 @@ def density_from_document(doc: dict) -> DensityOperator:
             raise ValidationError(
                 f"hubbard documents need d = 2 * sites, got d={d}, sites={sites}"
             )
-        return hubbard_ground_state(
+        return hubbard_ground_amplitudes(
             sites,
             float(_field(doc, "t", 0)),
             float(_field(doc, "u", 0)),
@@ -135,7 +140,7 @@ def density_from_document(doc: dict) -> DensityOperator:
         )
     space = OrbitalSpace(d, labels)
     if kind == "pure":
-        return pure_density(PureState(space, vector_from_json(_require(doc, "amplitudes"))))
+        return PureState(space, vector_from_json(_require(doc, "amplitudes")))
     if kind == "density":
         return DensityOperator(space, matrix_from_json(_require(doc, "matrix")))
     if kind == "gibbs":
@@ -143,7 +148,7 @@ def density_from_document(doc: dict) -> DensityOperator:
     if kind == "slater":
         rows = _require(doc, "orbitals")
         array = matrix_from_json(rows) if rows else np.zeros((0, d), dtype=complex)
-        return slater_density(array, space)
+        return slater_amplitudes(array, space)
     items = _require(doc, "components")
     if not isinstance(items, list):
         raise ValidationError("mixture components must be a list")
@@ -154,6 +159,12 @@ def density_from_document(doc: dict) -> DensityOperator:
             raise ValidationError("mixture component dimension differs from document d")
         components.append((float(_field(item, "weight", 0)), sub))
     return mixture(components)
+
+
+def density_from_document(doc: dict) -> DensityOperator:
+    """Build a density operator from a state document; validations re-run."""
+    state = state_from_document(doc)
+    return pure_density(state) if isinstance(state, PureState) else state
 
 
 def pdm_to_document(pdm: OnePdm) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 from .config import KERNEL_TOL, TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
 from .fock import OrbitalSpace, expectations
-from .states import DensityOperator
+from .states import PureState, State
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,12 @@ class NaturalSpectrum:
     clamped: float = field(default=0.0)
 
 
-def one_pdm(rho: DensityOperator) -> OnePdm:
-    """Extract the 1-particle density matrix of a density operator."""
-    g = expectations(rho.matrix, "+-", rho.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
-    return OnePdm(rho.space, (g + g.conj().T) / 2)
+def one_pdm(state: State) -> OnePdm:
+    """Extract the 1-particle density matrix of a density operator, or of a
+    pure state from its amplitudes alone."""
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    g = expectations(data, "+-", state.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
+    return OnePdm(state.space, (g + g.conj().T) / 2)
 
 
 def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
@@ -79,9 +81,9 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     return NaturalSpectrum(occupations=w, orbitals=v, clamped=clamp)
 
 
-def expected_particle_number(rho: DensityOperator) -> float:
+def expected_particle_number(state: State) -> float:
     """Average total particle number: the trace of the 1-pdm."""
-    return one_pdm(rho).trace
+    return one_pdm(state).trace
 
 
 def kernel_inclusion_1pdm(

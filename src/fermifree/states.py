@@ -2,13 +2,13 @@
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, ladder_table, particle_number_sectors
+from .fock import OrbitalSpace, _integer, ladder_table, particle_number_sectors
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +124,9 @@ class PureState:
             raise ValidationError(f"amplitude norm deviates from 1 by {err:.3e}")
 
 
+State = DensityOperator | PureState  # what the functionals of a single state accept
+
+
 def pure_density(psi: PureState) -> DensityOperator:
     """Rank-1 projector |psi><psi|, with its spectrum known from construction."""
     return _projector(psi.space, psi.amplitudes)
@@ -149,14 +152,16 @@ def _projector(space: OrbitalSpace, a: np.ndarray) -> DensityOperator:
     return _with_eigenpairs(space, np.outer(a, a.conj()), w, v)
 
 
-def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator:
-    """Pure density of the Slater determinant built from n orthonormal orbitals.
+def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
+    """Amplitudes of the Slater determinant built from n orthonormal orbitals.
 
     `orbitals` is an n x d matrix whose rows are the occupied 1-particle
-    vectors; n = 0 yields the vacuum state.  Implemented by completing the
-    rows to a d x d unitary and applying the induced Fock unitary to the
-    occupation pattern 1..10..0, so all determinant signs flow through a
-    single code path.
+    vectors; n = 0 yields the vacuum.  The amplitude of an n-particle
+    occupation list is the n x n minor of the rows on its occupied orbitals
+    (in increasing order): column (1 << n) - 1 of the Fock unitary of any
+    orbital unitary whose first n columns are the rows.  The rows need only be
+    orthonormal within TOL_UNITARY; the squared norm, their Gram determinant,
+    must then lie within TOL_TRACE of 1, and the vector is normalized.
     """
     d = space.d
     rows = np.asarray(orbitals, dtype=complex)
@@ -165,18 +170,23 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
     n = rows.shape[0]
     if n > d:
         raise ValidationError(f"cannot occupy {n} orbitals in a {d}-orbital space")
-    if n == 0:
-        psi = np.zeros(space.dim, dtype=complex)
-        psi[0] = 1.0
-        return _projector(space, psi)
-    gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max()
-    if gram_err > TOL_UNITARY:
+    if not np.isfinite(rows).all():
+        raise ValidationError("orbitals have non-finite entries")
+    gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max(initial=0.0)
+    if not gram_err <= TOL_UNITARY:  # also catches the NaN of an overflowing product
         raise ValidationError(f"rows are not orthonormal: deviation {gram_err:.3e}")
-    u = np.empty((d, d), dtype=complex)
-    u[:, :n] = rows.T
-    if n < d:
-        u[:, n:] = null_space(rows.conj())
-    return _projector(space, basis_change_unitary(u, space)[:, (1 << n) - 1])
+    occs = np.array(list(combinations(range(d), n)), dtype=np.int64)  # (C(d, n), n)
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[(1 << occs).sum(axis=1)] = np.linalg.det(rows.T[occs])
+    norm2 = np.vdot(psi, psi).real
+    if not abs(norm2 - 1.0) <= TOL_TRACE:
+        raise ValidationError(f"trace deviates from 1 by {abs(norm2 - 1.0):.3e}")
+    return PureState(space, psi / np.sqrt(norm2))
+
+
+def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator:
+    """Pure density of ``slater_amplitudes(orbitals, space)``."""
+    return pure_density(slater_amplitudes(orbitals, space))
 
 
 def bernoulli_weights(p: np.ndarray) -> np.ndarray:
@@ -253,10 +263,19 @@ def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOpera
     return DensityOperator(space, np.kron(rho2.matrix, rho1.matrix))
 
 
-def hubbard_ground_state(
+def _real(value, what: str) -> float:
+    """`value` as a finite float; Python and numpy reals only, so no bool or str."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return float(value)
+
+
+def hubbard_ground_amplitudes(
     sites: int, t: float, u_int: float, n_up: int, n_down: int
-) -> DensityOperator:
-    """Pure ground state of a small open Hubbard chain in a fixed-(N_up, N_down) sector.
+) -> PureState:
+    """Ground state of a small open Hubbard chain in a fixed-(N_up, N_down) sector.
 
     Spin-orbitals are ordered (1up, 1dn, 2up, 2dn, ...).  The sector block of
     H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is built from the signed
@@ -266,14 +285,15 @@ def hubbard_ground_state(
     deterministically by taking the first column of the Hermitian eigensolve
     of the sector block.
     """
+    sites = _integer(sites, "site count")
+    n_up, n_down = _integer(n_up, "N_up"), _integer(n_down, "N_down")
+    t, u_int = _real(t, "hopping t"), _real(u_int, "interaction U")
     if sites < 1 or sites > 5:
         raise ValidationError(f"site count must be within 1..5, got {sites}")
     if not (0 <= n_up <= sites and 0 <= n_down <= sites):
         raise ValidationError(
             f"infeasible particle numbers N_up={n_up}, N_down={n_down} for {sites} sites"
         )
-    if not (np.isfinite(t) and np.isfinite(u_int)):
-        raise ValidationError(f"hopping t and interaction U must be finite, got t={t}, U={u_int}")
     space = OrbitalSpace(2 * sites)
     up_mask = sum(1 << (2 * s) for s in range(sites))
     dn_mask = up_mask << 1
@@ -293,7 +313,14 @@ def hubbard_ground_state(
     _, vecs = np.linalg.eigh(block)
     psi = np.zeros(space.dim, dtype=complex)
     psi[sector] = vecs[:, 0]
-    return pure_density(PureState(space, psi))
+    return PureState(space, psi)
+
+
+def hubbard_ground_state(
+    sites: int, t: float, u_int: float, n_up: int, n_down: int
+) -> DensityOperator:
+    """Pure density of ``hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down)``."""
+    return pure_density(hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -146,6 +146,13 @@ def test_restrict_rejects_empty_subset():
     np.testing.assert_array_equal(restrict(rho, [np.int64(2)]).matrix, restrict(rho, [2]).matrix)
 
 
+def test_restrict_rejects_a_bare_index():
+    rho = sample_density(OrbitalSpace(2), np.random.default_rng(6))
+    for keep in (2, 2.0, None):
+        with pytest.raises(ValidationError, match="collection"):
+            restrict(rho, keep)
+
+
 def test_monotone_under_restriction_spot():
     rng = np.random.default_rng(7)
     space = OrbitalSpace(4)

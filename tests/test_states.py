@@ -14,6 +14,7 @@ from fermifree import (
     PureState,
     ValidationError,
     gibbs_free_density,
+    hubbard_ground_amplitudes,
     hubbard_ground_state,
     mixture,
     nonfreeness,
@@ -276,6 +277,33 @@ def test_hubbard_rejects_infeasible_fillings():
 def test_hubbard_rejects_non_finite_parameters(t, u_int):
     with pytest.raises(ValidationError, match="finite"):
         hubbard_ground_state(2, t, u_int, 1, 1)
+
+
+@pytest.mark.parametrize("builder", [hubbard_ground_state, hubbard_ground_amplitudes])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.0, 1.0, 1.0, 1, 1),
+        (np.float64(2.0), 1.0, 1.0, 1, 1),
+        (True, 1.0, 1.0, 1, 0),
+        (2, 1.0, 1.0, 1.0, 1),
+        (2, 1.0, 1.0, 1, 1.0),
+        (2, 1.0, 1.0, True, 1),
+        (2, True, 1.0, 1, 1),
+        (2, 1.0, True, 1, 1),
+        (2, "1", 1.0, 1, 1),
+        (2, 1.0, None, 1, 1),
+    ],
+)
+def test_hubbard_rejects_python_typed_arguments(builder, args):
+    with pytest.raises(ValidationError):
+        builder(*args)
+
+
+def test_hubbard_accepts_numpy_scalars():
+    expected = hubbard_ground_amplitudes(2, 1.0, 4.0, 1, 1).amplitudes
+    got = hubbard_ground_amplitudes(np.int64(2), np.float32(1.0), 4, np.int32(1), 1).amplitudes
+    np.testing.assert_array_equal(got, expected)
 
 
 def sparse_hubbard_hamiltonian(sites, t, u_int):
