@@ -9,6 +9,8 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
+
 from . import io
 from . import config
 from .correlation import correlation_renyi, correlation_sandwiched, nonfreeness, restrict
@@ -35,7 +37,7 @@ _TOLERANCES = {
 
 def _read_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:

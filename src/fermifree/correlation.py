@@ -14,8 +14,8 @@ from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
-from .free import FreeStateSpec, free_from_pdm, gamma_of, wick_check
-from .pdm import OnePdm, natural_spectrum, one_pdm
+from .free import gamma_of, spec_from_pdm, wick_check
+from .pdm import one_pdm
 from .states import DensityOperator, PureState, State
 
 
@@ -44,17 +44,6 @@ class CorrelationReport:
     cross_check: float | None
 
 
-def _free_reference(state: State, pdm: OnePdm):
-    """The free state with the 1-pdm of `state`: a density operator for a
-    density operator, and for a pure state only its spec, which the
-    divergences reach through Givens rotations of the amplitudes."""
-    if isinstance(state, PureState):
-        natural = natural_spectrum(pdm)
-        return FreeStateSpec(pdm.space, natural.occupations, natural.orbitals)
-    density, _ = free_from_pdm(pdm)
-    return density
-
-
 def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     """Entropy of `state` relative to its free reference state.
 
@@ -62,11 +51,12 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     binary-entropy sum over the natural occupation numbers and a pure state's
     entropy is 0.  Values in [-TOL_NONFREENESS, 0) are treated as float noise
     and clamped to 0; anything lower is a hard error, since the free entropy
-    can never fall below the state entropy.
+    can never fall below the state entropy.  The cross-check evaluates the
+    relative entropy against the reference's spec, which the divergences
+    reach by Givens rotations; no Fock unitary or free density is built.
     """
-    pdm = one_pdm(state)
-    spectrum = natural_spectrum(pdm)
-    entropy_free = binary_entropy(spectrum.occupations)
+    reference = spec_from_pdm(one_pdm(state))
+    entropy_free = binary_entropy(reference.occupations)
     entropy_state = von_neumann(state)
     value = entropy_free - entropy_state
     if value < -TOL_NONFREENESS:
@@ -77,11 +67,10 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     value = max(value, 0.0)
     deviation = None
     if cross_check:
-        direct = relative_entropy(state, _free_reference(state, pdm))
-        deviation = abs(direct - value)
+        deviation = abs(relative_entropy(state, reference) - value)
     return CorrelationReport(
         nonfreeness=value,
-        occupations=spectrum.occupations,
+        occupations=reference.occupations,
         entropy_state=entropy_state,
         entropy_free=entropy_free,
         cross_check=deviation,
@@ -90,12 +79,12 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
 
 def correlation_renyi(state: State, alpha: float) -> float:
     """D_alpha of `state` from its free reference state, alpha in (0, 2]."""
-    return renyi_divergence(alpha, state, _free_reference(state, one_pdm(state)))
+    return renyi_divergence(alpha, state, spec_from_pdm(one_pdm(state)))
 
 
 def correlation_sandwiched(state: State, alpha: float) -> float:
     """Sandwiched D_alpha of `state` from its free reference state, alpha >= 1/2."""
-    return sandwiched_renyi(alpha, state, _free_reference(state, one_pdm(state)))
+    return sandwiched_renyi(alpha, state, spec_from_pdm(one_pdm(state)))
 
 
 def restrict(state: State, keep) -> DensityOperator:

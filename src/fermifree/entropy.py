@@ -16,14 +16,9 @@ from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
 from .fock import amplitudes_in_basis
 from .free import FreeStateSpec
-from .states import DensityOperator, PureState, State, bernoulli_weights, spectrum
+from .states import DensityOperator, PureState, State, bernoulli_weights
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
-
-
-def _spectral(rho: DensityOperator, kernel_tol: float):
-    w, v = rho.eigenpairs
-    return np.where(w > kernel_tol, w, 0.0), v
 
 
 def _live(a: State, kernel_tol: float):
@@ -36,25 +31,22 @@ def _live(a: State, kernel_tol: float):
     return (w, v) if live.all() else (w[live], v[:, live])
 
 
-def _coefficients(vectors: np.ndarray, b: Reference, kernel_tol: float):
-    """The masked spectrum q of b and the coefficients of `vectors` (columns)
-    in b's eigenbasis.  A free state given by its spec is diagonal, with its
-    Bernoulli weights, in the Fock basis of its orbitals, which the vectors
-    reach by Givens rotations."""
-    if isinstance(b, FreeStateSpec):
-        q = bernoulli_weights(b.occupations)
-        return np.where(q > kernel_tol, q, 0.0), amplitudes_in_basis(b.orbitals, vectors, b.space)
-    q, vb = _spectral(b, kernel_tol)
-    return q, vb.conj().T @ vectors
-
-
 def _joint(a: State, b: Reference, kernel_tol: float):
-    """Live spectrum p of a, masked spectrum q of b, and |<a_i|b_j>|^2 for live i."""
+    """Live spectrum p of a, masked spectrum q of b, and the coefficients
+    c[i, j] = <b_j|a_i> of a's live eigenvectors in b's eigenbasis.
+
+    A free state given by its spec is diagonal, with its Bernoulli weights, in
+    the Fock basis of its orbitals, which the vectors reach by Givens rotations.
+    """
     if a.space.d != b.space.d:
         raise ValidationError("divergences require both states on the same space")
     p, va = _live(a, kernel_tol)
-    q, c = _coefficients(va, b, kernel_tol)
-    return p, q, np.abs(c.T) ** 2
+    if isinstance(b, FreeStateSpec):
+        q, c = bernoulli_weights(b.occupations), amplitudes_in_basis(b.orbitals, va, b.space)
+    else:
+        q, vb = b.eigenpairs
+        c = vb.conj().T @ va
+    return p, np.where(q > kernel_tol, q, 0.0), c.T
 
 
 def _clamp(value: float) -> float:
@@ -80,7 +72,8 @@ def _kernel_crossing_mass(p, q, overlap):
 
 def cross_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
-    p, q, overlap = _joint(a, b, kernel_tol)
+    p, q, c = _joint(a, b, kernel_tol)
+    overlap = np.abs(c) ** 2
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     live = q > 0
@@ -95,7 +88,8 @@ def relative_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> 
     in ker A (within `kernel_tol`).  The rows of A's kernel (p_i = 0) weigh
     only q_j, so they enter through their total overlap 1 - sum_live_i.
     """
-    p, q, overlap = _joint(a, b, kernel_tol)
+    p, q, c = _joint(a, b, kernel_tol)
+    overlap = np.abs(c) ** 2
     if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     # p_i > 0 with q_j = 0 carries only the stray crossing mass already bounded
@@ -120,7 +114,8 @@ def renyi_divergence(
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    p, q, overlap = _joint(a, b, kernel_tol)
+    p, q, c = _joint(a, b, kernel_tol)
+    overlap = np.abs(c) ** 2
     if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     live = q > 0
@@ -137,35 +132,23 @@ def sandwiched_renyi(
 
     Defined for alpha >= 1/2; alpha = 1 dispatches to the relative entropy.
     B powers are taken on the support of B; for alpha > 1 the value is +inf
-    when ker B is not contained in ker A.  When A has one live eigenvalue p_1
-    (every pure state), the core B^e A B^e has rank one and its eigenvalue is
-    p_1 sum_j |<a_1|b_j>|^2 q_j^(2e), so no 2^d x 2^d core is formed.
+    when ker B is not contained in ker A.  With p the k live eigenvalues of A,
+    q the masked spectrum of B and c the coefficients of A's live eigenvectors
+    in B's eigenbasis, B^e A B^e = X X^dagger with X = B^e V_A sqrt(p), whose
+    nonzero eigenvalues are those of the k x k matrix X^dagger X: the complex
+    conjugate of y y^dagger, y[i, j] = sqrt(p_i) c[i, j] q_j^e.  This holds
+    for any rank of A and either kind of B, so no 2^d x 2^d core is formed.
     """
     if alpha < 0.5:
         raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
     if alpha == 1.0:
         return relative_entropy(a, b, kernel_tol)
-    if a.space.d != b.space.d:
-        raise ValidationError("divergences require both states on the same space")
-    p, va = _live(a, kernel_tol)
-    if p.size > 1 and isinstance(b, FreeStateSpec):
-        b = b.to_density()  # the full core needs B's Fock eigenvectors
-    if p.size == 1 or alpha > 1.0:
-        q, c = _coefficients(va, b, kernel_tol)
-        overlap = np.abs(c.T) ** 2
-        if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-            return float("inf")
-    else:
-        q, _ = _spectral(b, kernel_tol)
+    p, q, c = _joint(a, b, kernel_tol)
+    if alpha > 1.0 and _kernel_crossing_mass(p, q, np.abs(c) ** 2) > kernel_tol:
+        return float("inf")
     exponent = (1.0 - alpha) / (2.0 * alpha)
-    powered = np.where(q > 0, np.where(q > 0, q, 1.0) ** exponent, 0.0)
-    if p.size == 1:
-        w = p * (overlap[0] * powered**2).sum()
-    else:
-        vb = b.eigenpairs[1]
-        # B^e A B^e written in B's eigenbasis: the same spectrum, one product fewer
-        core = powered[:, None] * (vb.conj().T @ a.matrix @ vb) * powered[None, :]
-        w = spectrum(core)[0]
+    y = np.sqrt(p)[:, None] * c * np.where(q > 0, np.where(q > 0, q, 1.0) ** exponent, 0.0)
+    w = np.linalg.eigvalsh(y @ y.conj().T)
     w = w[w > kernel_tol]
     trace = float((w**alpha).sum())
     if trace <= 0.0:

@@ -144,8 +144,9 @@ def _require_unitary(u: np.ndarray, d: int, tol: float):
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValidationError(f"expected a {d}x{d} matrix, got shape {u.shape}")
-    err = np.abs(u.conj().T @ u - np.eye(d)).max()
-    if err > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN, rejected
+        err = np.abs(u.conj().T @ u - np.eye(d)).max()
+    if not err <= tol:
         raise ValidationError(f"matrix is not unitary: deviation {err:.3e}")
     return u
 

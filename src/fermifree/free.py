@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, basis_change_unitary, expectations
+from .fock import OrbitalSpace, _require_unitary, basis_change_unitary, expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
 from .states import DensityOperator, _with_eigenpairs, bernoulli_weights
 
@@ -20,7 +21,8 @@ class FreeStateSpec:
     """Natural orbitals (columns of a unitary) plus occupation probabilities.
 
     The represented density operator is U-hat @ diag(Bernoulli weights) @
-    U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`.
+    U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`, which
+    must be a d x d unitary within TOL_UNITARY.
     """
 
     space: OrbitalSpace
@@ -30,11 +32,12 @@ class FreeStateSpec:
     def __post_init__(self):
         p = np.asarray(self.occupations, dtype=float)
         object.__setattr__(self, "occupations", p)
-        object.__setattr__(self, "orbitals", np.asarray(self.orbitals, dtype=complex))
         if p.shape != (self.space.d,):
             raise ValidationError(f"expected {self.space.d} occupation probabilities")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
             raise ValidationError("occupation probabilities must lie in [0, 1]")
+        orbitals = _require_unitary(self.orbitals, self.space.d, TOL_UNITARY)
+        object.__setattr__(self, "orbitals", orbitals)
 
     def to_density(self) -> DensityOperator:
         """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
@@ -44,14 +47,20 @@ class FreeStateSpec:
         return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
 
 
+def spec_from_pdm(q: OnePdm) -> FreeStateSpec:
+    """The spec of the unique free state whose 1-pdm is q: its natural
+    orbitals and occupations."""
+    spectrum = natural_spectrum(q)
+    return FreeStateSpec(q.space, spectrum.occupations, spectrum.orbitals)
+
+
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
     """The unique free density operator whose 1-pdm is q, with its spec.
 
     Boundary occupations (0 or 1) are represented exactly by zero Bernoulli
     weights; no regularization is applied.
     """
-    spectrum = natural_spectrum(q)
-    spec = FreeStateSpec(q.space, spectrum.occupations, spectrum.orbitals)
+    spec = spec_from_pdm(q)
     return spec.to_density(), spec
 
 

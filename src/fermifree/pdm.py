@@ -1,6 +1,7 @@
 """One-particle density matrices: extraction, natural orbitals, kernel predicates."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +30,26 @@ class OnePdm:
             raise ValidationError(f"1-pdm shape {g.shape} does not match d={d}")
         if not np.isfinite(g).all():
             raise ValidationError("1-pdm has non-finite entries")
-        herm = np.abs(g - g.conj().T).max()
+        with np.errstate(over="ignore"):  # overflow: inf, rejected
+            herm = np.abs(g - g.conj().T).max()
         if herm > TOL_HERM:
             raise ValidationError(f"1-pdm is not Hermitian: deviation {herm:.3e}")
-        w = np.linalg.eigvalsh((g + g.conj().T) / 2)
-        if w.min() < -TOL_OCCUPATION or w.max() > 1 + TOL_OCCUPATION:
+        w = self.eigenpairs[0]
+        if not (w.min() >= -TOL_OCCUPATION and w.max() <= 1 + TOL_OCCUPATION):  # also NaN
             raise ValidationError(
                 f"1-pdm eigenvalues outside [0, 1]: range [{w.min():.3e}, {w.max():.3e}]"
             )
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of the Hermitian part of gamma, eigenvalues ascending, taken
+        once per 1-pdm and read-only; validation, ``natural_spectrum`` and
+        ``kernel_inclusion_1pdm`` read it."""
+        g = self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected
+            w, v = np.linalg.eigh((g + g.conj().T) / 2)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     @property
     def trace(self) -> float:
@@ -70,8 +83,7 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     The phase of each orbital is fixed by making its first component of
     nonnegligible magnitude real and positive.
     """
-    herm = (pdm.gamma + pdm.gamma.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
+    w, v = pdm.eigenpairs
     w, v = w[::-1], v[:, ::-1]
     clamp = max(0.0, float(-w.min()), float(w.max() - 1.0))
     w = np.clip(w, 0.0, 1.0)
@@ -97,7 +109,7 @@ def kernel_inclusion_1pdm(
     """
     if gamma_free.space.d != gamma_state.space.d:
         raise ValidationError("kernel predicates require a shared space")
-    w, v = np.linalg.eigh((gamma_free.gamma + gamma_free.gamma.conj().T) / 2)
+    w, v = gamma_free.eigenpairs
     g2 = gamma_state.gamma
     rest = np.eye(gamma_state.space.d) - g2
     ker_ok = all(np.linalg.norm(g2 @ v[:, k]) < tol for k in np.flatnonzero(w < tol))

@@ -57,11 +57,12 @@ class DensityOperator:
             )
         if not np.isfinite(m).all():
             raise ValidationError("density matrix has non-finite entries")
-        herm = np.abs(m - m.conj().T).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected below
+            herm = np.abs(m - m.conj().T).max()
+            tr = m.trace()
         if herm > TOL_HERM:
             raise ValidationError(f"matrix is not Hermitian: deviation {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         lo = self.eigenpairs[0].min()
         if lo < -TOL_PSD:
@@ -119,8 +120,9 @@ class PureState:
             )
         if not np.isfinite(a).all():
             raise ValidationError("amplitude vector has non-finite entries")
-        err = abs(np.linalg.norm(a) - 1.0)
-        if err > TOL_NORM:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected
+            err = abs(np.linalg.norm(a) - 1.0)
+        if not err <= TOL_NORM:
             raise ValidationError(f"amplitude norm deviates from 1 by {err:.3e}")
 
 
@@ -172,8 +174,9 @@ def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
         raise ValidationError(f"cannot occupy {n} orbitals in a {d}-orbital space")
     if not np.isfinite(rows).all():
         raise ValidationError("orbitals have non-finite entries")
-    gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max(initial=0.0)
-    if not gram_err <= TOL_UNITARY:  # also catches the NaN of an overflowing product
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected below
+        gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max(initial=0.0)
+    if not gram_err <= TOL_UNITARY:
         raise ValidationError(f"rows are not orthonormal: deviation {gram_err:.3e}")
     occs = np.array(list(combinations(range(d), n)), dtype=np.int64)  # (C(d, n), n)
     psi = np.zeros(space.dim, dtype=complex)

@@ -22,7 +22,6 @@ from .correlation import (
     restrict,
 )
 from .entropy import (
-    _spectral,
     cross_entropy,
     relative_entropy,
     renyi_divergence,
@@ -38,7 +37,7 @@ from .fock import (
     number_operator,
     split_index,
 )
-from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_check
+from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, spec_from_pdm, wick_check
 from .pdm import OnePdm, kernel_inclusion_1pdm, one_pdm
 from .states import (
     DensityOperator,
@@ -174,22 +173,20 @@ def min_relent_search(
     Random (orbitals, occupations) samples are followed by greedy local
     refinement: exact coordinate minimization over the occupations (the
     objective is separable in them at fixed orbitals) interleaved with
-    random two-column rotations of shrinking scale.  The returned value can
-    never fall below the nonfreeness of `rho` beyond numerical noise.
+    random two-column rotations of shrinking scale, every candidate scored
+    against its spec.  The returned value can never fall below the
+    nonfreeness of `rho` beyond numerical noise.
     """
     rng = np.random.default_rng(cfg.seed)
     space = rho.space
     d = space.d
     gamma = one_pdm(rho).gamma
 
-    def evaluate(spec: FreeStateSpec) -> float:
-        return relative_entropy(rho, spec.to_density())
-
     best_spec = sample_free_spec(space, rng)
-    best_val = evaluate(best_spec)
+    best_val = relative_entropy(rho, best_spec)
     for _ in range(cfg.samples - 1):
         spec = sample_free_spec(space, rng)
-        val = evaluate(spec)
+        val = relative_entropy(rho, spec)
         if val < best_val:
             best_val, best_spec = val, spec
 
@@ -198,7 +195,7 @@ def min_relent_search(
         u = best_spec.orbitals
         p_opt = np.clip(np.real(np.diag(u.conj().T @ gamma @ u)), 0.0, 1.0)
         cand = FreeStateSpec(space, p_opt, u)
-        val = evaluate(cand)
+        val = relative_entropy(rho, cand)
         if val < best_val:
             best_val, best_spec = val, cand
         for _ in range(d):
@@ -208,7 +205,7 @@ def min_relent_search(
             u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
             p2 = np.clip(np.real(np.diag(u2.conj().T @ gamma @ u2)), 0.0, 1.0)
             cand = FreeStateSpec(space, p2, u2)
-            val = evaluate(cand)
+            val = relative_entropy(rho, cand)
             if val < best_val:
                 best_val, best_spec = val, cand
         scale *= 0.93
@@ -233,7 +230,8 @@ def free_grid_scorer(
     - alpha = 1: sum p log p - sum_ij p_i |<a_i|f_j>|^2 log q_j + sum q - sum p;
     - sandwiched: the eigenvalues of diag(q^e) F^dagger A F diag(q^e).
     """
-    p, va = _spectral(rho, KERNEL_TOL)
+    w, va = rho.eigenpairs
+    p = np.where(w > KERNEL_TOL, w, 0.0)
     overlap = np.abs(va.conj().T @ fock_u) ** 2
     live_mass = p @ overlap  # weight of rho's support on each column of F
     plogp = float((p[p > 0] * np.log(p[p > 0])).sum())
@@ -284,19 +282,19 @@ def renyi_min_search(
     the 1-particle mixed state at alpha != 1.  The grid is scored one row at a
     time by `free_grid_scorer`; its winner is rebuilt as a validated free
     state and re-scored by the dense divergence, which must agree within
-    GRID_AGREEMENT and is the value used.
+    GRID_AGREEMENT and is the value used.  The baseline and every sampled or
+    refined candidate are scored against their specs.
     """
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
     space = rho.space
     d = space.d
-    reference, ref_spec = free_from_pdm(one_pdm(rho))
+    reference = spec_from_pdm(one_pdm(rho))
     baseline = divergence(alpha, rho, reference)
 
-    best_val = baseline
-    best_density = reference
+    best_val, best_spec = baseline, reference
     if d == 2:
         score = free_grid_scorer(
-            alpha, rho, basis_change_unitary(ref_spec.orbitals, space), sandwiched
+            alpha, rho, basis_change_unitary(reference.orbitals, space), sandwiched
         )
         grid = np.linspace(*GRID_RANGE, GRID_POINTS)
         grid_best, winner = np.inf, None
@@ -306,27 +304,26 @@ def renyi_min_search(
             if row[k] < grid_best:
                 grid_best, winner = row[k], (p1, grid[k])
         if winner is not None:
-            cand = FreeStateSpec(space, winner, ref_spec.orbitals).to_density()
-            val = divergence(alpha, rho, cand)
+            cand = FreeStateSpec(space, winner, reference.orbitals)
+            val = divergence(alpha, rho, cand.to_density())
             if not abs(val - grid_best) <= GRID_AGREEMENT:
                 raise RuntimeError(
                     f"batched grid score {grid_best!r} disagrees with the dense"
                     f" divergence {val!r} at occupations {winner}"
                 )
             if val < best_val:
-                best_val, best_density = val, cand
+                best_val, best_spec = val, cand
 
     rng = np.random.default_rng(cfg.seed)
-    best_spec = None
+    unsampled = best_spec
     for _ in range(cfg.samples):
         spec = sample_free_spec(space, rng)
-        val = divergence(alpha, rho, spec.to_density())
+        val = divergence(alpha, rho, spec)
         if val < best_val:
             best_val, best_spec = val, spec
     scale = cfg.step_scale
-    for _ in range(cfg.refine_steps):
-        if best_spec is None:
-            break
+    # refinement walks only from a random sample that beat the reference and grid
+    for _ in range(cfg.refine_steps if best_spec is not unsampled else 0):
         for _ in range(d):
             p2 = np.clip(
                 best_spec.occupations + scale * rng.standard_normal(d),
@@ -336,14 +333,12 @@ def renyi_min_search(
             i, j = rng.choice(d, size=2, replace=False)
             u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
             cand = FreeStateSpec(space, p2, u2)
-            val = divergence(alpha, rho, cand.to_density())
+            val = divergence(alpha, rho, cand)
             if val < best_val:
                 best_val, best_spec = val, cand
         scale *= 0.9
-    if best_spec is not None:
-        best_density = best_spec.to_density()
     improved = bool(best_val < baseline - cfg.tolerance)
-    return best_density, float(best_val), improved
+    return best_spec.to_density(), float(best_val), improved
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fermifree import (
+    FreeStateSpec,
     OnePdm,
     one_pdm,
     OrbitalSpace,
@@ -21,11 +22,15 @@ from fermifree import (
     pair_state,
     relative_entropy,
     remark_state,
+    renyi_divergence,
     restrict,
+    sandwiched_renyi,
     slater_density,
     split_index,
     tensor_product,
 )
+from fermifree import fock
+from fermifree import free as free_module
 from fermifree.verify import (
     sample_density,
     sample_even_density,
@@ -260,3 +265,25 @@ def test_maximally_mixed_state_is_free():
     assert report.nonfreeness < 1e-10
     assert report.cross_check < 1e-8
     np.testing.assert_allclose(report.occupations, 0.5, atol=1e-12)
+
+
+def test_correlation_functionals_build_no_fock_unitary_or_free_density(monkeypatch):
+    rho = sample_density(OrbitalSpace(6), np.random.default_rng(61))
+    free = gamma_of(rho)
+    expected = {
+        "nonfreeness": relative_entropy(rho, free),
+        "renyi": renyi_divergence(0.5, rho, free),
+        "sandwiched": sandwiched_renyi(0.5, rho, free),
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a correlation functional built a dense free reference")
+
+    monkeypatch.setattr(fock, "basis_change_unitary", forbidden)
+    monkeypatch.setattr(free_module, "basis_change_unitary", forbidden)
+    monkeypatch.setattr(FreeStateSpec, "to_density", forbidden)
+    report = nonfreeness(rho, cross_check=True)
+    assert abs(report.nonfreeness - expected["nonfreeness"]) <= 1e-10
+    assert report.cross_check <= 1e-10
+    assert abs(correlation_renyi(rho, 0.5) - expected["renyi"]) <= 1e-10
+    assert abs(correlation_sandwiched(rho, 0.5) - expected["sandwiched"]) <= 1e-10

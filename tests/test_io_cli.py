@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,17 +235,68 @@ BAD_TYPE_DOCUMENTS = {
     },
     "slater row too long": {"d": 2, "kind": "slater", "orbitals": [[[1, 0], [0, 0], [0, 0]]]},
     "array document": [1, 2],
+    "non-unitary free-spec orbitals": {
+        "d": 2, "kind": "free-spec", "occupations": [0.5, 0.5],
+        "orbitals": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]],
+    },
+    "1 x 2 free-spec orbitals": {
+        "d": 2, "kind": "free-spec", "occupations": [0.5, 0.5], "orbitals": [[[1, 0], [0, 0]]]
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TYPE_DOCUMENTS))
 def test_cli_bad_json_types_exit_2(tmp_path, capsys, name):
+    doc = BAD_TYPE_DOCUMENTS[name]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(BAD_TYPE_DOCUMENTS[name]))
-    code, out, err = run_cli(capsys, ["nonfreeness", str(path)])
+    path.write_text(json.dumps(doc))
+    command = "purify" if isinstance(doc, dict) and doc["kind"] == "free-spec" else "nonfreeness"
+    code, out, err = run_cli(capsys, [command, str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+OVERFLOWING_DOCUMENTS = {
+    "slater": (
+        "nonfreeness", {"d": 2, "kind": "slater", "orbitals": [[[1e308, 0], [1e308, 0]]]},
+        "orthonormal",
+    ),
+    "pure": ("nonfreeness", {"d": 1, "kind": "pure", "amplitudes": [[1e308, 0]] * 2}, "norm"),
+    "density": (
+        "nonfreeness", {"d": 1, "kind": "density", "matrix": [[[1e308, 0]] * 2] * 2}, "trace"
+    ),
+    "pdm": (
+        "free-from-pdm",
+        {"d": 2, "kind": "pdm", "gamma": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+        "1-pdm eigenvalues",
+    ),
+    "antisymmetric density": (
+        "nonfreeness",
+        {"d": 1, "kind": "density", "matrix": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
+        "not Hermitian",
+    ),
+    "antisymmetric pdm": (
+        "free-from-pdm",
+        {"d": 2, "kind": "pdm", "gamma": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
+        "not Hermitian",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_DOCUMENTS))
+def test_cli_overflowing_documents_exit_2_without_warnings(tmp_path, capsys, name):
+    # each validation quantity overflows to inf or NaN and is then rejected;
+    # no numpy RuntimeWarning may reach stderr beside the error line
+    command, doc, message = OVERFLOWING_DOCUMENTS[name]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 BOOLEAN_AMONG_NUMBERS = {

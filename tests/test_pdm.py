@@ -5,6 +5,7 @@ import pytest
 
 from fermifree import (
     DensityOperator,
+    FreeStateSpec,
     OnePdm,
     OrbitalSpace,
     ValidationError,
@@ -14,6 +15,7 @@ from fermifree import (
     kernel_inclusion_1pdm,
     mixture,
     natural_spectrum,
+    nonfreeness,
     number_operator,
     one_pdm,
     remark_state,
@@ -187,3 +189,25 @@ def test_one_pdm_validation():
         OnePdm(space, np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValidationError, match="outside"):
         OnePdm(space, np.diag([1.5, 0.0]).astype(complex))
+
+
+def test_nonfreeness_of_a_free_state_diagonalizes_its_1pdm_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    space = OrbitalSpace(4)
+    free = FreeStateSpec(space, rng.uniform(0.1, 0.9, 4), sample_unitary(4, rng)).to_density()
+    calls = []
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def solve(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    report = nonfreeness(free, cross_check=True)
+    assert calls == ["eigh"]  # the 1-pdm's; the free state carries its spectrum
+    assert report.nonfreeness <= 1e-10 and report.cross_check <= 1e-10

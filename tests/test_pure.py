@@ -31,7 +31,7 @@ from fermifree import (
 from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.config import KERNEL_TOL
-from fermifree.free import gamma_of
+from fermifree.free import gamma_of, spec_from_pdm
 from fermifree.verify import sample_density, sample_unitary
 
 
@@ -144,19 +144,35 @@ def _full_core_sandwiched(alpha, a, b):
 
 @pytest.mark.parametrize("d", (2, 4, 6, 8))
 def test_rank_one_sandwiched_matches_full_core(d):
+    # The k x k core of the k live eigenvectors, for pure states (k = 1) and
+    # for mixed states of rank 2, 3 and full rank, against dense and spec
+    # references.
     rng = np.random.default_rng(200 + d)
     space = OrbitalSpace(d)
-    free = FreeStateSpec(space, rng.uniform(0.1, 0.9, d), sample_unitary(d, rng)).to_density()
+    spec = FreeStateSpec(space, rng.uniform(0.1, 0.9, d), sample_unitary(d, rng))
+    free = spec.to_density()
     states = [
         pure_density(_random_pure(d, rng)),
         pure_density(_random_pure(d, rng, d // 2)),
         slater_density(sample_unitary(d, rng)[: d // 2], space),
     ]
+    if d <= 6:
+        states += [sample_density(space, rng, rank) for rank in (2, 3, None)]
     for rho in states:
-        for b in (free, gamma_of(rho)):
+        own = spec_from_pdm(one_pdm(rho))
+        for b in (free, spec, gamma_of(rho), own):
+            dense_b = b.to_density() if isinstance(b, FreeStateSpec) else b
             for alpha in (0.5, 0.75, 2.0):
-                reference = _full_core_sandwiched(alpha, rho, b)
+                reference = _full_core_sandwiched(alpha, rho, dense_b)
                 assert abs(sandwiched_renyi(alpha, rho, b) - max(reference, 0.0)) <= 1e-10
+    # an empty orbital puts half the Fock basis in the reference's kernel,
+    # which these states cross: +inf at alpha > 1, the full core below 1
+    empty = FreeStateSpec(space, np.r_[0.0, rng.uniform(0.1, 0.9, d - 1)], sample_unitary(d, rng))
+    for rho in states[:1] + states[3:]:
+        for b in (empty, empty.to_density()):
+            assert sandwiched_renyi(2.0, rho, b) == float("inf")
+            reference = _full_core_sandwiched(0.5, rho, empty.to_density())
+            assert abs(sandwiched_renyi(0.5, rho, b) - max(reference, 0.0)) <= 1e-10
 
 
 def test_divergences_read_any_state_against_a_free_spec():
