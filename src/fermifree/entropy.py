@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
-from .fock import amplitudes_in_basis
+from .fock import _givens_amplitudes
 from .free import FreeStateSpec
 from .states import DensityOperator, PureState, State, bernoulli_weights
 
@@ -42,7 +42,7 @@ def _joint(a: State, b: Reference, kernel_tol: float):
         raise ValidationError("divergences require both states on the same space")
     p, va = _live(a, kernel_tol)
     if isinstance(b, FreeStateSpec):
-        q, c = bernoulli_weights(b.occupations), amplitudes_in_basis(b.orbitals, va, b.space)
+        q, c = bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d)
     else:
         q, vb = b.eigenpairs
         c = vb.conj().T @ va

@@ -140,12 +140,13 @@ def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
     return sums.reshape((d,) * len(word))
 
 
-def _require_unitary(u: np.ndarray, d: int, tol: float):
+def _require_unitary(u: np.ndarray, d: int, tol: float, stacked: bool = False):
+    """`u` as a complex d x d unitary, or a stack (..., d, d) of them if `stacked`."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
+    if u.shape[-2:] != (d, d) or (u.ndim != 2 and not stacked):
         raise ValidationError(f"expected a {d}x{d} matrix, got shape {u.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN, rejected
-        err = np.abs(u.conj().T @ u - np.eye(d)).max()
+        err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(initial=0.0)
     if not err <= tol:
         raise ValidationError(f"matrix is not unitary: deviation {err:.3e}")
     return u
@@ -160,19 +161,20 @@ def basis_change_unitary(
     the minor det u[occupied(m), occupied(n)] (rows and columns in increasing
     orbital order); elements between different particle numbers vanish.  The
     image of the occupation pattern 1..10..0 is the Slater determinant built
-    from the first columns of u.
+    from the first columns of u.  A stack of basis changes, shape (..., d, d),
+    gives the stack of their Fock unitaries, shape (..., 2^d, 2^d).
     """
     d = space.d
-    u = _require_unitary(u, d, tol)
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[0, 0] = 1.0
+    u = _require_unitary(u, d, tol, stacked=True)
+    out = np.zeros(u.shape[:-2] + (space.dim, space.dim), dtype=complex)
+    out[..., 0, 0] = 1.0
     for k in range(1, d + 1):
         occs = list(combinations(range(d), k))
         bits = np.array([sum(1 << i for i in occ) for occ in occs])
         rows = np.array(occs)  # (m, k) occupied 0-based orbitals per bitmask
         for col_bits, col_occ in zip(bits, occs):
-            minors = u[:, list(col_occ)][rows]  # (m, k, k)
-            out[bits, col_bits] = np.linalg.det(minors)
+            minors = u[..., list(col_occ)][..., rows, :]  # (..., m, k, k)
+            out[..., bits, col_bits] = np.linalg.det(minors)
     return out
 
 
@@ -188,8 +190,12 @@ def amplitudes_in_basis(u: np.ndarray, vectors: np.ndarray, space: OrbitalSpace)
     multiplies lists holding both by det h = 1; each step costs O(2^d).  The
     image of D^dagger multiplies each list by its occupied phases' conjugates.
     """
-    d = space.d
-    r = _require_unitary(u, d, TOL_UNITARY).copy()
+    return _givens_amplitudes(_require_unitary(u, space.d, TOL_UNITARY), vectors, space.d)
+
+
+def _givens_amplitudes(u: np.ndarray, vectors: np.ndarray, d: int) -> np.ndarray:
+    """``amplitudes_in_basis`` for a `u` already validated as a d x d unitary."""
+    r = np.array(u, dtype=complex)
     out = np.array(vectors, dtype=complex)
     for col in range(d - 1):
         for row in range(d - 1, col, -1):

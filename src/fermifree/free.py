@@ -22,7 +22,8 @@ class FreeStateSpec:
 
     The represented density operator is U-hat @ diag(Bernoulli weights) @
     U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`, which
-    must be a d x d unitary within TOL_UNITARY.
+    must be a d x d unitary within TOL_UNITARY.  Both are stored as read-only
+    copies, so a spec stays valid once checked and is never checked again.
     """
 
     space: OrbitalSpace
@@ -30,14 +31,15 @@ class FreeStateSpec:
     orbitals: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.occupations, dtype=float)
-        object.__setattr__(self, "occupations", p)
+        p = np.array(self.occupations, dtype=float)
         if p.shape != (self.space.d,):
             raise ValidationError(f"expected {self.space.d} occupation probabilities")
         if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
             raise ValidationError("occupation probabilities must lie in [0, 1]")
-        orbitals = _require_unitary(self.orbitals, self.space.d, TOL_UNITARY)
-        object.__setattr__(self, "orbitals", orbitals)
+        orbitals = np.array(_require_unitary(self.orbitals, self.space.d, TOL_UNITARY))
+        for name, array in (("occupations", p), ("orbitals", orbitals)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def to_density(self) -> DensityOperator:
         """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""

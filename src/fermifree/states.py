@@ -1,7 +1,7 @@
 """Constructors for density operators on finite fermion Fock spaces."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -192,18 +192,22 @@ def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator
     return pure_density(slater_amplitudes(orbitals, space))
 
 
+@cache
+def _occupation_table(d: int) -> np.ndarray:
+    """n(i) of every occupation list, shape (d, 2^d), highest orbital first; read-only."""
+    table = (np.arange(1 << d) >> np.arange(d - 1, -1, -1)[:, None] & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
 def bernoulli_weights(p: np.ndarray) -> np.ndarray:
     """Diagonal Fock weights prod_i p_i^n(i) (1-p_i)^(1-n(i)), bitmask order.
 
     A stack of occupation vectors, shape (..., d), gives a stack of weight
-    vectors, shape (..., 2^d).
+    vectors, shape (..., 2^d).  The product runs from the highest orbital down.
     """
-    p = np.asarray(p, dtype=float)
-    weights = np.ones(p.shape[:-1] + (1,))
-    for q in np.moveaxis(p, -1, 0)[::-1]:
-        factor = np.stack([1.0 - q, q], axis=-1)
-        weights = (weights[..., :, None] * factor[..., None, :]).reshape(*p.shape[:-1], -1)
-    return weights
+    p = np.asarray(p, dtype=float)[..., ::-1, None]
+    return np.where(_occupation_table(p.shape[-2]), p, 1.0 - p).prod(axis=-2)
 
 
 def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:

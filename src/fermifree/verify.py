@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import logm
 
 from . import io
-from .config import KERNEL_TOL
+from .config import KERNEL_TOL, TOL_UNITARY
 from .correlation import (
     binary_entropy,
     correlation_renyi,
@@ -31,6 +31,7 @@ from .entropy import (
 from .errors import ValidationError
 from .fock import (
     OrbitalSpace,
+    _require_unitary,
     basis_change_unitary,
     join_index,
     ladder_matrices,
@@ -54,7 +55,8 @@ from .states import (
 OCCUPATION_CLAMP = 1e-3  # sampled occupations stay inside [eps, 1-eps]
 GRID_POINTS = 200
 GRID_RANGE = (0.01, 0.99)
-GRID_AGREEMENT = 1e-10  # batched grid score vs dense divergence of its winner
+GRID_AGREEMENT = 1e-10  # stacked score vs per-candidate divergence of its winner
+STACK_ENTRIES = 2**16  # Fock-unitary entries per scored block: 4^d of each candidate
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,20 @@ def report_to_document(report: VerificationReport) -> dict:
 # samplers
 
 
+def _gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Phase-fixed QR of complex Gaussian matrices (..., d, d): Haar unitaries."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def sample_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary via phase-fixed QR of a Gaussian matrix."""
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases[None, :]
+    return _haar(_gaussian(d, rng))
 
 
 def sample_density(
@@ -128,12 +138,27 @@ def sample_even_density(
     return DensityOperator(space, np.where(mask, rho.matrix, 0.0))
 
 
+def sample_free_specs(
+    space: OrbitalSpace, rng: np.random.Generator, n: int, eps: float = OCCUPATION_CLAMP
+) -> tuple[np.ndarray, np.ndarray]:
+    """n random free states as stacks, occupations (n, d) in [eps, 1-eps] and
+    Haar natural orbitals (n, d, d), checked as `FreeStateSpec` checks one;
+    drawn as, and leaving `rng` as, n calls of `sample_free_spec`."""
+    d = space.d
+    p, g = np.empty((n, d)), np.empty((n, d, d), dtype=complex)
+    for k in range(n):
+        p[k], g[k] = rng.uniform(eps, 1.0 - eps, d), _gaussian(d, rng)
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
+        raise ValidationError("occupation probabilities must lie in [0, 1]")
+    return p, _require_unitary(_haar(g), d, TOL_UNITARY, stacked=True)
+
+
 def sample_free_spec(
     space: OrbitalSpace, rng: np.random.Generator, eps: float = OCCUPATION_CLAMP
 ) -> FreeStateSpec:
     """Random free state: Haar natural orbitals, occupations in [eps, 1-eps]."""
-    p = rng.uniform(eps, 1.0 - eps, space.d)
-    return FreeStateSpec(space, p, sample_unitary(space.d, rng))
+    p, u = sample_free_specs(space, rng, 1, eps)
+    return FreeStateSpec(space, p[0], u[0])
 
 
 def remark_state() -> DensityOperator:
@@ -170,9 +195,9 @@ def min_relent_search(
 ) -> tuple[DensityOperator, float]:
     """Brute-force minimization of S(rho || Gamma) over sampled free states.
 
-    Random (orbitals, occupations) samples are followed by greedy local
-    refinement: exact coordinate minimization over the occupations (the
-    objective is separable in them at fixed orbitals) interleaved with
+    Random (orbitals, occupations) samples, scored as stacks, are followed by
+    greedy local refinement: exact coordinate minimization over the occupations
+    (the objective is separable in them at fixed orbitals) interleaved with
     random two-column rotations of shrinking scale, every candidate scored
     against its spec.  The returned value can never fall below the
     nonfreeness of `rho` beyond numerical noise.
@@ -182,14 +207,7 @@ def min_relent_search(
     d = space.d
     gamma = one_pdm(rho).gamma
 
-    best_spec = sample_free_spec(space, rng)
-    best_val = relative_entropy(rho, best_spec)
-    for _ in range(cfg.samples - 1):
-        spec = sample_free_spec(space, rng)
-        val = relative_entropy(rho, spec)
-        if val < best_val:
-            best_val, best_spec = val, spec
-
+    best_val, best_spec = _stacked_minimum(rho, 1.0, *sample_free_specs(space, rng, cfg.samples))
     scale = cfg.step_scale
     for _ in range(cfg.refine_steps):
         u = best_spec.orbitals
@@ -218,25 +236,26 @@ def free_grid_scorer(
     fock_u: np.ndarray,
     sandwiched: bool = False,
 ):
-    """Batched divergences from `rho` to free states sharing the eigenbasis `fock_u`.
+    """Batched divergences from `rho` to free states with eigenbases `fock_u`.
 
     The returned function maps a stack of Bernoulli weight rows q, shape
-    (n, 2^d), to the n divergences D(rho || F diag(q) F^dagger), F = `fock_u`.
+    (n, 2^d), to the n divergences D(rho || F diag(q) F^dagger), where F is
+    one Fock unitary (2^d, 2^d) that they share or F[i] of a stack (n, 2^d, 2^d).
     It evaluates the spectral formulas of `renyi_divergence` (Petz),
-    `sandwiched_renyi` and, at alpha = 1, `relative_entropy` with the same
-    kernel masking, but diagonalizes `rho` once instead of every candidate:
+    `sandwiched_renyi` and, at alpha = 1, `relative_entropy` with the same kernel
+    masking over the k live eigenpairs (p_i, a_i) of rho, c_ij = <a_i|f_j>:
 
-    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |<a_i|f_j>|^2 q_j^(1-alpha);
-    - alpha = 1: sum p log p - sum_ij p_i |<a_i|f_j>|^2 log q_j + sum q - sum p;
-    - sandwiched: the eigenvalues of diag(q^e) F^dagger A F diag(q^e).
+    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha);
+    - alpha = 1: sum p log p - sum_ij p_i |c_ij|^2 log q_j + sum q - sum p;
+    - sandwiched: the eigenvalues of the k x k core y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e.
     """
     w, va = rho.eigenpairs
-    p = np.where(w > KERNEL_TOL, w, 0.0)
-    overlap = np.abs(va.conj().T @ fock_u) ** 2
+    p, va = w[w > KERNEL_TOL], va[:, w > KERNEL_TOL]
+    c = va.conj().T @ fock_u  # (..., k, 2^d)
+    overlap = np.abs(c) ** 2
     live_mass = p @ overlap  # weight of rho's support on each column of F
-    plogp = float((p[p > 0] * np.log(p[p > 0])).sum())
+    plogp = float((p * np.log(p)).sum())
     petz_row = (p**alpha) @ overlap
-    rotated = fock_u.conj().T @ rho.matrix @ fock_u
     exponent = (1.0 - alpha) / (2.0 * alpha)
 
     def divergence_from_trace(trace):
@@ -249,21 +268,46 @@ def free_grid_scorer(
         safe_q = np.where(live, q, 1.0)
         if alpha == 1.0:
             log_q = np.where(live, np.log(safe_q), 0.0)
-            values = plogp - log_q @ live_mass + q.sum(axis=1) - p.sum()
+            values = plogp - np.vecdot(log_q, live_mass) + q.sum(axis=1) - p.sum()
         elif sandwiched:
-            powered = np.where(live, safe_q**exponent, 0.0)
-            core = powered[:, :, None] * rotated[None] * powered[:, None, :]
-            w = np.linalg.eigvalsh((core + core.conj().swapaxes(1, 2)) / 2)
+            y = np.sqrt(p)[:, None] * c * np.where(live, safe_q**exponent, 0.0)[:, None, :]
+            w = np.linalg.eigvalsh(y @ y.conj().swapaxes(1, 2))
             w = np.where(w > KERNEL_TOL, w, 0.0)
             values = divergence_from_trace((w**alpha).sum(axis=1))
         else:
             q_power = np.where(live, safe_q ** (1.0 - alpha), 0.0)
-            values = divergence_from_trace(q_power @ petz_row)
+            values = divergence_from_trace(np.vecdot(q_power, petz_row))
         if alpha >= 1.0:
-            values = np.where((~live) @ live_mass > KERNEL_TOL, np.inf, values)
+            crossing = np.where(live, 0.0, live_mass).sum(axis=1)
+            values = np.where(crossing > KERNEL_TOL, np.inf, values)
         return np.maximum(values, 0.0)
 
     return score
+
+
+def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool = False):
+    """The least divergence from `rho` over the free states with occupations p
+    (n, d) and orbitals u (n, d, d), or one (d, d) they share, and the first
+    spec to reach it.  Blocks of STACK_ENTRIES // 4^d states are scored as
+    stacks; the value is the winner's per-candidate divergence, which must
+    agree with its stacked score within GRID_AGREEMENT."""
+    best, size = None, max(1, STACK_ENTRIES // rho.space.dim**2)
+    for start in range(0, len(p), size):
+        block = slice(start, start + size)
+        fock_u = basis_change_unitary(u if u.ndim == 2 else u[block], rho.space)
+        scores = free_grid_scorer(alpha, rho, fock_u, sandwiched)(bernoulli_weights(p[block]))
+        k = int(np.argmin(scores))
+        if best is None or scores[k] < best[0]:
+            best = scores[k], start + k
+    score, k = best
+    spec = FreeStateSpec(rho.space, p[k], u if u.ndim == 2 else u[k])
+    value = (sandwiched_renyi if sandwiched else renyi_divergence)(alpha, rho, spec)
+    if not (value == score or abs(value - score) <= GRID_AGREEMENT):
+        raise RuntimeError(
+            f"stacked score {score!r} disagrees with the divergence {value!r}"
+            f" of its winner, occupations {spec.occupations}"
+        )
+    return value, spec
 
 
 def renyi_min_search(
@@ -279,11 +323,9 @@ def renyi_min_search(
     reference by more than cfg.tolerance.  On two orbitals a deterministic
     occupation grid over diagonal free states (in the natural-orbital basis)
     runs before random sampling, which reproducibly finds the improvement for
-    the 1-particle mixed state at alpha != 1.  The grid is scored one row at a
-    time by `free_grid_scorer`; its winner is rebuilt as a validated free
-    state and re-scored by the dense divergence, which must agree within
-    GRID_AGREEMENT and is the value used.  The baseline and every sampled or
-    refined candidate are scored against their specs.
+    the 1-particle mixed state at alpha != 1.  The grid and the random
+    samples are each scored as stacks by `_stacked_minimum`; the baseline and
+    every refined candidate are scored against their specs.
     """
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
     space = rho.space
@@ -293,34 +335,18 @@ def renyi_min_search(
 
     best_val, best_spec = baseline, reference
     if d == 2:
-        score = free_grid_scorer(
-            alpha, rho, basis_change_unitary(reference.orbitals, space), sandwiched
-        )
         grid = np.linspace(*GRID_RANGE, GRID_POINTS)
-        grid_best, winner = np.inf, None
-        for p1 in grid:
-            row = score(bernoulli_weights(np.column_stack([np.full_like(grid, p1), grid])))
-            k = int(np.argmin(row))
-            if row[k] < grid_best:
-                grid_best, winner = row[k], (p1, grid[k])
-        if winner is not None:
-            cand = FreeStateSpec(space, winner, reference.orbitals)
-            val = divergence(alpha, rho, cand.to_density())
-            if not abs(val - grid_best) <= GRID_AGREEMENT:
-                raise RuntimeError(
-                    f"batched grid score {grid_best!r} disagrees with the dense"
-                    f" divergence {val!r} at occupations {winner}"
-                )
-            if val < best_val:
-                best_val, best_spec = val, cand
+        pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        val, cand = _stacked_minimum(rho, alpha, pairs, reference.orbitals, sandwiched)
+        if val < best_val:
+            best_val, best_spec = val, cand
 
     rng = np.random.default_rng(cfg.seed)
     unsampled = best_spec
-    for _ in range(cfg.samples):
-        spec = sample_free_spec(space, rng)
-        val = divergence(alpha, rho, spec)
-        if val < best_val:
-            best_val, best_spec = val, spec
+    samples = sample_free_specs(space, rng, cfg.samples)
+    val, spec = _stacked_minimum(rho, alpha, *samples, sandwiched)
+    if val < best_val:
+        best_val, best_spec = val, spec
     scale = cfg.step_scale
     # refinement walks only from a random sample that beat the reference and grid
     for _ in range(cfg.refine_steps if best_spec is not unsampled else 0):

@@ -231,6 +231,21 @@ def test_basis_change_rejects_non_unitary():
         basis_change_unitary(np.ones((2, 2)), OrbitalSpace(2))
 
 
+def test_basis_change_of_a_stack_is_the_stack_of_basis_changes():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 4):
+        space = OrbitalSpace(d)
+        stack = np.array([[sample_unitary(d, rng) for _ in range(3)] for _ in range(2)])
+        fock = basis_change_unitary(stack, space)
+        assert fock.shape == (2, 3, space.dim, space.dim)
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(fock[index], basis_change_unitary(stack[index], space))
+    with pytest.raises(ValidationError):
+        basis_change_unitary(np.array([np.eye(2), np.ones((2, 2))]), OrbitalSpace(2))
+    with pytest.raises(ValidationError):
+        basis_change_unitary(np.eye(3)[None], OrbitalSpace(2))
+
+
 def test_basis_change_matches_creator_products():
     rng = np.random.default_rng(11)
     space = OrbitalSpace(3)

@@ -8,6 +8,7 @@ from fermifree import (
     FreeStateSpec,
     OnePdm,
     OrbitalSpace,
+    ValidationError,
     binary_entropy,
     free_from_pdm,
     gamma_of,
@@ -24,6 +25,44 @@ from fermifree import (
     wick_check,
 )
 from fermifree.verify import sample_density, sample_free_spec, sample_unitary
+
+
+def test_spec_stores_read_only_copies():
+    rng = np.random.default_rng(30)
+    p, u = rng.uniform(0.1, 0.9, 3), sample_unitary(3, rng)
+    spec = FreeStateSpec(OrbitalSpace(3), p, u)
+    with pytest.raises(ValueError):
+        spec.orbitals[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spec.occupations[0] = 0.5
+    p[0], u[0, 0] = 0.5, 0.0  # the caller's arrays stay writable, the spec unchanged
+    assert spec.occupations[0] != 0.5 and spec.orbitals[0, 0] != 0.0
+    with pytest.raises(ValidationError):
+        FreeStateSpec(OrbitalSpace(3), spec.occupations, np.array([spec.orbitals] * 2))
+
+
+def test_divergences_against_a_spec_do_not_revalidate_it(monkeypatch):
+    import fermifree.fock
+    import fermifree.free
+    from fermifree import relative_entropy, sandwiched_renyi
+
+    rng = np.random.default_rng(31)
+    rho = sample_density(OrbitalSpace(3), rng)
+    spec = sample_free_spec(OrbitalSpace(3), rng)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = fermifree.fock._require_unitary
+    monkeypatch.setattr(fermifree.fock, "_require_unitary", counting)
+    monkeypatch.setattr(fermifree.free, "_require_unitary", counting)
+    relative_entropy(rho, spec)
+    sandwiched_renyi(0.5, rho, spec)
+    assert calls == []
+    fermifree.fock.amplitudes_in_basis(spec.orbitals, rho.eigenpairs[1], rho.space)
+    assert len(calls) == 1  # the public entry point still validates its input
 
 
 def test_free_from_projector_pdm_is_slater():

@@ -152,6 +152,25 @@ def test_bernoulli_weights_stack_matches_rows():
         np.testing.assert_array_equal(weights, bernoulli_weights(row))
 
 
+def _bernoulli_loop(p):
+    """Reference: the weights built one orbital at a time, highest orbital first."""
+    weights = np.ones(p.shape[:-1] + (1,))
+    for q in np.moveaxis(p, -1, 0)[::-1]:
+        factor = np.stack([1.0 - q, q], axis=-1)
+        weights = (weights[..., :, None] * factor[..., None, :]).reshape(*p.shape[:-1], -1)
+    return weights
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_bernoulli_weights_equal_loop_reference(d):
+    rng = np.random.default_rng(70 + d)
+    for shape in [(d,), (4, d), (2, 3, d)]:
+        p = rng.uniform(0.0, 1.0, shape)
+        np.testing.assert_array_equal(bernoulli_weights(p), _bernoulli_loop(p))
+    boundary = np.where(rng.uniform(size=(3, d)) < 0.5, 0.0, 1.0)
+    np.testing.assert_array_equal(bernoulli_weights(boundary), _bernoulli_loop(boundary))
+
+
 def test_gibbs_lambda_parametrization_roundtrip():
     # occupations p = exp(-lam) / (1 + exp(-lam)) reproduce the Gibbs weights
     lam = np.array([0.7, -0.3, 1.9])

@@ -41,6 +41,7 @@ from fermifree.verify import (
     report_to_document,
     sample_density,
     sample_free_spec,
+    sample_free_specs,
     sample_pure,
 )
 
@@ -149,6 +150,97 @@ def test_grid_scorer_matches_dense_loop(name, alpha, sandwiched):
     finite = np.isfinite(dense)
     assert finite[1:-1, 1:-1].all()
     np.testing.assert_allclose(batched[finite], dense[finite], rtol=0.0, atol=1e-10)
+
+
+def _stacked_test_cases(d):
+    """Wishart, rank-deficient, pure and kernel-crossing states on d orbitals,
+    with 12 candidates from `sample_free_specs`, some with boundary occupations.
+
+    Candidate 0 has orbital 1 empty, and the kernel-crossing state mixes the
+    Slater determinant of that orbital into a Wishart state: half its weight
+    lies in the candidate's kernel, so its divergences to candidate 0 are +inf
+    for alpha >= 1 and finite below.
+    """
+    rng = np.random.default_rng(120 + d)
+    space = OrbitalSpace(d)
+    p, u = sample_free_specs(space, rng, 12)
+    p[0::3, 0] = 0.0
+    p[1::3, -1] = 1.0
+    wishart = sample_density(space, rng)
+    states = {
+        "wishart": wishart,
+        "rank-deficient": sample_density(space, rng, rank=max(1, space.dim // 2)),
+        "pure": sample_pure(space, rng),
+        "kernel-crossing": fermifree.mixture(
+            [(0.5, wishart), (0.5, fermifree.slater_density(u[0][:, :1].T, space))]
+        ),
+    }
+    return states, p, u
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "alpha,sandwiched",
+    [(0.5, False), (2.0, False), (0.5, True), (2.0, True), (1.0, False)],
+)
+def test_stacked_scorer_matches_per_candidate_divergences(d, alpha, sandwiched):
+    states, p, u = _stacked_test_cases(d)
+    divergence = sandwiched_renyi if sandwiched else renyi_divergence
+    fock_u = basis_change_unitary(u, OrbitalSpace(d))
+    for name, rho in states.items():
+        stacked = free_grid_scorer(alpha, rho, fock_u, sandwiched)(bernoulli_weights(p))
+        single = np.array(
+            [divergence(alpha, rho, FreeStateSpec(rho.space, pk, uk)) for pk, uk in zip(p, u)]
+        )
+        np.testing.assert_array_equal(np.isinf(stacked), np.isinf(single), err_msg=name)
+        finite = np.isfinite(single)
+        np.testing.assert_allclose(stacked[finite], single[finite], rtol=0, atol=1e-10)
+        if name == "kernel-crossing":
+            assert np.isinf(stacked[0]) == (alpha >= 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_sample_free_specs_equal_single_draws(d):
+    space = OrbitalSpace(d)
+    stacked_rng, single_rng = np.random.default_rng(d), np.random.default_rng(d)
+    p, u = sample_free_specs(space, stacked_rng, 40)
+    for pk, uk in zip(p, u):
+        spec = sample_free_spec(space, single_rng)
+        np.testing.assert_array_equal(pk, spec.occupations)
+        np.testing.assert_array_equal(uk, spec.orbitals)
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+    empty_p, empty_u = sample_free_specs(space, stacked_rng, 0)
+    assert empty_p.shape == (0, d) and empty_u.shape == (0, d, d)
+
+
+# Outputs of the searches before their random phase was scored as stacks,
+# with SearchConfig(seed=s): the sequential phase kept the first strict minimum
+# of the per-candidate divergences, which the stacked phase must reproduce.
+SEQUENTIAL_SEARCH_OUTPUTS = {
+    0: ((0.41133156791592307, True), (0.6365141682948126, False), 0.6365141786277848,
+        2.7725887222397776),
+    1: ((0.41133156791592307, True), (0.6365141682948126, False), 0.636514178095335,
+        2.7725887222397776),
+    2: ((0.41133156791592307, True), (0.6365141682948126, False), 0.6365141684386089,
+        2.772588722239779),
+    3: ((0.41133156791592307, True), (0.6365141682948126, False), 0.6365141718353092,
+        2.772588722239777),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEQUENTIAL_SEARCH_OUTPUTS))
+def test_searches_reproduce_the_sequential_outputs(seed):
+    sandwiched_half, alpha_one, remark_min, pair_min = SEQUENTIAL_SEARCH_OUTPUTS[seed]
+    cfg = SearchConfig(seed=seed)
+    for alpha, sandwiched, (best, improved) in (
+        (0.5, True, sandwiched_half),
+        (1.0, False, alpha_one),
+    ):
+        _, value, flag = renyi_min_search(remark_state(), alpha, cfg, sandwiched=sandwiched)
+        assert flag is improved
+        assert abs(value - best) <= 1e-12
+    assert abs(min_relent_search(remark_state(), cfg)[1] - remark_min) <= 1e-12
+    assert abs(min_relent_search(pair_state(), cfg)[1] - pair_min) <= 1e-12
 
 
 def test_renyi_search_remark_pinned_values():
