@@ -108,7 +108,8 @@ def renyi_divergence(
     Powers are taken on supports.  At alpha = 1 this is the relative entropy
     (the limit value).  For alpha > 1 the value is +inf when ker B is not
     contained in ker A; for alpha < 1 it is +inf only when the supports are
-    orthogonal.
+    orthogonal, that is when the weight of A's support on B's support is at
+    most `kernel_tol`.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
@@ -119,7 +120,10 @@ def renyi_divergence(
     if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
         return float("inf")
     live = q > 0
-    trace = float((p[:, None] ** alpha * overlap[:, live] * q[live][None, :] ** (1.0 - alpha)).sum())
+    live_overlap = overlap[:, live]
+    if alpha < 1.0 and float((p[:, None] * live_overlap).sum()) <= kernel_tol:
+        return float("inf")
+    trace = float((p[:, None] ** alpha * live_overlap * q[live][None, :] ** (1.0 - alpha)).sum())
     if trace <= 0.0:
         return float("inf")
     return _clamp(np.log(trace) / (alpha - 1.0))

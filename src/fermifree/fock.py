@@ -6,6 +6,10 @@ stored as an unsigned integer whose bit i-1 records whether orbital i
 by applying the creators of the occupied orbitals to the vacuum in
 increasing orbital order; every fermionic sign in this module is derived by
 anticommuting through that normal form.
+
+The sparse operators (`creator`, `annihilator`, `number_operator`,
+`ladder_matrices`) are the oracle's reference for the signed index tables;
+they import scipy on first use, so importing the package loads none.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +17,6 @@ from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 
 from .config import TOL_UNITARY, d_max
 from .errors import CapacityError, ValidationError
@@ -62,12 +65,14 @@ def _check_orbital_index(i: int, space: OrbitalSpace):
         raise ValidationError(f"orbital index {i} out of range 1..{space.d}")
 
 
-def creator(i: int, space: OrbitalSpace) -> sparse.csr_matrix:
+def creator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
     """Creation operator for reference orbital i (1-based), as a sparse matrix.
 
     Acting on |n> with orbital i empty it yields (-1)^(occupied below i) times
     the basis vector with bit i set, and 0 otherwise.
     """
+    from scipy import sparse
+
     _check_orbital_index(i, space)
     dim = space.dim
     bit = 1 << (i - 1)
@@ -82,13 +87,15 @@ def creator(i: int, space: OrbitalSpace) -> sparse.csr_matrix:
     )
 
 
-def annihilator(i: int, space: OrbitalSpace) -> sparse.csr_matrix:
+def annihilator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
     """Annihilation operator for orbital i: the adjoint of ``creator(i)``."""
     return creator(i, space).conj().T.tocsr()
 
 
-def number_operator(i: int, space: OrbitalSpace) -> sparse.csr_matrix:
+def number_operator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
     """Occupation observable of orbital i: diagonal with entry n(i) at |n>."""
+    from scipy import sparse
+
     _check_orbital_index(i, space)
     bit = 1 << (i - 1)
     occ = ((np.arange(space.dim, dtype=np.int64) & bit) != 0).astype(complex)

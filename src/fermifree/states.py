@@ -279,18 +279,48 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+@cache
+def _hubbard_sector(sites: int, n_up: int, n_down: int) -> tuple[np.ndarray, ...]:
+    """Bookkeeping of the fixed-(N_up, N_down) sector of an open Hubbard chain,
+    read-only and shared: (sector, rows, cols, signs, doubly_occupied).
+
+    `sector` lists the sector's occupation lists in increasing order; the
+    hopping entries of the sector block, in sector positions, are
+    block[rows, cols] = signs, read from the monomials of
+    ``ladder_table("+-", 2 * sites)`` with |i - j| = 2 whose source lies in the
+    sector; `doubly_occupied` counts the doubly occupied sites of each list.
+    """
+    d = 2 * sites
+    up_mask = sum(1 << (2 * s) for s in range(sites))
+    idx = np.arange(1 << d)
+    sector = idx[
+        (np.bitwise_count(idx & up_mask) == n_up)
+        & (np.bitwise_count(idx & (up_mask << 1)) == n_down)
+    ]
+    position = np.full(1 << d, -1)
+    position[sector] = np.arange(sector.size)
+    mono, src, dst, sign = ladder_table("+-", d)
+    i, j = np.divmod(mono, d)
+    hops = (np.abs(i - j) == 2) & (position[src] >= 0)
+    doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
+    table = (sector, position[dst[hops]], position[src[hops]], sign[hops], doubly_occupied)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 def hubbard_ground_amplitudes(
     sites: int, t: float, u_int: float, n_up: int, n_down: int
 ) -> PureState:
     """Ground state of a small open Hubbard chain in a fixed-(N_up, N_down) sector.
 
     Spin-orbitals are ordered (1up, 1dn, 2up, 2dn, ...).  The sector block of
-    H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is built from the signed
-    ``ladder_table("+-", d)``: the hopping entries are its monomials with
-    |i - j| = 2 whose source lies in the sector, and the interaction is a
-    diagonal count of doubly occupied sites.  Degeneracies are resolved
-    deterministically by taking the first column of the Hermitian eigensolve
-    of the sector block.
+    H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is the diagonal U times the
+    count of doubly occupied sites plus -t times the signed hopping entries of
+    ``_hubbard_sector``, cached per (sites, N_up, N_down).  Since t, U and the
+    signs are real, the block is a real symmetric matrix and is solved as one.
+    Degeneracies are resolved deterministically by taking the first column of
+    its eigensolve.
     """
     sites = _integer(sites, "site count")
     n_up, n_down = _integer(n_up, "N_up"), _integer(n_down, "N_down")
@@ -302,21 +332,9 @@ def hubbard_ground_amplitudes(
             f"infeasible particle numbers N_up={n_up}, N_down={n_down} for {sites} sites"
         )
     space = OrbitalSpace(2 * sites)
-    up_mask = sum(1 << (2 * s) for s in range(sites))
-    dn_mask = up_mask << 1
-    idx = np.arange(space.dim)
-    sector = idx[
-        (np.bitwise_count(idx & up_mask) == n_up)
-        & (np.bitwise_count(idx & dn_mask) == n_down)
-    ]
-    position = np.full(space.dim, -1)
-    position[sector] = np.arange(sector.size)
-    mono, src, dst, sign = ladder_table("+-", space.d)
-    i, j = np.divmod(mono, space.d)
-    hops = (np.abs(i - j) == 2) & (position[src] >= 0)
-    doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
-    block = np.diag(u_int * doubly_occupied).astype(complex)
-    block[position[dst[hops]], position[src[hops]]] = -t * sign[hops]
+    sector, rows, cols, signs, doubly_occupied = _hubbard_sector(sites, n_up, n_down)
+    block = np.diag(u_int * doubly_occupied)
+    block[rows, cols] = -t * signs
     _, vecs = np.linalg.eigh(block)
     psi = np.zeros(space.dim, dtype=complex)
     psi[sector] = vecs[:, 0]

@@ -10,7 +10,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import logm
 
 from . import io
 from .config import KERNEL_TOL, TOL_UNITARY
@@ -245,7 +244,8 @@ def free_grid_scorer(
     `sandwiched_renyi` and, at alpha = 1, `relative_entropy` with the same kernel
     masking over the k live eigenpairs (p_i, a_i) of rho, c_ij = <a_i|f_j>:
 
-    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha);
+    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha),
+      +inf below alpha = 1 when rho's weight on the live columns is at most KERNEL_TOL;
     - alpha = 1: sum p log p - sum_ij p_i |c_ij|^2 log q_j + sum q - sum p;
     - sandwiched: the eigenvalues of the k x k core y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e.
     """
@@ -277,6 +277,9 @@ def free_grid_scorer(
         else:
             q_power = np.where(live, safe_q ** (1.0 - alpha), 0.0)
             values = divergence_from_trace(np.vecdot(q_power, petz_row))
+            if alpha < 1.0:  # orthogonal supports
+                overlap_mass = np.where(live, live_mass, 0.0).sum(axis=1)
+                values = np.where(overlap_mass <= KERNEL_TOL, np.inf, values)
         if alpha >= 1.0:
             crossing = np.where(live, 0.0, live_mass).sum(axis=1)
             values = np.where(crossing > KERNEL_TOL, np.inf, values)
@@ -356,8 +359,10 @@ def renyi_min_search(
                 OCCUPATION_CLAMP,
                 1.0 - OCCUPATION_CLAMP,
             )
-            i, j = rng.choice(d, size=2, replace=False)
-            u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
+            u2 = best_spec.orbitals  # one orbital: a rotation is only a phase
+            if d > 1:
+                i, j = rng.choice(d, size=2, replace=False)
+                u2 = _rotate_columns(u2, int(i), int(j), scale, rng)
             cand = FreeStateSpec(space, p2, u2)
             val = divergence(alpha, rho, cand)
             if val < best_val:
@@ -543,6 +548,8 @@ def _claim_free_entropy_formula(rng, d_cap):
 
 
 def _claim_gibbs_log(rng, d_cap):
+    from scipy.linalg import logm  # here, so that importing the package loads no scipy
+
     space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
     p = rng.uniform(0.05, 0.95, space.d)
     quad = np.zeros((space.dim, space.dim), dtype=complex)

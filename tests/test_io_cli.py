@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -575,3 +577,57 @@ def test_cli_verify_counterexample(capsys):
     assert value["sandwiched_half"]["improved"] is True
     assert value["alpha_one"]["improved"] is False
     assert value["sandwiched_half"]["best"] < 0.61
+
+
+# Run in a fresh interpreter: every CLI path but `verify` must leave scipy
+# unloaded; `verify` and the sparse reference operators load it on first use.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import fermifree.cli
+
+state, hubbard, pdm = sys.argv[1:]
+for argv in (
+    ["nonfreeness", state, "--cross-check"],
+    ["nonfreeness", hubbard, "--cross-check"],
+    ["renyi", state, "--alpha", "0.5", "--sandwiched"],
+    ["renyi", hubbard, "--alpha", "0.5", "--sandwiched"],
+    ["pdm", state],
+    ["pdm", hubbard],
+    ["restrict", state, "--keep", "1,3"],
+    ["restrict", hubbard, "--keep", "1,2"],
+    ["free-from-pdm", pdm],
+    ["demo-hubbard", "--sites", "5", "--sweep", "0,4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fermifree.cli.main(argv)
+    print(argv[0], code, "scipy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fermifree.cli.main(["verify", "--dmax", "2", "--trials", "1"])
+print("verify", code, "scipy" in sys.modules)
+from scipy import sparse
+from fermifree.fock import OrbitalSpace, ladder_matrices
+creators, annihilators = ladder_matrices(OrbitalSpace(2))
+print("ladder_matrices", all(sparse.issparse(m) for m in creators + annihilators))
+"""
+
+
+def test_cli_paths_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(5)
+    rho = sample_density(OrbitalSpace(3), rng)
+    state, hubbard, pdm = tmp_path / "state.json", tmp_path / "hubbard.json", tmp_path / "pdm.json"
+    state.write_text(ffio.dumps(ffio.density_to_document(rho)))
+    hubbard.write_text(ffio.dumps(
+        {"d": 6, "kind": "hubbard", "sites": 3, "t": 1.0, "u": 4.0, "n_up": 2, "n_down": 1}
+    ))
+    pdm.write_text(ffio.dumps(
+        {"d": 3, "kind": "pdm", "gamma": ffio.matrix_to_json(one_pdm(rho).gamma)}
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(state), str(hubbard), str(pdm)],
+        capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 12, done.stdout + done.stderr
+    for line in lines[:10]:
+        assert line.endswith(" 0 False"), line
+    assert lines[10:] == ["verify 0 True", "ladder_matrices True"]

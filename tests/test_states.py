@@ -25,7 +25,7 @@ from fermifree import (
     tensor_product,
 )
 from fermifree.fock import ladder_matrices
-from fermifree.states import bernoulli_weights
+from fermifree.states import _hubbard_sector, bernoulli_weights
 from fermifree.verify import sample_density, sample_unitary
 
 
@@ -337,26 +337,45 @@ def sparse_hubbard_hamiltonian(sites, t, u_int):
     return h.toarray()
 
 
-@pytest.mark.parametrize("sites, fillings", [
-    (1, [(1, 0), (1, 1)]),
-    (2, [(1, 1), (2, 1)]),
-    (3, [(2, 1), (1, 1)]),
-    (4, [(2, 2), (2, 1)]),
-    (5, [(3, 2), (2, 2)]),
-])
+@pytest.mark.parametrize(
+    "sites, fillings",
+    [(sites, list(itertools.product(range(sites + 1), repeat=2))) for sites in range(1, 6)],
+)
 def test_hubbard_matches_sparse_hamiltonian_ground_state(sites, fillings):
+    """Every feasible filling, at t in {1, -0.8} and U in {0, 4, -3}, against
+    the sparse Hamiltonian; every such sector has a nondegenerate ground state."""
     idx = np.arange(1 << (2 * sites))
     up_count = np.bitwise_count(idx & int("01" * sites, 2))
     down_count = np.bitwise_count(idx & int("10" * sites, 2))
-    for (n_up, n_down), u_int in itertools.product(fillings, (0.0, 4.0)):
-        h = sparse_hubbard_hamiltonian(sites, 1.0, u_int)
-        sector = np.flatnonzero((up_count == n_up) & (down_count == n_down))
-        energies, vectors = np.linalg.eigh(h[np.ix_(sector, sector)])
-        assert energies.size == 1 or energies[1] - energies[0] > 1e-3  # nondegenerate
-        psi = np.zeros(idx.size, dtype=complex)
-        psi[sector] = vectors[:, 0]
-        rho = hubbard_ground_state(sites, 1.0, u_int, n_up, n_down)
-        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), rtol=0, atol=1e-12)
+    for t, u_int in itertools.product((1.0, -0.8), (0.0, 4.0, -3.0)):
+        h = sparse_hubbard_hamiltonian(sites, t, u_int)
+        for n_up, n_down in fillings:
+            sector = np.flatnonzero((up_count == n_up) & (down_count == n_down))
+            energies, vectors = np.linalg.eigh(h[np.ix_(sector, sector)])
+            assert energies.size == 1 or energies[1] - energies[0] > 1e-3  # nondegenerate
+            psi = hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down).amplitudes
+            assert not np.delete(psi, sector).any()
+            np.testing.assert_allclose(
+                np.outer(psi[sector], psi[sector].conj()),
+                np.outer(vectors[:, 0], vectors[:, 0].conj()),
+                rtol=0,
+                atol=1e-12,
+            )
+    rho = hubbard_ground_state(sites, t, u_int, n_up, n_down)  # the last case, as a density
+    np.testing.assert_array_equal(rho.matrix, np.outer(psi, psi.conj()))
+
+
+def test_hubbard_sector_tables_are_cached_and_read_only():
+    _hubbard_sector.cache_clear()
+    first = hubbard_ground_amplitudes(3, 1.0, 2.0, 2, 1).amplitudes
+    tables = _hubbard_sector(3, 2, 1)
+    assert _hubbard_sector.cache_info().misses == 1
+    assert not any(array.flags.writeable for array in tables)
+    again = hubbard_ground_amplitudes(3, 0.5, -1.0, 2, 1)  # other t and U, same sector
+    assert _hubbard_sector.cache_info().hits == 2 and _hubbard_sector.cache_info().currsize == 1
+    assert _hubbard_sector(3, 2, 1) is tables
+    np.testing.assert_array_equal(hubbard_ground_amplitudes(3, 1.0, 2.0, 2, 1).amplitudes, first)
+    assert not again.amplitudes.imag.any()  # the real block has real eigenvectors
 
 
 # --- spectra carried from construction ------------------------------------------

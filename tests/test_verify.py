@@ -28,10 +28,13 @@ from fermifree import (
     renyi_divergence,
     renyi_min_search,
     sandwiched_renyi,
+    slater_amplitudes,
+    slater_density,
     trace_distance,
     wick_check,
 )
 from fermifree.fock import ladder_matrices, ladder_table
+from fermifree.free import spec_from_pdm
 from fermifree.io import dumps
 from fermifree.states import bernoulli_weights
 from fermifree.verify import (
@@ -43,6 +46,7 @@ from fermifree.verify import (
     sample_free_spec,
     sample_free_specs,
     sample_pure,
+    sample_unitary,
 )
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
@@ -199,6 +203,30 @@ def test_stacked_scorer_matches_per_candidate_divergences(d, alpha, sandwiched):
             assert np.isinf(stacked[0]) == (alpha >= 1.0)
 
 
+def test_petz_below_one_is_infinite_on_orthogonal_supports():
+    """The Slater state of a free state's empty natural orbital lies in the
+    free state's kernel up to rounding, so D_alpha (alpha < 1) is +inf, both
+    against the spec and through a stacked Fock unitary; the Slater state of
+    an occupied orbital is the finite control."""
+    space = OrbitalSpace(2)
+    for seed, alpha, empty in itertools.product(range(10), (0.3, 0.5, 0.9), (0, 1)):
+        u = sample_unitary(2, np.random.default_rng(seed))
+        p = np.full(2, 0.6)
+        p[empty] = 0.0
+        spec = FreeStateSpec(space, p, u)
+        for orbital, orthogonal in ((empty, True), (1 - empty, False)):
+            rho = slater_density(u[:, orbital][None, :], space)
+            stacked = free_grid_scorer(alpha, rho, basis_change_unitary(u[None], space))(
+                bernoulli_weights(p[None])
+            )
+            values = [
+                renyi_divergence(alpha, rho, spec),
+                renyi_divergence(alpha, slater_amplitudes(u[:, orbital][None, :], space), spec),
+                float(stacked[0]),
+            ]
+            assert all(np.isinf(v) == orthogonal for v in values), (seed, alpha, empty, values)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
 def test_sample_free_specs_equal_single_draws(d):
     space = OrbitalSpace(d)
@@ -261,6 +289,16 @@ def test_renyi_search_slater_input():
     _, best, improved = renyi_min_search(rho, 2.0, cfg)
     assert best < 1e-8
     assert not improved
+
+
+def test_renyi_search_one_orbital_refines_occupations_only():
+    """On one orbital the refinement walk, which runs once a random sample
+    beats the reference, draws no rotation: there is no pair to rotate."""
+    rho = sample_pure(OrbitalSpace(1), np.random.default_rng(0))
+    cfg = SearchConfig(seed=0, samples=300, refine_steps=10)
+    _, best, improved = renyi_min_search(rho, 0.5, cfg, sandwiched=True)
+    baseline = sandwiched_renyi(0.5, rho, spec_from_pdm(one_pdm(rho)))
+    assert improved and 0.0 <= best < baseline - cfg.tolerance
 
 
 def test_property_suite_default_passes():
