@@ -39,7 +39,6 @@ from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_chec
 from .pdm import (
     NaturalSpectrum,
     OnePdm,
-    expected_particle_number,
     kernel_inclusion_1pdm,
     natural_spectrum,
     one_pdm,
@@ -89,7 +88,6 @@ __all__ = [
     "correlation_sandwiched",
     "creator",
     "cross_entropy",
-    "expected_particle_number",
     "free_from_pdm",
     "gamma_of",
     "gibbs_free_density",

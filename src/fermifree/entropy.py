@@ -3,11 +3,12 @@
 Everything is in nats.  All spectral functions read each state's cached
 eigendecomposition (`DensityOperator.eigenpairs`: carried from construction
 for free and pure states, otherwise `states.spectrum`, taken once) and treat
-eigenvalues at or below `kernel_tol` as exact kernel, which makes the
+eigenvalues at or below `KERNEL_TOL` as exact kernel, which makes the
 +infinity conventions of the divergences testable.  The first state may also
 be a `PureState` (eigenvalue 1 on its amplitudes) and the second a
 `FreeStateSpec` (Bernoulli weights on the Fock basis of its orbitals), which
-no 2^d x 2^d matrix represents.
+no 2^d x 2^d matrix represents.  The three divergences share one core,
+`_divergences`, which also scores stacks of references for the searches.
 """
 
 import numpy as np
@@ -21,18 +22,18 @@ from .states import DensityOperator, PureState, State, bernoulli_weights
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
 
-def _live(a: State, kernel_tol: float):
-    """The eigenvalues of `a` above kernel_tol and their eigenvectors (columns);
+def _live(a: State):
+    """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns);
     a pure state is its own eigenvector, with eigenvalue 1."""
     if isinstance(a, PureState):
         return np.ones(1), a.amplitudes[:, None]
     w, v = a.eigenpairs
-    live = w > kernel_tol
+    live = w > KERNEL_TOL
     return (w, v) if live.all() else (w[live], v[:, live])
 
 
-def _joint(a: State, b: Reference, kernel_tol: float):
-    """Live spectrum p of a, masked spectrum q of b, and the coefficients
+def _joint(a: State, b: Reference):
+    """Live spectrum p of a, spectrum q of b, and the coefficients
     c[i, j] = <b_j|a_i> of a's live eigenvectors in b's eigenbasis.
 
     A free state given by its spec is diagonal, with its Bernoulli weights, in
@@ -40,13 +41,65 @@ def _joint(a: State, b: Reference, kernel_tol: float):
     """
     if a.space.d != b.space.d:
         raise ValidationError("divergences require both states on the same space")
-    p, va = _live(a, kernel_tol)
+    p, va = _live(a)
     if isinstance(b, FreeStateSpec):
-        q, c = bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d)
+        return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
+    q, vb = b.eigenpairs
+    return p, q, (vb.conj().T @ va).T
+
+
+def _support(p, q, overlap):
+    """Which eigenvalues of each reference B lie above KERNEL_TOL; the weights
+    m_j = sum_i p_i |c_ij|^2 of A's support on B's eigenvectors; and whether
+    more than KERNEL_TOL of that weight lies in ker B, where -Tr(A log B) and
+    the divergences from alpha >= 1 are +inf."""
+    live = q > KERNEL_TOL
+    mass = p @ overlap
+    return live, mass, np.where(live, 0.0, mass).sum(axis=-1) > KERNEL_TOL
+
+
+def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
+    """D(A||B) from one state A to a stack of references B, shape (...), unclamped.
+
+    p (k,) holds the live eigenvalues of A, q (..., n) the spectrum of each B
+    (entries at or below KERNEL_TOL are its kernel) and c (..., k, n) the
+    coefficients of A's live eigenvectors in B's eigenbasis, or their complex
+    conjugates.  With m_j the weight of A's support on B's j-th eigenvector:
+
+    - alpha = 1: S(A||B) = sum p log p - sum_j m_j log q_j + sum q - sum p, the
+      double sum over joint eigenpairs of `relative_entropy` summed over i,
+      since each row of |c|^2 sums to 1;
+    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha),
+      +inf below alpha = 1 when at most KERNEL_TOL of A's weight lies on B's
+      support (orthogonal supports);
+    - sandwiched, e = (1-alpha)/(2 alpha): B^e A B^e = X X^dagger with
+      X = B^e V_A sqrt(p), whose nonzero eigenvalues are those of the k x k
+      matrix X^dagger X, the conjugate of y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e;
+      no 2^d x 2^d core is formed.
+
+    Away from alpha = 1 a vanishing trace gives +inf.
+    """
+    overlap = np.abs(c) ** 2
+    live, mass, crossing = _support(p, q, overlap)
+    safe_q = np.where(live, q, 1.0)
+    if alpha == 1.0:
+        plogp, total_q = (p * np.log(p)).sum(), np.where(live, q, 0.0).sum(axis=-1)
+        values = plogp - np.vecdot(np.log(safe_q), mass) + total_q - p.sum()
+        return np.where(crossing, np.inf, values)
+    if sandwiched:
+        exponent = (1.0 - alpha) / (2.0 * alpha)
+        y = np.sqrt(p)[:, None] * c * np.where(live, safe_q**exponent, 0.0)[..., None, :]
+        w = np.linalg.eigvalsh(y @ y.conj().swapaxes(-1, -2))
+        trace = (np.where(w > KERNEL_TOL, w, 0.0) ** alpha).sum(axis=-1)
     else:
-        q, vb = b.eigenpairs
-        c = vb.conj().T @ va
-    return p, np.where(q > kernel_tol, q, 0.0), c.T
+        trace = np.vecdot(np.where(live, safe_q ** (1.0 - alpha), 0.0), p**alpha @ overlap)
+    positive = trace > 0.0
+    values = np.where(positive, np.log(np.where(positive, trace, 1.0)) / (alpha - 1.0), np.inf)
+    if alpha > 1.0:
+        return np.where(crossing, np.inf, values)
+    if not sandwiched:  # orthogonal supports
+        return np.where(np.where(live, mass, 0.0).sum(axis=-1) <= KERNEL_TOL, np.inf, values)
+    return values
 
 
 def _clamp(value: float) -> float:
@@ -56,105 +109,54 @@ def _clamp(value: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def von_neumann(rho: State, kernel_tol: float = KERNEL_TOL) -> float:
+def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) -> float:
+    """`_divergences` for one reference: a stack of one, clamped."""
+    return _clamp(float(_divergences(alpha, *_joint(a, b), sandwiched)))
+
+
+def von_neumann(rho: State) -> float:
     """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
-    w, _ = _live(rho, kernel_tol)
+    w, _ = _live(rho)
     return _clamp(float(-(w * np.log(w)).sum()))
 
 
-def _kernel_crossing_mass(p, q, overlap):
-    """Weight of the first state's support lying inside the second's kernel."""
-    dead = q <= 0
-    if not dead.any():
-        return 0.0
-    return float((p[:, None] * overlap[:, dead]).sum())
-
-
-def cross_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> float:
+def cross_entropy(a: State, b: Reference) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
-    p, q, c = _joint(a, b, kernel_tol)
-    overlap = np.abs(c) ** 2
-    if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-        return float("inf")
-    live = q > 0
-    return float(-(p[:, None] * overlap[:, live] * np.log(q[live])[None, :]).sum())
+    p, q, c = _joint(a, b)
+    live, mass, crossing = _support(p, q, np.abs(c) ** 2)
+    return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 
-def relative_entropy(a: State, b: Reference, kernel_tol: float = KERNEL_TOL) -> float:
-    """S(A||B) via the nonnegative double sum over joint eigenpairs.
-
-    Each term is |<phi_i, psi_j>|^2 (p_i log p_i - p_i log q_j + q_j - p_i)
-    with 0 log 0 = 0; the value is +inf exactly when ker B is not contained
-    in ker A (within `kernel_tol`).  The rows of A's kernel (p_i = 0) weigh
-    only q_j, so they enter through their total overlap 1 - sum_live_i.
-    """
-    p, q, c = _joint(a, b, kernel_tol)
-    overlap = np.abs(c) ** 2
-    if _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-        return float("inf")
-    # p_i > 0 with q_j = 0 carries only the stray crossing mass already bounded
-    # by kernel_tol, so the log q term is masked there.
-    logq = np.log(np.where(q > 0, q, 1.0))
-    terms = p[:, None] * (np.log(p)[:, None] - logq[None, :]) + q[None, :] - p[:, None]
-    kernel_rows = q * (1.0 - overlap.sum(axis=0))
-    return _clamp(float((overlap * terms).sum() + kernel_rows.sum()))
+def relative_entropy(a: State, b: Reference) -> float:
+    """S(A||B) = Tr A (log A - log B), the nonnegative double sum over joint
+    eigenpairs of |<phi_i, psi_j>|^2 (p_i log p_i - p_i log q_j + q_j - p_i)
+    with 0 log 0 = 0; +inf exactly when ker B is not contained in ker A
+    (within KERNEL_TOL)."""
+    return _divergence(1.0, a, b)
 
 
-def renyi_divergence(
-    alpha: float, a: State, b: Reference, kernel_tol: float = KERNEL_TOL
-) -> float:
+def renyi_divergence(alpha: float, a: State, b: Reference) -> float:
     """D_alpha(A||B) = log Tr(A^alpha B^(1-alpha)) / (alpha - 1), alpha in (0, 2].
 
     Powers are taken on supports.  At alpha = 1 this is the relative entropy
     (the limit value).  For alpha > 1 the value is +inf when ker B is not
     contained in ker A; for alpha < 1 it is +inf only when the supports are
     orthogonal, that is when the weight of A's support on B's support is at
-    most `kernel_tol`.
+    most KERNEL_TOL.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
-    if alpha == 1.0:
-        return relative_entropy(a, b, kernel_tol)
-    p, q, c = _joint(a, b, kernel_tol)
-    overlap = np.abs(c) ** 2
-    if alpha > 1.0 and _kernel_crossing_mass(p, q, overlap) > kernel_tol:
-        return float("inf")
-    live = q > 0
-    live_overlap = overlap[:, live]
-    if alpha < 1.0 and float((p[:, None] * live_overlap).sum()) <= kernel_tol:
-        return float("inf")
-    trace = float((p[:, None] ** alpha * live_overlap * q[live][None, :] ** (1.0 - alpha)).sum())
-    if trace <= 0.0:
-        return float("inf")
-    return _clamp(np.log(trace) / (alpha - 1.0))
+    return _divergence(alpha, a, b)
 
 
-def sandwiched_renyi(
-    alpha: float, a: State, b: Reference, kernel_tol: float = KERNEL_TOL
-) -> float:
+def sandwiched_renyi(alpha: float, a: State, b: Reference) -> float:
     """D~_alpha(A||B) = log Tr((B^e A B^e)^alpha) / (alpha - 1), e = (1-alpha)/(2 alpha).
 
-    Defined for alpha >= 1/2; alpha = 1 dispatches to the relative entropy.
-    B powers are taken on the support of B; for alpha > 1 the value is +inf
-    when ker B is not contained in ker A.  With p the k live eigenvalues of A,
-    q the masked spectrum of B and c the coefficients of A's live eigenvectors
-    in B's eigenbasis, B^e A B^e = X X^dagger with X = B^e V_A sqrt(p), whose
-    nonzero eigenvalues are those of the k x k matrix X^dagger X: the complex
-    conjugate of y y^dagger, y[i, j] = sqrt(p_i) c[i, j] q_j^e.  This holds
-    for any rank of A and either kind of B, so no 2^d x 2^d core is formed.
+    Defined for finite alpha >= 1/2; alpha = 1 is the relative entropy.  B
+    powers are taken on the support of B; for alpha > 1 the value is +inf
+    when ker B is not contained in ker A.  The trace is that of a k x k core,
+    k the rank of A, for either kind of B (see `_divergences`).
     """
-    if alpha < 0.5:
-        raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
-    if alpha == 1.0:
-        return relative_entropy(a, b, kernel_tol)
-    p, q, c = _joint(a, b, kernel_tol)
-    if alpha > 1.0 and _kernel_crossing_mass(p, q, np.abs(c) ** 2) > kernel_tol:
-        return float("inf")
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    y = np.sqrt(p)[:, None] * c * np.where(q > 0, np.where(q > 0, q, 1.0) ** exponent, 0.0)
-    w = np.linalg.eigvalsh(y @ y.conj().T)
-    w = w[w > kernel_tol]
-    trace = float((w**alpha).sum())
-    if trace <= 0.0:
-        return float("inf")
-    return _clamp(np.log(trace) / (alpha - 1.0))
+    if not 0.5 <= alpha < float("inf"):
+        raise ValidationError(f"alpha must be a finite number >= 1/2, got {alpha}")
+    return _divergence(alpha, a, b, sandwiched=True)

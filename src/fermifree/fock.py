@@ -49,17 +49,6 @@ class OrbitalSpace:
         return 1 << self.d
 
 
-@cache
-def particle_number_sectors(d: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """All occupation lists sorted stably by particle number, and the spans
-    (start, stop) of ``order`` holding N = 0..d particles; shared, so read-only."""
-    counts = np.bitwise_count(np.arange(1 << d))
-    order = np.argsort(counts, kind="stable")
-    order.flags.writeable = False
-    bounds = np.searchsorted(counts[order], np.arange(d + 2)).tolist()
-    return order, tuple(zip(bounds[:-1], bounds[1:]))
-
-
 def _check_orbital_index(i: int, space: OrbitalSpace):
     if not 1 <= i <= space.d:
         raise ValidationError(f"orbital index {i} out of range 1..{space.d}")

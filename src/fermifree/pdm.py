@@ -93,11 +93,6 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     return NaturalSpectrum(occupations=w, orbitals=v, clamped=clamp)
 
 
-def expected_particle_number(state: State) -> float:
-    """Average total particle number: the trace of the 1-pdm."""
-    return one_pdm(state).trace
-
-
 def kernel_inclusion_1pdm(
     gamma_free: OnePdm, gamma_state: OnePdm, tol: float = KERNEL_TOL
 ) -> tuple[bool, bool]:

@@ -8,31 +8,13 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, _integer, ladder_table, particle_number_sectors
+from .fock import OrbitalSpace, _integer, ladder_table
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns) of the Hermitian part
-    of a 2^d x 2^d Fock-space matrix, eigenvalues in no particular order.
-
-    When every entry between different particle-number sectors is exactly
-    zero, as for states that commute with the particle number, each sector
-    block is diagonalized on its own; otherwise one dense eigensolve runs.
-    """
-    m = (matrix + matrix.conj().T) / 2
-    order, spans = particle_number_sectors(m.shape[0].bit_length() - 1)
-    sorted_m = m[np.ix_(order, order)]
-    blocks = [sorted_m[start:stop, start:stop] for start, stop in spans]
-    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(m):
-        del sorted_m, blocks  # not needed by the dense solve; frees a matrix copy
-        return np.linalg.eigh(m)
-    w, v = np.empty(m.shape[0]), np.zeros_like(m)
-    for (start, stop), block in zip(spans, blocks):
-        if stop - start == 1:  # what eigh returns for a 1x1 block, without the call
-            w[start], v[order[start], start] = block[0, 0].real, 1.0
-        else:
-            w[start:stop], v[order[start:stop], start:stop] = np.linalg.eigh(block)
-    return w, v
+    """Eigenvalues, ascending, and orthonormal eigenvectors (columns) of the
+    Hermitian part of a 2^d x 2^d Fock-space matrix: one dense eigensolve."""
+    return np.linalg.eigh((matrix + matrix.conj().T) / 2)
 
 
 @dataclass(frozen=True)
@@ -130,19 +112,15 @@ State = DensityOperator | PureState  # what the functionals of a single state ac
 
 
 def pure_density(psi: PureState) -> DensityOperator:
-    """Rank-1 projector |psi><psi|, with its spectrum known from construction."""
-    return _projector(psi.space, psi.amplitudes)
+    """Rank-1 projector |psi><psi|, carrying its eigenpairs.
 
-
-def _projector(space: OrbitalSpace, a: np.ndarray) -> DensityOperator:
-    """|a><a| for a unit vector a, carrying its eigenpairs.
-
-    The eigenvalue 1 sits at k = argmax |a_k|, zeros elsewhere.  The
-    eigenvectors are the columns of the Householder reflector that swaps e_k
-    with a (up to the phase of a_k), with column k set to a exactly; reflecting
-    about a / phase + e_k keeps the pivot away from cancellation.  For a basis
-    vector the reflector is the identity.
+    The eigenvalue 1 sits at k = argmax |a_k| of the amplitudes a, zeros
+    elsewhere.  The eigenvectors are the columns of the Householder reflector
+    that swaps e_k with a (up to the phase of a_k), with column k set to a
+    exactly; reflecting about a / phase + e_k keeps the pivot away from
+    cancellation.  For a basis vector the reflector is the identity.
     """
+    a = psi.amplitudes
     k = int(np.argmax(np.abs(a)))
     u = a * (abs(a[k]) / a[k])
     u[k] = 1.0 + abs(a[k])
@@ -151,7 +129,7 @@ def _projector(space: OrbitalSpace, a: np.ndarray) -> DensityOperator:
     v[:, k] = a
     w = np.zeros(a.size)
     w[k] = 1.0
-    return _with_eigenpairs(space, np.outer(a, a.conj()), w, v)
+    return _with_eigenpairs(psi.space, np.outer(a, a.conj()), w, v)
 
 
 def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import io
-from .config import KERNEL_TOL, TOL_UNITARY
+from .config import TOL_UNITARY
 from .correlation import (
     binary_entropy,
     correlation_renyi,
@@ -21,6 +21,8 @@ from .correlation import (
     restrict,
 )
 from .entropy import (
+    _divergences,
+    _live,
     cross_entropy,
     relative_entropy,
     renyi_divergence,
@@ -58,6 +60,12 @@ GRID_AGREEMENT = 1e-10  # stacked score vs per-candidate divergence of its winne
 STACK_ENTRIES = 2**16  # Fock-unitary entries per scored block: 4^d of each candidate
 
 
+def _require_seed(seed: int):
+    """numpy seeds its generators from nonnegative integers only."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     samples: int = 500
@@ -69,6 +77,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -229,76 +238,23 @@ def min_relent_search(
     return best_spec.to_density(), float(best_val)
 
 
-def free_grid_scorer(
-    alpha: float,
-    rho: DensityOperator,
-    fock_u: np.ndarray,
-    sandwiched: bool = False,
-):
-    """Batched divergences from `rho` to free states with eigenbases `fock_u`.
-
-    The returned function maps a stack of Bernoulli weight rows q, shape
-    (n, 2^d), to the n divergences D(rho || F diag(q) F^dagger), where F is
-    one Fock unitary (2^d, 2^d) that they share or F[i] of a stack (n, 2^d, 2^d).
-    It evaluates the spectral formulas of `renyi_divergence` (Petz),
-    `sandwiched_renyi` and, at alpha = 1, `relative_entropy` with the same kernel
-    masking over the k live eigenpairs (p_i, a_i) of rho, c_ij = <a_i|f_j>:
-
-    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha),
-      +inf below alpha = 1 when rho's weight on the live columns is at most KERNEL_TOL;
-    - alpha = 1: sum p log p - sum_ij p_i |c_ij|^2 log q_j + sum q - sum p;
-    - sandwiched: the eigenvalues of the k x k core y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e.
-    """
-    w, va = rho.eigenpairs
-    p, va = w[w > KERNEL_TOL], va[:, w > KERNEL_TOL]
-    c = va.conj().T @ fock_u  # (..., k, 2^d)
-    overlap = np.abs(c) ** 2
-    live_mass = p @ overlap  # weight of rho's support on each column of F
-    plogp = float((p * np.log(p)).sum())
-    petz_row = (p**alpha) @ overlap
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-
-    def divergence_from_trace(trace):
-        safe = np.where(trace > 0.0, trace, 1.0)
-        return np.where(trace > 0.0, np.log(safe) / (alpha - 1.0), np.inf)
-
-    def score(q: np.ndarray) -> np.ndarray:
-        q = np.where(q > KERNEL_TOL, q, 0.0)
-        live = q > 0
-        safe_q = np.where(live, q, 1.0)
-        if alpha == 1.0:
-            log_q = np.where(live, np.log(safe_q), 0.0)
-            values = plogp - np.vecdot(log_q, live_mass) + q.sum(axis=1) - p.sum()
-        elif sandwiched:
-            y = np.sqrt(p)[:, None] * c * np.where(live, safe_q**exponent, 0.0)[:, None, :]
-            w = np.linalg.eigvalsh(y @ y.conj().swapaxes(1, 2))
-            w = np.where(w > KERNEL_TOL, w, 0.0)
-            values = divergence_from_trace((w**alpha).sum(axis=1))
-        else:
-            q_power = np.where(live, safe_q ** (1.0 - alpha), 0.0)
-            values = divergence_from_trace(np.vecdot(q_power, petz_row))
-            if alpha < 1.0:  # orthogonal supports
-                overlap_mass = np.where(live, live_mass, 0.0).sum(axis=1)
-                values = np.where(overlap_mass <= KERNEL_TOL, np.inf, values)
-        if alpha >= 1.0:
-            crossing = np.where(live, 0.0, live_mass).sum(axis=1)
-            values = np.where(crossing > KERNEL_TOL, np.inf, values)
-        return np.maximum(values, 0.0)
-
-    return score
-
-
 def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool = False):
     """The least divergence from `rho` over the free states with occupations p
     (n, d) and orbitals u (n, d, d), or one (d, d) they share, and the first
     spec to reach it.  Blocks of STACK_ENTRIES // 4^d states are scored as
-    stacks; the value is the winner's per-candidate divergence, which must
-    agree with its stacked score within GRID_AGREEMENT."""
+    stacks by the core of the divergences, with c = V^dagger F for the live
+    eigenvectors V of `rho` and each Fock unitary F; the value is the winner's
+    per-candidate divergence, which must agree with its stacked score within
+    GRID_AGREEMENT."""
+    live, vectors = _live(rho)
     best, size = None, max(1, STACK_ENTRIES // rho.space.dim**2)
     for start in range(0, len(p), size):
         block = slice(start, start + size)
         fock_u = basis_change_unitary(u if u.ndim == 2 else u[block], rho.space)
-        scores = free_grid_scorer(alpha, rho, fock_u, sandwiched)(bernoulli_weights(p[block]))
+        c = vectors.conj().T @ fock_u
+        scores = np.maximum(
+            _divergences(alpha, live, bernoulli_weights(p[block]), c, sandwiched), 0.0
+        )
         k = int(np.argmin(scores))
         if best is None or scores[k] < best[0]:
             best = scores[k], start + k
@@ -787,6 +743,7 @@ def property_suite(seed: int = 42, d_max: int = 4, trials: int = 50):
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    _require_seed(seed)
     reports = []
     for index, (claim_id, trial, cap, threshold, *controls) in enumerate(_CLAIMS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))

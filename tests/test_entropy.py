@@ -1,5 +1,6 @@
 """Entropy kernel: von Neumann, relative, Renyi, sandwiched Renyi."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from fermifree import (
     von_neumann,
 )
 from fermifree.config import KERNEL_TOL
+from fermifree.entropy import _divergences, _joint
 from fermifree.free import gamma_of
 from fermifree.states import spectrum
 from fermifree.verify import sample_density, sample_pure, sample_unitary
@@ -229,8 +231,9 @@ def test_sandwiched_alpha_one_dispatches_to_relative_entropy():
 def test_sandwiched_alpha_range():
     rng = np.random.default_rng(12)
     rho = sample_density(OrbitalSpace(1), rng)
-    with pytest.raises(ValidationError, match="alpha"):
-        sandwiched_renyi(0.4, rho, rho)
+    for alpha in (0.4, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="alpha"):
+            sandwiched_renyi(alpha, rho, rho)
 
 
 def test_sandwiched_kernel_rule():
@@ -238,6 +241,53 @@ def test_sandwiched_kernel_rule():
     vac = basis_pure(space, 0)
     assert sandwiched_renyi(2.0, maximally_mixed(space), vac) == float("inf")
     assert sandwiched_renyi(0.5, vac, basis_pure(space, 1)) == float("inf")
+
+
+# --- one core for a stack of references and for each one ----------------------
+
+
+def _rotated(space, v, weights):
+    """V diag(weights) V^dagger."""
+    return DensityOperator(space, (v * np.asarray(weights, dtype=float)) @ v.conj().T)
+
+
+def test_stacked_references_equal_single_calls():
+    """The core scores a stack of n references as n single calls do, in every
+    branch: a rank-2 state against a full-rank state, a free spec, a reference
+    whose kernel holds half of the state's support (+inf from alpha = 1 on)
+    and one supported on the state's kernel (+inf for every divergence)."""
+    rng = np.random.default_rng(31)
+    space = OrbitalSpace(2)
+    v = sample_unitary(4, rng)
+    a = _rotated(space, v, [0.7, 0.3, 0.0, 0.0])
+    references = {
+        "full-rank": sample_density(space, rng),
+        "free-spec": FreeStateSpec(space, rng.uniform(0.2, 0.8, 2), sample_unitary(2, rng)),
+        "kernel-crossing": _rotated(space, v, [0.0, 0.5, 0.25, 0.25]),
+        "orthogonal": _rotated(space, v, [0.0, 0.0, 0.6, 0.4]),
+    }
+    joints = [_joint(a, b) for b in references.values()]
+    p = joints[0][0]
+    q, c = np.stack([j[1] for j in joints]), np.stack([j[2] for j in joints])
+    for alpha, sandwiched in itertools.product((0.5, 1.0, 2.0), (False, True)):
+        stacked = _divergences(alpha, p, q, c, sandwiched)
+        single = np.array([float(_divergences(alpha, *j, sandwiched)) for j in joints])
+        public = np.array(
+            [
+                (sandwiched_renyi if sandwiched else renyi_divergence)(alpha, a, b)
+                for b in references.values()
+            ]
+        )
+        case = (alpha, sandwiched)
+        assert stacked.shape == (len(references),)
+        expected_inf = [False, False, alpha >= 1.0, True]
+        for values in (stacked, single, public):
+            assert np.isinf(values).tolist() == expected_inf, (case, values)
+        finite = ~np.isinf(single)
+        np.testing.assert_allclose(stacked[finite], single[finite], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.maximum(stacked[finite], 0.0), public[finite], rtol=0, atol=1e-12
+        )
 
 
 # --- joint invariances ----------------------------------------------------------
@@ -268,7 +318,7 @@ def test_monotone_in_alpha():
     assert all(lo <= hi + 1e-10 for lo, hi in zip(values, values[1:]))
 
 
-# --- sector-blocked spectra against the dense eigensolve -----------------------
+# --- number-conserving spectra against the dense eigensolve --------------------
 
 
 def _dense_masked_eigh(rho):
@@ -359,26 +409,8 @@ def _assert_matches_dense(a, b):
 
 
 @pytest.mark.parametrize("pair", _number_conserving_pairs())
-def test_sector_spectra_match_dense_reference(pair, monkeypatch):
-    a, b = pair
-    shapes = _eigh_shapes(monkeypatch)
-    spectrum(a.matrix)
-    assert shapes and max(max(shape) for shape in shapes) < a.dim  # sector blocks only
-    _assert_matches_dense(a, b)
-
-
-def test_off_sector_entry_takes_dense_path(monkeypatch):
-    rng = np.random.default_rng(3)
-    space = OrbitalSpace(3)
-    spec = FreeStateSpec(space, rng.uniform(0.2, 0.8, 3), sample_unitary(3, rng))
-    matrix = spec.to_density().matrix.copy()
-    matrix[0b001, 0b011] += 1e-14  # one particle against two
-    matrix[0b011, 0b001] += 1e-14
-    a = DensityOperator(space, matrix)
-    shapes = _eigh_shapes(monkeypatch)
-    spectrum(a.matrix)
-    assert shapes == [(space.dim, space.dim)]
-    _assert_matches_dense(a, sample_density(space, rng))
+def test_sector_spectra_match_dense_reference(pair):
+    _assert_matches_dense(*pair)
 
 
 def test_hubbard_nonfreeness_makes_no_full_size_eigh(monkeypatch):

@@ -520,6 +520,25 @@ def test_cli_verify_zero_trials_exits_2(capsys):
     assert "trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--counterexample"]])
+def test_cli_verify_negative_seed_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, ["verify", "--seed", "-1", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "seed must be >= 0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_cli_sandwiched_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
+    path = tmp_path / "hubbard.json"
+    document = {"d": 4, "kind": "hubbard", "sites": 2, "t": 1.0, "u": 4.0, "n_up": 1, "n_down": 1}
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, ["renyi", str(path), f"--alpha={alpha}", "--sandwiched"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "alpha" in err and err.count("\n") == 1
+
+
 def test_cli_demo_hubbard_point_and_sweep(capsys):
     code, out, _ = run_cli(
         capsys, ["demo-hubbard", "--sites", "2", "--u", "0", "--nup", "1", "--ndown", "1"]

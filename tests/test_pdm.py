@@ -10,7 +10,6 @@ from fermifree import (
     OrbitalSpace,
     ValidationError,
     basis_change_unitary,
-    expected_particle_number,
     gibbs_free_density,
     kernel_inclusion_1pdm,
     mixture,
@@ -149,14 +148,15 @@ def test_natural_spectrum_phase_fix_deterministic():
 
 
 def test_expected_particle_number():
+    """The expected particle number is the trace of the 1-pdm."""
     rng = np.random.default_rng(7)
     space = OrbitalSpace(4)
     rows = sample_unitary(4, rng)[:3, :]
-    assert abs(expected_particle_number(slater_density(rows, space)) - 3.0) < 1e-10
+    assert abs(one_pdm(slater_density(rows, space)).trace - 3.0) < 1e-10
     p = np.array([0.2, 0.5, 0.9])
     gibbs = gibbs_free_density(p, OrbitalSpace(3))
-    assert abs(expected_particle_number(gibbs) - p.sum()) < 1e-10
-    assert abs(expected_particle_number(remark_state()) - 1.0) < 1e-12
+    assert abs(one_pdm(gibbs).trace - p.sum()) < 1e-10
+    assert abs(one_pdm(remark_state()).trace - 1.0) < 1e-12
 
 
 def test_expected_particle_number_matches_number_operators():
@@ -167,7 +167,7 @@ def test_expected_particle_number_matches_number_operators():
         (rho.matrix @ number_operator(i, space).toarray()).trace().real
         for i in range(1, 4)
     )
-    assert abs(expected_particle_number(rho) - direct) < 1e-10
+    assert abs(one_pdm(rho).trace - direct) < 1e-10
 
 
 def test_kernel_inclusion_cases():

@@ -33,6 +33,7 @@ from fermifree import (
     trace_distance,
     wick_check,
 )
+from fermifree.entropy import _divergences, _live
 from fermifree.fock import ladder_matrices, ladder_table
 from fermifree.free import spec_from_pdm
 from fermifree.io import dumps
@@ -40,7 +41,6 @@ from fermifree.states import bernoulli_weights
 from fermifree.verify import (
     GRID_POINTS,
     GRID_RANGE,
-    free_grid_scorer,
     report_to_document,
     sample_density,
     sample_free_spec,
@@ -132,6 +132,15 @@ def _dense_grid(rho, alpha, sandwiched, orbitals, grid):
     )
 
 
+def _stacked(alpha, rho, fock_u, p, sandwiched=False):
+    """Divergences from `rho` to the free states with occupations p (n, d) and
+    Fock unitaries fock_u, scored as one stack by the divergences' core, as
+    the searches score them: c = V^dagger F for the live eigenvectors V."""
+    live, vectors = _live(rho)
+    c = vectors.conj().T @ fock_u
+    return np.maximum(_divergences(alpha, live, bernoulli_weights(p), c, sandwiched), 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(GRID_TEST_STATES))
 @pytest.mark.parametrize(
     "alpha,sandwiched",
@@ -140,15 +149,9 @@ def _dense_grid(rho, alpha, sandwiched, orbitals, grid):
 def test_grid_scorer_matches_dense_loop(name, alpha, sandwiched):
     rho = GRID_TEST_STATES[name]
     _, spec = free_from_pdm(one_pdm(rho))
-    score = free_grid_scorer(
-        alpha, rho, basis_change_unitary(spec.orbitals, rho.space), sandwiched
-    )
-    batched = np.array(
-        [
-            score(bernoulli_weights(np.column_stack([np.full_like(SUBGRID, p1), SUBGRID])))
-            for p1 in SUBGRID
-        ]
-    )
+    fock_u = basis_change_unitary(spec.orbitals, rho.space)
+    rows = [np.column_stack([np.full_like(SUBGRID, p1), SUBGRID]) for p1 in SUBGRID]
+    batched = np.array([_stacked(alpha, rho, fock_u, p, sandwiched) for p in rows])
     dense = _dense_grid(rho, alpha, sandwiched, spec.orbitals, SUBGRID)
     np.testing.assert_array_equal(np.isinf(batched), np.isinf(dense))
     finite = np.isfinite(dense)
@@ -192,7 +195,7 @@ def test_stacked_scorer_matches_per_candidate_divergences(d, alpha, sandwiched):
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
     fock_u = basis_change_unitary(u, OrbitalSpace(d))
     for name, rho in states.items():
-        stacked = free_grid_scorer(alpha, rho, fock_u, sandwiched)(bernoulli_weights(p))
+        stacked = _stacked(alpha, rho, fock_u, p, sandwiched)
         single = np.array(
             [divergence(alpha, rho, FreeStateSpec(rho.space, pk, uk)) for pk, uk in zip(p, u)]
         )
@@ -216,9 +219,7 @@ def test_petz_below_one_is_infinite_on_orthogonal_supports():
         spec = FreeStateSpec(space, p, u)
         for orbital, orthogonal in ((empty, True), (1 - empty, False)):
             rho = slater_density(u[:, orbital][None, :], space)
-            stacked = free_grid_scorer(alpha, rho, basis_change_unitary(u[None], space))(
-                bernoulli_weights(p[None])
-            )
+            stacked = _stacked(alpha, rho, basis_change_unitary(u[None], space), p[None])
             values = [
                 renyi_divergence(alpha, rho, spec),
                 renyi_divergence(alpha, slater_amplitudes(u[:, orbital][None, :], space), spec),
@@ -393,6 +394,10 @@ def test_property_suite_driver_fails_nan_trials_and_control_breaches(monkeypatch
 def test_search_config_validation():
     with pytest.raises(ValidationError, match="samples"):
         SearchConfig(samples=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        SearchConfig(seed=-1)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        property_suite(seed=-1, d_max=2, trials=1)
 
 
 def sparse_wick_check(rho, max_order, tol=1e-10):
