@@ -36,12 +36,23 @@ _TOLERANCES = {
 
 
 def _read_document(path: str) -> dict:
+    """The JSON document at `path`, or on stdin for "-", decoded as strict UTF-8."""
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path != "-":
+            text = Path(path).read_text(encoding="utf-8")
+        elif hasattr(sys.stdin, "buffer"):
+            # stdin's bytes, so its locale's error handler cannot let bad UTF-8 through
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = sys.stdin.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         return io.loads(text)
+    except RecursionError as exc:
+        raise ValidationError(f"{path} is nested too deeply to decode") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 

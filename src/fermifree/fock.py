@@ -97,16 +97,26 @@ def ladder_matrices(space: OrbitalSpace):
     return cs, [c.conj().T.tocsr() for c in cs]
 
 
+def _number_sector(d: int, n: int) -> np.ndarray:
+    """The occupation lists on d orbitals holding n particles, in increasing order."""
+    lists = np.arange(1 << d, dtype=np.int64)
+    return lists[np.bitwise_count(lists) == n]
+
+
 @cache
-def ladder_table(word: str, d: int) -> tuple[np.ndarray, ...]:
-    """Every nonzero entry of every ladder monomial spelled by `word`, read-only.
+def ladder_table(word: str, d: int, n: int | None = None) -> tuple[np.ndarray, ...]:
+    """Every nonzero entry of every ladder monomial spelled by `word`, read-only,
+    cached per (word, d), and per (word, d, n) for a sector.
 
     '+' is a creator, '-' an annihilator; monomial k is the product for the
     k-th 0-based orbital tuple in row-major order, rightmost operator first.
-    Monomial mono[n] maps |src[n]> to sign[n] |dst[n]>, signs as in ``creator``.
+    Monomial mono[e] maps |src[e]> to sign[e] |dst[e]>, signs as in ``creator``.
+    Entries are ordered by source, then by orbital tuple, so with a particle
+    number `n` the table is the full one restricted to the n-particle sources,
+    in the same order: C(d, n) sources instead of 2^d.
     """
     bits = 1 << np.arange(d, dtype=np.int64)
-    src = np.arange(1 << d, dtype=np.int64)
+    src = np.arange(1 << d, dtype=np.int64) if n is None else _number_sector(d, n)
     dst, mono, sign = src, np.zeros_like(src), np.ones(src.size)
     for position, letter in enumerate(reversed(word)):
         occupied = (dst[:, None] & bits) != 0
@@ -123,12 +133,22 @@ def ladder_table(word: str, d: int) -> tuple[np.ndarray, ...]:
 
 def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
     """Tr(rho M) for every ladder monomial M spelled by `word`, shape (d,)*len(word):
-    one signed gather over ``ladder_table(word, d)``, summed per monomial.
+    one signed gather over ``ladder_table(word, d)``, or over its n-particle
+    sector, summed per monomial.
 
     `state` is the 2^d x 2^d matrix rho, or an amplitude vector psi standing
     for rho = |psi><psi|, whose entry rho[src, dst] is psi[src] conj(psi[dst]).
+    A vector whose nonzero amplitudes all hold n particles gathers over the
+    n-particle table only: the entries it drops are exact zeros, and the rest
+    keep their order, so the sums are the same to the bit.  A matrix always
+    takes the full table, since finding its sector blocks would cost O(4^d).
     """
-    mono, src, dst, sign = ladder_table(word, d)
+    sector = ()  # the full table is cached under (word, d), as every caller names it
+    if state.ndim == 1:
+        counts = np.bitwise_count(np.flatnonzero(state))
+        if counts.size and counts.min() == counts.max():
+            sector = (int(counts[0]),)
+    mono, src, dst, sign = ladder_table(word, d, *sector)
     pairs = state[src, dst] if state.ndim == 2 else state[src] * state[dst].conj()
     values = sign * pairs
     size = d ** len(word)

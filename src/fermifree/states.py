@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, _integer, ladder_table
+from .fock import OrbitalSpace, _integer, _number_sector, ladder_table
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,24 +264,21 @@ def _hubbard_sector(sites: int, n_up: int, n_down: int) -> tuple[np.ndarray, ...
 
     `sector` lists the sector's occupation lists in increasing order; the
     hopping entries of the sector block, in sector positions, are
-    block[rows, cols] = signs, read from the monomials of
-    ``ladder_table("+-", 2 * sites)`` with |i - j| = 2 whose source lies in the
-    sector; `doubly_occupied` counts the doubly occupied sites of each list.
+    block[rows, cols] = signs, read from the monomials of the
+    (N_up + N_down)-particle table ``ladder_table("+-", 2 * sites, N_up + N_down)``
+    with |i - j| = 2 whose source holds N_up up-spins; `doubly_occupied` counts
+    the doubly occupied sites of each list.
     """
-    d = 2 * sites
+    d, n = 2 * sites, n_up + n_down
     up_mask = sum(1 << (2 * s) for s in range(sites))
-    idx = np.arange(1 << d)
-    sector = idx[
-        (np.bitwise_count(idx & up_mask) == n_up)
-        & (np.bitwise_count(idx & (up_mask << 1)) == n_down)
-    ]
-    position = np.full(1 << d, -1)
-    position[sector] = np.arange(sector.size)
-    mono, src, dst, sign = ladder_table("+-", d)
+    lists = _number_sector(d, n)
+    sector = lists[np.bitwise_count(lists & up_mask) == n_up]
+    mono, src, dst, sign = ladder_table("+-", d, n)
     i, j = np.divmod(mono, d)
-    hops = (np.abs(i - j) == 2) & (position[src] >= 0)
+    hops = (np.abs(i - j) == 2) & (np.bitwise_count(src & up_mask) == n_up)
+    rows, cols = np.searchsorted(sector, dst[hops]), np.searchsorted(sector, src[hops])
     doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
-    table = (sector, position[dst[hops]], position[src[hops]], sign[hops], doubly_occupied)
+    table = (sector, rows, cols, sign[hops], doubly_occupied)
     for array in table:
         array.flags.writeable = False
     return table

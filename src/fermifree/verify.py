@@ -739,10 +739,14 @@ def property_suite(seed: int = 42, d_max: int = 4, trials: int = 50):
     (a NaN value fails) and each of its negative controls passes.  Returns one
     VerificationReport per claim, in a fixed order, with the threshold, the
     trials it ran and its wall time; a failing claim carries a witness with
-    the worst trial's states, when its trial names them.
+    the worst trial's states, when its trial names them.  Orbital counts are
+    drawn up to `d_max`, which must be at least 2; the claims that need three
+    orbitals still take three at d_max = 2.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if d_max < 2:
+        raise ValidationError(f"d_max must be >= 2, got {d_max}")
     _require_seed(seed)
     reports = []
     for index, (claim_id, trial, cap, threshold, *controls) in enumerate(_CLAIMS):

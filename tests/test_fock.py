@@ -3,12 +3,14 @@
 import itertools
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermifree.fock
 from fermifree import (
     CapacityError,
     OrbitalSpace,
@@ -184,6 +186,62 @@ def test_ladder_tables_are_cached_read_only_and_built_lazily():
     code = "import fermifree, fermifree.fock as f; print(f.ladder_table.cache_info().currsize)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "0"
+    # the 5-site sweep builds one table, the N = 5 sector's, and no full d = 10 one
+    code = textwrap.dedent("""
+        import contextlib, io, fermifree.cli, fermifree.fock as f
+        with contextlib.redirect_stdout(io.StringIO()):
+            fermifree.cli.main(["demo-hubbard", "--sites", "5", "--sweep", "0,4"])
+        built = f.ladder_table.cache_info()
+        entries = f.ladder_table("+-", 10, 5)[0].size  # a hit: no second table
+        print(built.currsize, f.ladder_table.cache_info().misses, entries)
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["1", "1", "7560"]  # C(10, 5) * 5 * (10 - 5 + 1) entries
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sector_tables_restrict_the_full_table(d):
+    for word in LADDER_WORDS:
+        full = ladder_table(word, d)
+        for n in range(d + 1):
+            table = ladder_table(word, d, n)
+            assert ladder_table(word, d, n) is table
+            assert not any(array.flags.writeable for array in table)
+            sources = np.bitwise_count(full[1]) == n
+            for got, whole in zip(table, full):
+                assert np.array_equal(got, whole[sources]), (word, n)
+
+
+def _full_gather(psi, word, d):
+    """``expectations`` of an amplitude vector, gathered over the full table."""
+    mono, src, dst, sign = ladder_table(word, d)
+    values = sign * (psi[src] * psi[dst].conj())
+    size = d ** len(word)
+    sums = np.bincount(mono, values.real, size) + 1j * np.bincount(mono, values.imag, size)
+    return sums.reshape((d,) * len(word))
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_sector_vectors_gather_over_their_sector_table(d, monkeypatch):
+    asked = []
+
+    def recording(word, orbitals, n=None):
+        asked.append(n)
+        return ladder_table(word, orbitals, n)
+
+    monkeypatch.setattr(fermifree.fock, "ladder_table", recording)
+    rng = np.random.default_rng(d)
+    counts = np.bitwise_count(np.arange(1 << d))
+    for n in range(d + 1):
+        psi = (rng.standard_normal(1 << d) + 1j * rng.standard_normal(1 << d)) * (counts == n)
+        stray = psi.copy()
+        stray[np.flatnonzero(counts != n)[-1]] = 0.3 - 0.1j  # one amplitude outside the sector
+        for word in LADDER_WORDS:
+            del asked[:]
+            assert np.array_equal(expectations(psi, word, d), _full_gather(psi, word, d))
+            assert np.array_equal(expectations(stray, word, d), _full_gather(stray, word, d))
+            expectations(np.outer(psi, psi.conj()), word, d)  # a matrix takes the full table
+            assert asked == [n, None, None], (word, n)
 
 
 def test_index_out_of_range():

@@ -528,6 +528,43 @@ def test_cli_verify_negative_seed_exits_2(capsys, flags):
     assert err.startswith("error: ") and "seed must be >= 0" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dmax", ["0", "-5"])
+def test_cli_verify_dmax_below_two_exits_2(capsys, dmax):
+    code, out, err = run_cli(capsys, ["verify", "--dmax", dmax, "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "d_max must be >= 2" in err and err.count("\n") == 1
+
+
+UNDECODABLE = {
+    "invalid-utf8": b'{"d": 1, "kind": "pure", "labels": ["\xff"], "amplitudes": [[1, 0], [0, 0]]}',
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_cli_undecodable_document_exits_2(tmp_path, capsys, monkeypatch, name, source):
+    import io as std_io
+
+    data = UNDECODABLE[name]
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        argv = ["nonfreeness", str(path)]
+    else:
+        # as a UTF-8-mode interpreter reads stdin: undecodable bytes become surrogates
+        stdin = std_io.BytesIO(data)
+        monkeypatch.setattr(
+            "sys.stdin", std_io.TextIOWrapper(stdin, encoding="utf-8", errors="surrogateescape")
+        )
+        argv = ["nonfreeness", "-"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_cli_sandwiched_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     path = tmp_path / "hubbard.json"

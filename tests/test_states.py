@@ -24,7 +24,7 @@ from fermifree import (
     slater_density,
     tensor_product,
 )
-from fermifree.fock import ladder_matrices
+from fermifree.fock import ladder_matrices, ladder_table
 from fermifree.states import _hubbard_sector, bernoulli_weights
 from fermifree.verify import sample_density, sample_unitary
 
@@ -363,6 +363,33 @@ def test_hubbard_matches_sparse_hamiltonian_ground_state(sites, fillings):
             )
     rho = hubbard_ground_state(sites, t, u_int, n_up, n_down)  # the last case, as a density
     np.testing.assert_array_equal(rho.matrix, np.outer(psi, psi.conj()))
+
+
+def _hubbard_sector_from_full_table(sites, n_up, n_down):
+    """``_hubbard_sector`` built by masking the full Fock space and the full table."""
+    d = 2 * sites
+    up_mask = sum(1 << (2 * s) for s in range(sites))
+    idx = np.arange(1 << d)
+    sector = idx[
+        (np.bitwise_count(idx & up_mask) == n_up)
+        & (np.bitwise_count(idx & (up_mask << 1)) == n_down)
+    ]
+    position = np.full(1 << d, -1)
+    position[sector] = np.arange(sector.size)
+    mono, src, dst, sign = ladder_table("+-", d)
+    i, j = np.divmod(mono, d)
+    hops = (np.abs(i - j) == 2) & (position[src] >= 0)
+    doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
+    return sector, position[dst[hops]], position[src[hops]], sign[hops], doubly_occupied
+
+
+@pytest.mark.parametrize("sites", range(1, 6))
+def test_hubbard_sector_reads_its_number_sector_table(sites):
+    for n_up, n_down in itertools.product(range(sites + 1), repeat=2):
+        got = _hubbard_sector(sites, n_up, n_down)
+        expected = _hubbard_sector_from_full_table(sites, n_up, n_down)
+        for name, a, b in zip(("sector", "rows", "cols", "signs", "doubly"), got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n_up, n_down, name)
 
 
 def test_hubbard_sector_tables_are_cached_and_read_only():

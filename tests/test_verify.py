@@ -400,6 +400,12 @@ def test_search_config_validation():
         property_suite(seed=-1, d_max=2, trials=1)
 
 
+@pytest.mark.parametrize("d_max", [1, 0, -5])
+def test_property_suite_rejects_dmax_below_two(d_max):
+    with pytest.raises(ValidationError, match="d_max must be >= 2"):
+        property_suite(seed=0, d_max=d_max, trials=1)
+
+
 def sparse_wick_check(rho, max_order, tol=1e-10):
     """``wick_check`` from sparse ladder products, one monomial at a time.
 
