@@ -6,6 +6,7 @@ failure or internal inconsistency, 2 invalid input.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,7 +207,13 @@ def _cmd_demo_hubbard(args) -> int:
     return _emit("hubbard-nonfreeness", value, "nats", inputs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main` call.
+
+    argparse keeps no per-parse state on the parser: each `parse_args` returns
+    a fresh namespace, so repeated in-process calls see the same defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="fermifree",
         description="Nonfreeness and Renyi correlation functionals of many-fermion states",

@@ -131,13 +131,14 @@ def state_from_document(doc: dict) -> State:
             raise ValidationError(
                 f"hubbard documents need d = 2 * sites, got d={d}, sites={sites}"
             )
-        return hubbard_ground_amplitudes(
+        psi = hubbard_ground_amplitudes(
             sites,
             float(_field(doc, "t", 0)),
             float(_field(doc, "u", 0)),
             _integer(doc, "n_up"),
             _integer(doc, "n_down"),
         )
+        return psi if labels is None else PureState(OrbitalSpace(d, labels), psi.amplitudes)
     space = OrbitalSpace(d, labels)
     if kind == "pure":
         return PureState(space, vector_from_json(_require(doc, "amplitudes")))

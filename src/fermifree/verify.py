@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import io
+from . import config, io
 from .config import TOL_UNITARY
 from .correlation import (
     binary_entropy,
@@ -740,13 +740,17 @@ def property_suite(seed: int = 42, d_max: int = 4, trials: int = 50):
     VerificationReport per claim, in a fixed order, with the threshold, the
     trials it ran and its wall time; a failing claim carries a witness with
     the worst trial's states, when its trial names them.  Orbital counts are
-    drawn up to `d_max`, which must be at least 2; the claims that need three
-    orbitals still take three at d_max = 2.
+    drawn up to `d_max`, which must lie between 2 and the orbital-count ceiling
+    (`config.d_max()`); the claims that need three orbitals still take three
+    at d_max = 2.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if d_max < 2:
         raise ValidationError(f"d_max must be >= 2, got {d_max}")
+    ceiling = config.d_max()
+    if d_max > ceiling:
+        raise ValidationError(f"d_max {d_max} exceeds the orbital ceiling D_MAX = {ceiling}")
     _require_seed(seed)
     reports = []
     for index, (claim_id, trial, cap, threshold, *controls) in enumerate(_CLAIMS):

@@ -474,6 +474,29 @@ def test_cli_restrict_pair_state(tmp_path, capsys):
     np.testing.assert_allclose(sub.matrix, expected, atol=1e-12)
 
 
+LABELLED_HUBBARD = {"d": 4, "kind": "hubbard", "sites": 2, "t": 1, "u": 4, "n_up": 1, "n_down": 1}
+
+
+def test_cli_hubbard_labels_survive_restrict(tmp_path, capsys):
+    path = tmp_path / "hubbard.json"
+    path.write_text(ffio.dumps(dict(LABELLED_HUBBARD, labels=["a", "b", "c", "d"])))
+    code, out, _ = run_cli(capsys, ["restrict", str(path), "--keep", "1"])
+    assert code == 0
+    assert json.loads(out)["value"]["labels"] == ["a"]
+    code, out, _ = run_cli(capsys, ["restrict", str(path), "--keep", "2,4"])
+    assert code == 0
+    assert json.loads(out)["value"]["labels"] == ["b", "d"]
+
+
+def test_cli_hubbard_wrong_label_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "hubbard.json"
+    path.write_text(ffio.dumps(dict(LABELLED_HUBBARD, labels=["a"])))
+    code, out, err = run_cli(capsys, ["restrict", str(path), "--keep", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected 4 labels, got 1\n"
+
+
 def test_cli_free_from_pdm_and_purify(tmp_path, capsys):
     pdm_doc = {"d": 2, "kind": "pdm", "gamma": ffio.matrix_to_json(np.diag([2 / 3, 1 / 3]))}
     pdm_path = tmp_path / "pdm.json"
@@ -534,6 +557,14 @@ def test_cli_verify_dmax_below_two_exits_2(capsys, dmax):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "d_max must be >= 2" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dmax", ["13", "100"])
+def test_cli_verify_dmax_above_the_ceiling_exits_2(capsys, dmax):
+    code, out, err = run_cli(capsys, ["verify", "--dmax", dmax, "--trials", "1", "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: d_max {dmax} exceeds the orbital ceiling D_MAX = 12\n"
 
 
 UNDECODABLE = {
@@ -687,3 +718,132 @@ def test_cli_paths_load_no_scipy(tmp_path):
     for line in lines[:10]:
         assert line.endswith(" 0 False"), line
     assert lines[10:] == ["verify 0 True", "ladder_matrices True"]
+
+
+# --- one parser per process ------------------------------------------------------
+
+SUBCOMMANDS = (
+    "nonfreeness", "renyi", "pdm", "restrict", "free-from-pdm", "purify", "verify", "demo-hubbard",
+)
+
+# Run in a fresh interpreter: the first `main` call builds the root parser and
+# its 8 subparsers, and no later call builds another.
+PARSER_COUNT_SCRIPT = """
+import argparse, contextlib, io, sys
+import fermifree.cli
+
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+state, pdm, spec = sys.argv[1:]
+for argv in (
+    ["nonfreeness", state],
+    ["renyi", state, "--alpha", "2"],
+    ["pdm", state],
+    ["restrict", state, "--keep", "1"],
+    ["free-from-pdm", pdm],
+    ["purify", spec],
+    ["verify", "--dmax", "2", "--trials", "1"],
+    ["demo-hubbard", "--sites", "2"],
+):
+    built = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fermifree.cli.main(argv)
+    print(argv[0], code, built)
+"""
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path):
+    state, pdm, spec = tmp_path / "state.json", tmp_path / "pdm.json", tmp_path / "spec.json"
+    state.write_text(ffio.dumps(ffio.density_to_document(remark_state())))
+    gamma = ffio.matrix_to_json(np.diag([2 / 3, 1 / 3]))
+    pdm.write_text(ffio.dumps({"d": 2, "kind": "pdm", "gamma": gamma}))
+    orbitals = ffio.matrix_to_json(np.eye(2))
+    spec.write_text(ffio.dumps(
+        {"d": 2, "kind": "free-spec", "occupations": [2 / 3, 1 / 3], "orbitals": orbitals}
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT_SCRIPT, str(state), str(pdm), str(spec)],
+        capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(SUBCOMMANDS), done.stdout + done.stderr
+    assert lines[0] == "nonfreeness 0 9"
+    for line in lines[1:]:
+        assert line.endswith(" 0 0"), line
+
+
+HUBBARD_4_SITES = {"d": 8, "kind": "hubbard", "sites": 4, "t": 1.0, "u": 4.0, "n_up": 2, "n_down": 2}
+
+
+def _without_elapsed(text):
+    doc = json.loads(text)
+    if doc["quantity"] == "property-suite":
+        for item in doc["value"]:
+            item.pop("elapsed_s")
+    return doc
+
+
+def test_cli_calls_in_sequence_match_fresh_processes(tmp_path, capsys):
+    path = tmp_path / "hubbard.json"
+    path.write_text(ffio.dumps(HUBBARD_4_SITES))
+    calls = [
+        ["nonfreeness", str(path), "--cross-check"],
+        ["renyi", str(path), "--alpha", "0.5", "--sandwiched"],
+        ["demo-hubbard", "--sites", "4", "--sweep"],
+        ["pdm", str(path)],
+        ["verify", "--dmax", "2", "--trials", "2", "--seed", "0"],
+    ]
+    for argv in calls:
+        code, out, err = run_cli(capsys, argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fermifree.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, err) == (fresh.returncode, fresh.stderr), argv
+        if argv[0] == "verify":
+            assert _without_elapsed(out) == _without_elapsed(fresh.stdout)
+        else:
+            assert out == fresh.stdout, argv
+
+
+def test_cli_defaults_do_not_leak_between_calls(tmp_path, capsys):
+    state = write_remark(tmp_path)
+    _, bits, _ = run_cli(capsys, ["nonfreeness", state, "--bits"])
+    _, nats, _ = run_cli(capsys, ["nonfreeness", state])
+    assert json.loads(bits)["units"] == "bits"
+    assert json.loads(nats)["units"] == "nats"
+    assert abs(json.loads(nats)["value"]["nonfreeness"] - H23) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [["renyi", "doc.json"], ["no-such-command"]])
+def test_cli_usage_error_leaves_the_parser_usable(tmp_path, capsys, bad):
+    state = write_remark(tmp_path)
+    _, before, _ = run_cli(capsys, ["renyi", state, "--alpha", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fermifree")
+    code, after, _ = run_cli(capsys, ["renyi", state, "--alpha", "2"])
+    assert code == 0
+    assert after == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nonfreeness", "--help"]])
+def test_cli_help_matches_a_fresh_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width here and in the child
+    run_cli(capsys, ["demo-hubbard", "--sites", "2"])  # the parser has been used
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "fermifree.cli", *argv], capture_output=True, text=True, check=True
+    )
+    assert shown == fresh.stdout
+    assert shown.startswith(f"usage: fermifree {argv[0]}" if len(argv) > 1 else "usage: fermifree")

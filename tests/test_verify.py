@@ -406,6 +406,22 @@ def test_property_suite_rejects_dmax_below_two(d_max):
         property_suite(seed=0, d_max=d_max, trials=1)
 
 
+@pytest.mark.parametrize("d_max", [13, 100])
+def test_property_suite_rejects_dmax_above_the_ceiling(d_max):
+    # Rejected before any claim runs, whichever orbital counts the seed would draw.
+    with pytest.raises(ValidationError, match=rf"d_max {d_max} exceeds .*D_MAX = 12"):
+        property_suite(seed=0, d_max=d_max, trials=1)
+
+
+def test_property_suite_dmax_ceiling_follows_the_env(monkeypatch):
+    monkeypatch.setenv("FERMIFREE_DMAX", "3")
+    with pytest.raises(ValidationError, match="d_max 4 exceeds .*D_MAX = 3"):
+        property_suite(seed=0, d_max=4, trials=1)
+    monkeypatch.setenv("FERMIFREE_DMAX", "13")
+    with pytest.raises(ValidationError, match="d_max 14 exceeds .*D_MAX = 13"):
+        property_suite(seed=0, d_max=14, trials=1)
+
+
 def sparse_wick_check(rho, max_order, tol=1e-10):
     """``wick_check`` from sparse ladder products, one monomial at a time.
 
