@@ -28,11 +28,8 @@ from .errors import CapacityError, ValidationError
 from .fock import (
     OrbitalSpace,
     amplitudes_in_basis,
-    annihilator,
     basis_change_unitary,
-    creator,
     join_index,
-    number_operator,
     split_index,
 )
 from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_check
@@ -80,13 +77,11 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "amplitudes_in_basis",
-    "annihilator",
     "basis_change_unitary",
     "binary_entropy",
     "chain_rule_terms",
     "correlation_renyi",
     "correlation_sandwiched",
-    "creator",
     "cross_entropy",
     "free_from_pdm",
     "gamma_of",
@@ -99,7 +94,6 @@ __all__ = [
     "mixture",
     "natural_spectrum",
     "nonfreeness",
-    "number_operator",
     "one_pdm",
     "pair_state",
     "property_suite",

@@ -20,6 +20,8 @@ from .free import free_from_pdm, purify_free
 from .pdm import natural_spectrum, one_pdm
 from .states import hubbard_ground_amplitudes
 from .verify import (
+    SUITE_DMAX,
+    SUITE_TRIALS,
     SearchConfig,
     property_suite,
     remark_state,
@@ -156,13 +158,9 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = {
-        "seed": args.seed,
-        "dmax": args.dmax,
-        "trials": args.trials,
-        **_TOLERANCES,
-    }
     if args.counterexample:
+        if args.dmax is not None or args.trials is not None:
+            raise ValidationError("--counterexample takes no --dmax or --trials")
         rho = remark_state()
         cfg = SearchConfig(seed=args.seed, tolerance=1e-4)
         outcome = {}
@@ -173,10 +171,14 @@ def _cmd_verify(args) -> int:
             _, best, improved = renyi_min_search(rho, alpha, cfg, sandwiched=sandwiched)
             outcome[label] = {"best": io.value_to_json(best), "improved": improved}
         inputs = {"state": "built-in one-particle mixed state"}
+        config = {"seed": args.seed, **_TOLERANCES}
         _emit("renyi-minimum-counterexample", outcome, "nats", inputs, config)
         passed = outcome["sandwiched_half"]["improved"] and not outcome["alpha_one"]["improved"]
         return 0 if passed else 1
-    reports = property_suite(seed=args.seed, d_max=args.dmax, trials=args.trials)
+    dmax = SUITE_DMAX if args.dmax is None else args.dmax
+    trials = SUITE_TRIALS if args.trials is None else args.trials
+    reports = property_suite(seed=args.seed, d_max=dmax, trials=trials)
+    config = {"seed": args.seed, "dmax": dmax, "trials": trials, **_TOLERANCES}
     _emit("property-suite", [report_to_document(r) for r in reports], "nats", {}, config)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -256,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized property suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dmax", type=int, default=4)
-    p.add_argument("--trials", type=int, default=50)
+    # None marks an unset flag, which --counterexample must not be given
+    p.add_argument("--dmax", type=int, default=None, help=f"default {SUITE_DMAX}")
+    p.add_argument("--trials", type=int, default=None, help=f"default {SUITE_TRIALS}")
     p.add_argument(
         "--counterexample",
         action="store_true",

@@ -7,9 +7,11 @@ by applying the creators of the occupied orbitals to the vacuum in
 increasing orbital order; every fermionic sign in this module is derived by
 anticommuting through that normal form.
 
-The sparse operators (`creator`, `annihilator`, `number_operator`,
-`ladder_matrices`) are the oracle's reference for the signed index tables;
-they import scipy on first use, so importing the package loads none.
+The dense operators (`creator`, `annihilator`, `number_operator`,
+`ladder_matrices`) are the oracle's reference for the signed index tables.
+They are 2^d x 2^d complex arrays, meant for the small d the oracle's claims
+run at; outside the oracle the package computes from the index tables and
+never builds them.
 """
 
 from dataclasses import dataclass, field
@@ -54,47 +56,41 @@ def _check_orbital_index(i: int, space: OrbitalSpace):
         raise ValidationError(f"orbital index {i} out of range 1..{space.d}")
 
 
-def creator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
-    """Creation operator for reference orbital i (1-based), as a sparse matrix.
+def creator(i: int, space: OrbitalSpace) -> np.ndarray:
+    """Creation operator for reference orbital i (1-based), as a dense matrix.
 
     Acting on |n> with orbital i empty it yields (-1)^(occupied below i) times
-    the basis vector with bit i set, and 0 otherwise.
+    the basis vector with bit i set, and 0 otherwise.  A dense oracle
+    reference for small d: at d = 12 one operator takes 268 MB.
     """
-    from scipy import sparse
-
-    _check_orbital_index(i, space)
-    dim = space.dim
-    bit = 1 << (i - 1)
-    below = bit - 1
-    src = np.arange(dim, dtype=np.int64)
-    empty = (src & bit) == 0
-    src = src[empty]
-    dst = src | bit
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & below) % 2)
-    return sparse.csr_matrix(
-        (signs.astype(complex), (dst, src)), shape=(dim, dim)
-    )
-
-
-def annihilator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
-    """Annihilation operator for orbital i: the adjoint of ``creator(i)``."""
-    return creator(i, space).conj().T.tocsr()
-
-
-def number_operator(i: int, space: OrbitalSpace) -> "scipy.sparse.csr_matrix":
-    """Occupation observable of orbital i: diagonal with entry n(i) at |n>."""
-    from scipy import sparse
-
     _check_orbital_index(i, space)
     bit = 1 << (i - 1)
-    occ = ((np.arange(space.dim, dtype=np.int64) & bit) != 0).astype(complex)
-    return sparse.diags(occ, format="csr")
+    src = np.arange(space.dim, dtype=np.int64)
+    src = src[(src & bit) == 0]
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[src | bit, src] = 1.0 - 2.0 * (np.bitwise_count(src & (bit - 1)) % 2)
+    return out
+
+
+def annihilator(i: int, space: OrbitalSpace) -> np.ndarray:
+    """Annihilation operator for orbital i: the adjoint of ``creator(i)``, dense
+    like it."""
+    return creator(i, space).conj().T
+
+
+def number_operator(i: int, space: OrbitalSpace) -> np.ndarray:
+    """Occupation observable of orbital i: the dense diagonal matrix with entry
+    n(i) at |n>, a small-d oracle reference like ``creator``."""
+    _check_orbital_index(i, space)
+    bit = 1 << (i - 1)
+    return np.diag(((np.arange(space.dim, dtype=np.int64) & bit) != 0).astype(complex))
 
 
 def ladder_matrices(space: OrbitalSpace):
-    """All creators and annihilators: (creators, annihilators), 0-indexed lists."""
+    """All creators and annihilators: (creators, annihilators), 0-indexed lists
+    of dense matrices, 2 d 4^d complex entries in all."""
     cs = [creator(i, space) for i in range(1, space.d + 1)]
-    return cs, [c.conj().T.tocsr() for c in cs]
+    return cs, [c.conj().T for c in cs]
 
 
 def _number_sector(d: int, n: int) -> np.ndarray:

@@ -15,17 +15,22 @@ from fermifree import (
     CapacityError,
     OrbitalSpace,
     ValidationError,
-    annihilator,
     basis_change_unitary,
     DensityOperator,
-    creator,
     join_index,
-    number_operator,
     restrict,
     split_index,
 )
-from fermifree.fock import expectations, ladder_matrices, ladder_table
+from fermifree.fock import (
+    annihilator,
+    creator,
+    expectations,
+    ladder_matrices,
+    ladder_table,
+    number_operator,
+)
 from fermifree.verify import sample_density, sample_unitary
+from sparse_ladder import sparse_creator, sparse_ladder
 
 
 # --- independent oracles -----------------------------------------------------
@@ -67,7 +72,7 @@ def fock_unitary_by_creator_products(u, space):
 
     Independent of the determinant-minor construction in the library.
     """
-    creators = [creator(i, space).toarray() for i in range(1, space.d + 1)]
+    creators = [creator(i, space) for i in range(1, space.d + 1)]
 
     def orbital_creator(f):
         return sum(f[j] * creators[j] for j in range(space.d))
@@ -95,7 +100,7 @@ def test_capacity_error():
 
 def test_creator_single_mode():
     space = OrbitalSpace(1)
-    c = creator(1, space).toarray()
+    c = creator(1, space)
     np.testing.assert_allclose(c @ [1, 0], [0, 1])
     np.testing.assert_allclose(c @ [0, 1], [0, 0])
 
@@ -103,7 +108,7 @@ def test_creator_single_mode():
 def test_creator_sign_on_occupied_lower_orbital():
     # applying the second creator to |10> anticommutes past the first: -|11>
     space = OrbitalSpace(2)
-    c2 = creator(2, space).toarray()
+    c2 = creator(2, space)
     np.testing.assert_allclose(c2[:, 0b01], [0, 0, 0, -1])
 
 
@@ -111,7 +116,7 @@ def test_creator_sign_on_occupied_lower_orbital():
 def test_creator_matches_symbolic_anticommutation(d):
     space = OrbitalSpace(d)
     for i in range(1, d + 1):
-        mat = creator(i, space).toarray()
+        mat = creator(i, space)
         for bits in range(space.dim):
             result = symbolic_create(i, occupied(bits))
             column = mat[:, bits]
@@ -129,14 +134,14 @@ def test_annihilator_is_adjoint():
     space = OrbitalSpace(4)
     for i in range(1, 5):
         np.testing.assert_allclose(
-            annihilator(i, space).toarray(),
-            creator(i, space).toarray().conj().T,
+            annihilator(i, space),
+            creator(i, space).conj().T,
         )
 
 
 def test_annihilator_single_mode():
     space = OrbitalSpace(1)
-    np.testing.assert_allclose(annihilator(1, space).toarray() @ [0, 1], [1, 0])
+    np.testing.assert_allclose(annihilator(1, space) @ [0, 1], [1, 0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
@@ -147,13 +152,33 @@ def test_car_relations(d):
         for j in range(1, d + 1):
             a_i = annihilator(i, space)
             c_j = creator(j, space)
-            anti = (a_i @ c_j + c_j @ a_i).toarray()
+            anti = a_i @ c_j + c_j @ a_i
             target = eye if i == j else np.zeros_like(eye)
             np.testing.assert_allclose(anti, target, atol=1e-12)
             a_j = annihilator(j, space)
             np.testing.assert_allclose(
-                (a_i @ a_j + a_j @ a_i).toarray(), 0.0, atol=1e-12
+                a_i @ a_j + a_j @ a_i, 0.0, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_dense_ladder_operators_match_sparse_jordan_wigner(d):
+    space = OrbitalSpace(d)
+    creators, annihilators = ladder_matrices(space)
+    for i in range(1, d + 1):
+        c = creator(i, space)
+        assert type(c) is np.ndarray and c.dtype == complex and c.shape == (space.dim,) * 2
+        np.testing.assert_array_equal(c, sparse_creator(i, d).toarray())
+        np.testing.assert_array_equal(annihilator(i, space), c.conj().T)
+        np.testing.assert_array_equal(number_operator(i, space), c @ annihilator(i, space))
+        np.testing.assert_array_equal(creators[i - 1], c)
+        np.testing.assert_array_equal(annihilators[i - 1], c.conj().T)
+
+
+def test_dense_ladder_operators_stay_out_of_the_package_namespace():
+    for name in ("creator", "annihilator", "number_operator", "ladder_matrices"):
+        assert name not in fermifree.__all__ and not hasattr(fermifree, name)
+        assert callable(getattr(fermifree.fock, name))
 
 
 LADDER_WORDS = ("+", "-", "++", "--", "+-", "++-", "+--", "++--")
@@ -165,7 +190,7 @@ def test_expectations_match_sparse_ladder_products(d):
     rng = np.random.default_rng(d)
     shape = (space.dim, space.dim)
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
-    creators, annihilators = ladder_matrices(space)
+    creators, annihilators = sparse_ladder(d)
     ops = {"+": creators, "-": annihilators}
     for word in LADDER_WORDS:
         got = expectations(m, word, d)
@@ -255,9 +280,9 @@ def test_index_out_of_range():
 def test_number_operator_diagonal():
     space = OrbitalSpace(2)
     np.testing.assert_allclose(
-        number_operator(1, space).toarray(), np.diag([0, 1, 0, 1])
+        number_operator(1, space), np.diag([0, 1, 0, 1])
     )
-    total = sum(number_operator(i, space).toarray() for i in (1, 2))
+    total = sum(number_operator(i, space) for i in (1, 2))
     np.testing.assert_allclose(np.diag(total).real, [0, 1, 1, 2])
     # vacuum expectation vanishes
     assert total[0, 0] == 0
@@ -338,8 +363,8 @@ def test_basis_change_ladder_covariance():
     u = sample_unitary(4, rng)
     fock_u = basis_change_unitary(u, space)
     for i in range(1, 5):
-        lhs = fock_u @ creator(i, space).toarray() @ fock_u.conj().T
-        rhs = sum(u[j - 1, i - 1] * creator(j, space).toarray() for j in range(1, 5))
+        lhs = fock_u @ creator(i, space) @ fock_u.conj().T
+        rhs = sum(u[j - 1, i - 1] * creator(j, space) for j in range(1, 5))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

@@ -664,10 +664,39 @@ def test_cli_verify_counterexample(capsys):
     assert value["sandwiched_half"]["improved"] is True
     assert value["alpha_one"]["improved"] is False
     assert value["sandwiched_half"]["best"] < 0.61
+    config = json.loads(out)["config"]
+    assert config["seed"] == 1 and "dmax" not in config and "trials" not in config
 
 
-# Run in a fresh interpreter: every CLI path but `verify` must leave scipy
-# unloaded; `verify` and the sparse reference operators load it on first use.
+@pytest.mark.parametrize(
+    "flags", [["--dmax", "100"], ["--trials", "0"], ["--dmax", "4", "--trials", "50"]]
+)
+def test_cli_verify_counterexample_rejects_suite_flags(capsys, flags):
+    code, out, err = run_cli(capsys, ["verify", "--counterexample", "--seed", "0", *flags])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --counterexample takes no --dmax or --trials\n"
+
+
+@pytest.mark.parametrize(
+    "flags, ran", [([], (4, 50)), (["--dmax", "3"], (3, 50)), (["--trials", "7"], (4, 7))]
+)
+def test_cli_verify_suite_defaults_apply_when_flags_are_unset(capsys, monkeypatch, flags, ran):
+    calls = []
+
+    def suite(seed, d_max, trials):
+        calls.append((d_max, trials))
+        return []
+
+    monkeypatch.setattr("fermifree.cli.property_suite", suite)
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "0", *flags])
+    assert code == 0 and calls == [ran]
+    config = json.loads(out)["config"]
+    assert (config["seed"], config["dmax"], config["trials"]) == (0, *ran)
+
+
+# Run in a fresh interpreter: no CLI path, `verify` included, loads scipy, and
+# the reference ladder operators are numpy arrays.
 NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 import fermifree.cli
@@ -684,17 +713,17 @@ for argv in (
     ["restrict", hubbard, "--keep", "1,2"],
     ["free-from-pdm", pdm],
     ["demo-hubbard", "--sites", "5", "--sweep", "0,4"],
+    ["verify", "--dmax", "4", "--trials", "2"],
+    ["verify", "--counterexample", "--seed", "0"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = fermifree.cli.main(argv)
     print(argv[0], code, "scipy" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = fermifree.cli.main(["verify", "--dmax", "2", "--trials", "1"])
-print("verify", code, "scipy" in sys.modules)
-from scipy import sparse
+import numpy as np
 from fermifree.fock import OrbitalSpace, ladder_matrices
 creators, annihilators = ladder_matrices(OrbitalSpace(2))
-print("ladder_matrices", all(sparse.issparse(m) for m in creators + annihilators))
+arrays = all(type(m) is np.ndarray for m in creators + annihilators)
+print("ladder_matrices", arrays, "scipy" in sys.modules)
 """
 
 
@@ -714,10 +743,10 @@ def test_cli_paths_load_no_scipy(tmp_path):
         capture_output=True, text=True, check=True,
     )
     lines = done.stdout.splitlines()
-    assert len(lines) == 12, done.stdout + done.stderr
-    for line in lines[:10]:
+    assert len(lines) == 13, done.stdout + done.stderr
+    for line in lines[:12]:
         assert line.endswith(" 0 False"), line
-    assert lines[10:] == ["verify 0 True", "ladder_matrices True"]
+    assert lines[12] == "ladder_matrices True False"
 
 
 # --- one parser per process ------------------------------------------------------

@@ -24,9 +24,10 @@ from fermifree import (
     slater_density,
     tensor_product,
 )
-from fermifree.fock import ladder_matrices, ladder_table
+from fermifree.fock import ladder_table
 from fermifree.states import _hubbard_sector, bernoulli_weights
 from fermifree.verify import sample_density, sample_unitary
+from sparse_ladder import sparse_ladder
 
 
 def vacuum(space):
@@ -327,7 +328,7 @@ def test_hubbard_accepts_numpy_scalars():
 
 def sparse_hubbard_hamiltonian(sites, t, u_int):
     """Open-chain Hubbard Hamiltonian on (1up, 1dn, 2up, ...) from sparse ladder products."""
-    creators, annihilators = ladder_matrices(OrbitalSpace(2 * sites))
+    creators, annihilators = sparse_ladder(2 * sites)
     h = 0 * creators[0]
     for orb in range(2 * sites - 2):
         hop = creators[orb] @ annihilators[orb + 2]
