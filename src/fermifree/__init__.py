@@ -11,7 +11,6 @@ from ._version import __version__
 from .correlation import (
     CorrelationReport,
     binary_entropy,
-    chain_rule_terms,
     correlation_renyi,
     correlation_sandwiched,
     nonfreeness,
@@ -25,33 +24,18 @@ from .entropy import (
     von_neumann,
 )
 from .errors import CapacityError, ValidationError
-from .fock import (
-    OrbitalSpace,
-    amplitudes_in_basis,
-    basis_change_unitary,
-    join_index,
-    split_index,
-)
+from .fock import OrbitalSpace, basis_change_unitary
 from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_check
-from .pdm import (
-    NaturalSpectrum,
-    OnePdm,
-    kernel_inclusion_1pdm,
-    natural_spectrum,
-    one_pdm,
-)
+from .pdm import NaturalSpectrum, OnePdm, natural_spectrum, one_pdm
 from .states import (
     DensityOperator,
     PureState,
     gibbs_free_density,
     hubbard_ground_amplitudes,
-    hubbard_ground_state,
     mixture,
     pure_density,
     slater_amplitudes,
     slater_density,
-    tensor_product,
-    trace_distance,
 )
 from .verify import (
     SearchConfig,
@@ -76,10 +60,8 @@ __all__ = [
     "SearchConfig",
     "ValidationError",
     "VerificationReport",
-    "amplitudes_in_basis",
     "basis_change_unitary",
     "binary_entropy",
-    "chain_rule_terms",
     "correlation_renyi",
     "correlation_sandwiched",
     "cross_entropy",
@@ -87,9 +69,6 @@ __all__ = [
     "gamma_of",
     "gibbs_free_density",
     "hubbard_ground_amplitudes",
-    "hubbard_ground_state",
-    "join_index",
-    "kernel_inclusion_1pdm",
     "min_relent_search",
     "mixture",
     "natural_spectrum",
@@ -107,9 +86,6 @@ __all__ = [
     "sandwiched_renyi",
     "slater_amplitudes",
     "slater_density",
-    "split_index",
-    "tensor_product",
-    "trace_distance",
     "von_neumann",
     "wick_check",
 ]

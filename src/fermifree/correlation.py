@@ -14,7 +14,7 @@ from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
-from .free import gamma_of, spec_from_pdm, wick_check
+from .free import spec_from_pdm
 from .pdm import one_pdm
 from .states import DensityOperator, PureState, State
 
@@ -119,26 +119,3 @@ def restrict(state: State, keep) -> DensityOperator:
     labels = space.labels
     sub_labels = tuple(labels[i - 1] for i in sorted(keep)) if labels is not None else None
     return DensityOperator(OrbitalSpace(len(keep), sub_labels), out)
-
-
-def chain_rule_terms(
-    rho: DensityOperator, gamma_free: DensityOperator, wick_tol: float = 1e-8
-) -> tuple[float, float, float]:
-    """The three relative entropies whose chain identity pins the minimum property.
-
-    Returns (S(rho || free reference), S(free reference || gamma_free),
-    S(rho || gamma_free)); the first two sum to the third, trivially so when
-    any of them is infinite.  `gamma_free` must pass the order-2 determinant
-    check.
-    """
-    ok, worst = wick_check(gamma_free, max_order=2, tol=wick_tol)
-    if not ok:
-        raise ValidationError(
-            f"reference state fails the determinant-correlation check ({worst:.3e})"
-        )
-    reference = gamma_of(rho)
-    return (
-        relative_entropy(rho, reference),
-        relative_entropy(reference, gamma_free),
-        relative_entropy(rho, gamma_free),
-    )

@@ -32,6 +32,7 @@ class OrbitalSpace:
     labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "orbital count"))
         if self.d < 1:
             raise ValidationError(f"orbital count must be >= 1, got {self.d}")
         ceiling = d_max()
@@ -190,8 +191,9 @@ def basis_change_unitary(
     return out
 
 
-def amplitudes_in_basis(u: np.ndarray, vectors: np.ndarray, space: OrbitalSpace) -> np.ndarray:
-    """``basis_change_unitary(u, space).conj().T @ vectors``, without the Fock unitary.
+def _givens_amplitudes(u: np.ndarray, vectors: np.ndarray, d: int) -> np.ndarray:
+    """``basis_change_unitary(u, space).conj().T @ vectors``, without the Fock
+    unitary, for a `u` already validated as a d x d unitary.
 
     `vectors` is one amplitude vector (2^d,) or a stack of them as columns
     (2^d, k).  Givens rotations h of neighbouring rows reduce u to a diagonal
@@ -202,11 +204,6 @@ def amplitudes_in_basis(u: np.ndarray, vectors: np.ndarray, space: OrbitalSpace)
     multiplies lists holding both by det h = 1; each step costs O(2^d).  The
     image of D^dagger multiplies each list by its occupied phases' conjugates.
     """
-    return _givens_amplitudes(_require_unitary(u, space.d, TOL_UNITARY), vectors, space.d)
-
-
-def _givens_amplitudes(u: np.ndarray, vectors: np.ndarray, d: int) -> np.ndarray:
-    """``amplitudes_in_basis`` for a `u` already validated as a d x d unitary."""
     r = np.array(u, dtype=complex)
     out = np.array(vectors, dtype=complex)
     for col in range(d - 1):
@@ -277,24 +274,3 @@ def _split_table(mask: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for array in table:
         array.flags.writeable = False
     return table
-
-
-def split_index(bits: int, keep, space: OrbitalSpace) -> tuple[int, int, int]:
-    """Factor one occupation list across a subset of orbitals: entry `bits` of
-    ``split_table(keep, space.d)``, as (n1, n2, sign)."""
-    n1, n2, sign = split_table(keep, space.d)
-    bits = _integer(bits, "occupation list")
-    if not 0 <= bits < space.dim:
-        raise ValidationError(f"occupation list {bits} out of range 0..{space.dim - 1}")
-    return int(n1[bits]), int(n2[bits]), int(sign[bits])
-
-
-def join_index(n1: int, n2: int, keep, space: OrbitalSpace) -> tuple[int, int]:
-    """Inverse of ``split_index``: the occupation list with factors (n1, n2), and its sign."""
-    n1_of, n2_of, sign = split_table(keep, space.d)
-    match = np.flatnonzero(
-        (n1_of == _integer(n1, "occupation list")) & (n2_of == _integer(n2, "occupation list"))
-    )
-    if not match.size:
-        raise ValidationError(f"no occupation list on {space.d} orbitals has factors ({n1}, {n2})")
-    return int(match[0]), int(sign[match[0]])

@@ -11,6 +11,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import fock
 from ._version import __version__
 from .errors import ValidationError
 from .fock import OrbitalSpace
@@ -89,10 +90,7 @@ def _require(doc: dict, key: str):
 
 
 def _integer(doc: dict, key: str) -> int:
-    value = _require(doc, key)
-    if type(value) is not int:  # JSON true and false arrive as bools
-        raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+    return fock._integer(_require(doc, key), f"field {key!r}")
 
 
 def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
@@ -159,7 +157,7 @@ def state_from_document(doc: dict) -> State:
         if sub.space.d != d:
             raise ValidationError("mixture component dimension differs from document d")
         components.append((float(_field(item, "weight", 0)), sub))
-    return mixture(components)
+    return mixture(components, labels)
 
 
 def density_from_document(doc: dict) -> DensityOperator:

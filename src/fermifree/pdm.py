@@ -1,14 +1,14 @@
-"""One-particle density matrices: extraction, natural orbitals, kernel predicates."""
+"""One-particle density matrices: extraction and natural orbitals."""
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .config import KERNEL_TOL, TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
+from .config import TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
 from .fock import OrbitalSpace, expectations
-from .states import PureState, State
+from .states import PureState, State, spectrum
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,9 @@ class OnePdm:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh`` of the Hermitian part of gamma, eigenvalues ascending, taken
-        once per 1-pdm and read-only; validation, ``natural_spectrum`` and
-        ``kernel_inclusion_1pdm`` read it."""
-        g = self.gamma
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected
-            w, v = np.linalg.eigh((g + g.conj().T) / 2)
-        w.flags.writeable = v.flags.writeable = False
-        return w, v
+        """``states.spectrum(gamma)``, taken once per 1-pdm; validation and
+        ``natural_spectrum`` read it."""
+        return spectrum(self.gamma)
 
     @property
     def trace(self) -> float:
@@ -91,22 +86,3 @@ def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
     pivot = np.where(big.any(axis=0), v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)
     v = v / (pivot / np.abs(pivot))
     return NaturalSpectrum(occupations=w, orbitals=v, clamped=clamp)
-
-
-def kernel_inclusion_1pdm(
-    gamma_free: OnePdm, gamma_state: OnePdm, tol: float = KERNEL_TOL
-) -> tuple[bool, bool]:
-    """Subspace predicates (ker g_F subset of ker g_S, ker(I-g_F) subset of ker(I-g_S)).
-
-    Tested eigenvector-wise: every eigenvector of the first 1-pdm with
-    eigenvalue below `tol` (resp. above 1 - tol) must be annihilated by the
-    second 1-pdm (resp. by I minus it) within `tol`.
-    """
-    if gamma_free.space.d != gamma_state.space.d:
-        raise ValidationError("kernel predicates require a shared space")
-    w, v = gamma_free.eigenpairs
-    g2 = gamma_state.gamma
-    rest = np.eye(gamma_state.space.d) - g2
-    ker_ok = all(np.linalg.norm(g2 @ v[:, k]) < tol for k in np.flatnonzero(w < tol))
-    coker_ok = all(np.linalg.norm(rest @ v[:, k]) < tol for k in np.flatnonzero(w > 1.0 - tol))
-    return bool(ker_ok), bool(coker_ok)

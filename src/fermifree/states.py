@@ -13,8 +13,11 @@ from .fock import OrbitalSpace, _integer, _number_sector, ladder_table
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and orthonormal eigenvectors (columns) of the
-    Hermitian part of a 2^d x 2^d Fock-space matrix: one dense eigensolve."""
-    return np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    Hermitian part of a square matrix, as read-only arrays: one dense eigensolve."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, which callers reject
+        w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,7 @@ class DensityOperator:
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """``spectrum(matrix)``, computed once per state unless its constructor
         supplied the eigenpairs (free and pure states); the arrays are read-only."""
-        w, v = spectrum(self.matrix)
-        w.flags.writeable = v.flags.writeable = False
-        return w, v
+        return spectrum(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -207,8 +208,9 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
     return _with_eigenpairs(space, np.diag(w).astype(complex), w, identity)
 
 
-def mixture(components) -> DensityOperator:
-    """Convex combination of density operators on a shared space."""
+def mixture(components, labels=None) -> DensityOperator:
+    """Convex combination of density operators on one shared space, labels
+    included; `labels`, when given, name the result's orbitals instead."""
     components = list(components)
     if not components:
         raise ValidationError("mixture needs at least one component")
@@ -220,32 +222,12 @@ def mixture(components) -> DensityOperator:
             f"mixture weights sum deviates from 1 by {abs(weights.sum() - 1.0):.3e}"
         )
     space = components[0][1].space
-    for _, rho in components[1:]:
-        if rho.space.d != space.d:
-            raise ValidationError("mixture components live on different spaces")
+    if any(rho.space != space for _, rho in components):
+        raise ValidationError("mixture components live on different spaces")
+    if labels is not None:
+        space = OrbitalSpace(space.d, labels)
     acc = sum(w * rho.matrix for w, rho in components)
     return DensityOperator(space, acc)
-
-
-def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:
-    """Product state on the concatenated orbital set.
-
-    The first factor's orbitals come first, so the occupation-list
-    correspondence |n> <-> |n1> x |n2> carries no fermionic sign.  The
-    factors are statistically independent subsystems of the result when they
-    commute with particle-number parity; factors with even-odd coherences
-    couple through the fermionic reordering signs.
-    """
-    d1, d2 = rho1.space.d, rho2.space.d
-    l1, l2 = rho1.space.labels, rho2.space.labels
-    labels = None
-    if l1 is not None and l2 is not None:
-        if set(l1) & set(l2):
-            raise ValidationError("tensor factors share orbital labels")
-        labels = l1 + l2
-    space = OrbitalSpace(d1 + d2, labels)
-    # bit i-1 of the joint index holds orbital i, so the first factor varies fastest
-    return DensityOperator(space, np.kron(rho2.matrix, rho1.matrix))
 
 
 def _real(value, what: str) -> float:
@@ -321,10 +303,3 @@ def hubbard_ground_state(
 ) -> DensityOperator:
     """Pure density of ``hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down)``."""
     return pure_density(hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down))
-
-
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Half the trace norm of the difference of two density operators."""
-    if a.space.d != b.space.d:
-        raise ValidationError("trace distance requires a shared space")
-    return 0.5 * float(np.abs(spectrum(a.matrix - b.matrix)[0]).sum())

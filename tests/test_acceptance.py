@@ -11,14 +11,11 @@ import numpy as np
 from fermifree import (
     OnePdm,
     OrbitalSpace,
-    chain_rule_terms,
     correlation_renyi,
     correlation_sandwiched,
     cross_entropy,
     free_from_pdm,
     gamma_of,
-    hubbard_ground_state,
-    kernel_inclusion_1pdm,
     min_relent_search,
     nonfreeness,
     one_pdm,
@@ -28,17 +25,20 @@ from fermifree import (
     renyi_min_search,
     restrict,
     slater_density,
-    tensor_product,
-    trace_distance,
     wick_check,
 )
+from fermifree.states import hubbard_ground_state
 from fermifree.verify import (
     SearchConfig,
+    chain_rule_terms,
+    kernel_inclusion_1pdm,
     sample_density,
     sample_even_density,
     sample_free_spec,
     sample_pure,
     sample_unitary,
+    tensor_product,
+    trace_distance,
 )
 
 LN2 = math.log(2.0)

@@ -11,13 +11,11 @@ from fermifree import (
     one_pdm,
     OrbitalSpace,
     ValidationError,
-    chain_rule_terms,
     correlation_renyi,
     correlation_sandwiched,
     free_from_pdm,
     gamma_of,
     gibbs_free_density,
-    join_index,
     nonfreeness,
     pair_state,
     relative_entropy,
@@ -26,16 +24,16 @@ from fermifree import (
     restrict,
     sandwiched_renyi,
     slater_density,
-    split_index,
-    tensor_product,
 )
 from fermifree import fock
 from fermifree import free as free_module
 from fermifree.verify import (
+    chain_rule_terms,
     sample_density,
     sample_even_density,
     sample_pure,
     sample_unitary,
+    tensor_product,
 )
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
@@ -144,9 +142,7 @@ def test_restrict_rejects_empty_subset():
         with pytest.raises(ValidationError):
             restrict(rho, keep)
         with pytest.raises(ValidationError):
-            split_index(0b11, keep, rho.space)
-        with pytest.raises(ValidationError):
-            join_index(1, 1, keep, rho.space)
+            fock.split_table(keep, rho.space.d)
     # numpy integers are orbital indices like Python ints
     np.testing.assert_array_equal(restrict(rho, [np.int64(2)]).matrix, restrict(rho, [2]).matrix)
 

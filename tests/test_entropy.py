@@ -14,7 +14,6 @@ from fermifree import (
     ValidationError,
     cross_entropy,
     gibbs_free_density,
-    hubbard_ground_state,
     mixture,
     nonfreeness,
     pure_density,
@@ -23,14 +22,13 @@ from fermifree import (
     renyi_divergence,
     sandwiched_renyi,
     slater_density,
-    tensor_product,
     von_neumann,
 )
 from fermifree.config import KERNEL_TOL
 from fermifree.entropy import _divergences, _joint
 from fermifree.free import gamma_of
-from fermifree.states import spectrum
-from fermifree.verify import sample_density, sample_pure, sample_unitary
+from fermifree.states import hubbard_ground_state, spectrum
+from fermifree.verify import sample_density, sample_pure, sample_unitary, tensor_product
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)  # binary entropy of 2/3
 

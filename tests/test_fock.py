@@ -17,9 +17,7 @@ from fermifree import (
     ValidationError,
     basis_change_unitary,
     DensityOperator,
-    join_index,
     restrict,
-    split_index,
 )
 from fermifree.fock import (
     annihilator,
@@ -28,6 +26,7 @@ from fermifree.fock import (
     ladder_matrices,
     ladder_table,
     number_operator,
+    split_table,
 )
 from fermifree.verify import sample_density, sample_unitary
 from sparse_ladder import sparse_creator, sparse_ladder
@@ -93,6 +92,17 @@ def fock_unitary_by_creator_products(u, space):
 def test_capacity_error():
     with pytest.raises(CapacityError):
         OrbitalSpace(13)
+
+
+@pytest.mark.parametrize("d", [2.0, np.float64(2.0), True, "2", None])
+def test_orbital_count_must_be_an_integer(d):
+    with pytest.raises(ValidationError, match="orbital count must be an integer"):
+        OrbitalSpace(d)
+
+
+def test_orbital_count_stores_numpy_integers_as_int():
+    space = OrbitalSpace(np.int64(3))
+    assert type(space.d) is int and space.dim == 8 and space == OrbitalSpace(3)
 
 
 # --- ladder operators --------------------------------------------------------
@@ -372,41 +382,33 @@ def test_basis_change_ladder_covariance():
 
 
 def test_split_prefix_has_positive_sign():
-    space = OrbitalSpace(4)
-    for bits in range(16):
-        _, _, sign = split_index(bits, [1, 2], space)
-        assert sign == 1
+    _, _, sign = split_table([1, 2], 4)
+    assert (sign == 1).all()
 
 
 def test_split_two_occupied_transposition():
-    space = OrbitalSpace(2)
-    n1, n2, sign = split_index(0b11, [2], space)
-    assert (n1, n2, sign) == (1, 1, -1)
+    n1, n2, sign = split_table([2], 2)
+    assert (n1[0b11], n2[0b11], sign[0b11]) == (1, 1, -1)
 
 
 def test_split_single_particle_sign_positive():
-    space = OrbitalSpace(4)
-    for bits in [0, 1, 2, 4, 8]:
-        _, _, sign = split_index(bits, [2, 4], space)
-        assert sign == 1
+    _, _, sign = split_table([2, 4], 4)
+    assert (sign[[0, 1, 2, 4, 8]] == 1).all()
 
 
 def test_split_sign_matches_inversion_parity():
-    space = OrbitalSpace(5)
     keep = [2, 4, 5]
     comp = [1, 3]
-    for bits in range(space.dim):
+    _, _, sign = split_table(keep, 5)
+    for bits in range(1 << 5):
         occ = occupied(bits)
         target = [i for i in keep if i in occ] + [i for i in comp if i in occ]
-        _, _, sign = split_index(bits, keep, space)
-        assert sign == inversion_parity(target)
+        assert sign[bits] == inversion_parity(target)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), d=st.integers(min_value=1, max_value=8))
-def test_split_join_roundtrip(data, d):
-    space = OrbitalSpace(d)
-    bits = data.draw(st.integers(min_value=0, max_value=space.dim - 1))
+def test_split_table_is_a_signed_bijection(data, d):
     k = data.draw(st.integers(min_value=1, max_value=d))
     keep = data.draw(
         st.lists(
@@ -416,12 +418,12 @@ def test_split_join_roundtrip(data, d):
             unique=True,
         )
     )
-    n1, n2, sign = split_index(bits, keep, space)
-    back, sign2 = join_index(n1, n2, keep, space)
-    assert back == bits
-    assert sign in (-1, 1)
-    assert sign * sign2 == 1
-
+    n1, n2, sign = split_table(keep, d)
+    # (n1, n2) takes every pair of kept and complement lists exactly once
+    assert n1.min() >= 0 and n1.max() < 1 << k
+    assert n2.min() >= 0 and n2.max() < 1 << (d - k)
+    assert np.unique(n1 + (n2 << k)).size == 1 << d
+    assert set(np.unique(sign)) <= {-1, 1}
 
 
 def partial_trace_by_inversion_parity(rho, keep):

@@ -488,6 +488,45 @@ def test_cli_hubbard_labels_survive_restrict(tmp_path, capsys):
     assert json.loads(out)["value"]["labels"] == ["b", "d"]
 
 
+def labelled_mixture(labels, first, second):
+    """The remark state as a mixture document of two Slater states, each
+    document labelled when its labels are not None."""
+    components = []
+    for weight, row, names in ((2 / 3, [[1, 0], [0, 0]], first), (1 / 3, [[0, 0], [1, 0]], second)):
+        state = {"d": 2, "kind": "slater", "orbitals": [row]}
+        state = state if names is None else dict(state, labels=names)
+        components.append({"weight": weight, "state": state})
+    doc = {"d": 2, "kind": "mixture", "components": components}
+    return doc if labels is None else dict(doc, labels=labels)
+
+
+def test_mixture_document_keeps_its_labels():
+    rho = ffio.state_from_document(labelled_mixture(["up", "dn"], None, None))
+    assert rho.space.labels == ("up", "dn")
+    np.testing.assert_allclose(rho.matrix, remark_state().matrix, atol=1e-15)
+    rho = ffio.state_from_document(labelled_mixture(None, ["a", "b"], ["a", "b"]))
+    assert rho.space.labels == ("a", "b")
+    with pytest.raises(ValidationError, match="different spaces"):
+        ffio.state_from_document(labelled_mixture(None, ["a", "b"], ["c", "d"]))
+
+
+def test_cli_mixture_labels_survive_restrict(tmp_path, capsys):
+    path = tmp_path / "mixture.json"
+    path.write_text(ffio.dumps(labelled_mixture(["up", "dn"], None, None)))
+    code, out, _ = run_cli(capsys, ["restrict", str(path), "--keep", "2"])
+    assert code == 0
+    assert json.loads(out)["value"]["labels"] == ["dn"]
+
+
+def test_cli_mixture_components_with_different_labels_exit_2(tmp_path, capsys):
+    path = tmp_path / "mixture.json"
+    path.write_text(ffio.dumps(labelled_mixture(None, ["a", "b"], ["c", "d"])))
+    code, out, err = run_cli(capsys, ["restrict", str(path), "--keep", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: mixture components live on different spaces\n"
+
+
 def test_cli_hubbard_wrong_label_count_exits_2(tmp_path, capsys):
     path = tmp_path / "hubbard.json"
     path.write_text(ffio.dumps(dict(LABELLED_HUBBARD, labels=["a"])))

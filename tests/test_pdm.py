@@ -11,7 +11,6 @@ from fermifree import (
     ValidationError,
     basis_change_unitary,
     gibbs_free_density,
-    kernel_inclusion_1pdm,
     mixture,
     natural_spectrum,
     nonfreeness,
@@ -21,7 +20,7 @@ from fermifree import (
     slater_density,
 )
 from fermifree.fock import number_operator
-from fermifree.verify import sample_density, sample_unitary
+from fermifree.verify import kernel_inclusion_1pdm, sample_density, sample_unitary
 from sparse_ladder import sparse_ladder
 
 

@@ -15,18 +15,16 @@ from fermifree import (
     ValidationError,
     gibbs_free_density,
     hubbard_ground_amplitudes,
-    hubbard_ground_state,
     mixture,
     nonfreeness,
     one_pdm,
     pure_density,
     restrict,
     slater_density,
-    tensor_product,
 )
 from fermifree.fock import ladder_table
-from fermifree.states import _hubbard_sector, bernoulli_weights
-from fermifree.verify import sample_density, sample_unitary
+from fermifree.states import _hubbard_sector, bernoulli_weights, hubbard_ground_state
+from fermifree.verify import sample_density, sample_unitary, tensor_product
 from sparse_ladder import sparse_ladder
 
 
@@ -226,6 +224,34 @@ def test_mixture_weight_validation():
         mixture([(0.7, rho), (0.7, rho)])
     with pytest.raises(ValidationError, match="different spaces"):
         mixture([(0.5, rho), (0.5, sample_density(OrbitalSpace(2), rng))])
+
+
+def test_mixture_rejects_components_with_different_labels():
+    rho = sample_density(OrbitalSpace(2), np.random.default_rng(8))
+    named = DensityOperator(OrbitalSpace(2, ("a", "b")), rho.matrix)
+    renamed = DensityOperator(OrbitalSpace(2, ("c", "d")), rho.matrix)
+    for other in (renamed, rho):
+        with pytest.raises(ValidationError, match="different spaces"):
+            mixture([(0.5, named), (0.5, other)])
+    assert mixture([(0.5, named), (0.5, named)]).space.labels == ("a", "b")
+
+
+def test_mixture_labels_name_the_result_with_one_eigensolve(monkeypatch):
+    rng = np.random.default_rng(9)
+    a, b = sample_density(OrbitalSpace(2), rng), sample_density(OrbitalSpace(2), rng)
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append("eigh")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rho = mixture([(0.25, a), (0.75, b)], labels=["up", "dn"])
+    assert calls == ["eigh"]
+    assert rho.space == OrbitalSpace(2, ("up", "dn"))
+    np.testing.assert_array_equal(rho.matrix, mixture([(0.25, a), (0.75, b)]).matrix)
+    assert restrict(rho, [2]).space.labels == ("dn",)
 
 
 def test_tensor_product_of_vacua():

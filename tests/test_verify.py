@@ -19,7 +19,6 @@ from fermifree import (
     free_from_pdm,
     gamma_of,
     gibbs_free_density,
-    hubbard_ground_state,
     min_relent_search,
     one_pdm,
     pair_state,
@@ -30,14 +29,13 @@ from fermifree import (
     sandwiched_renyi,
     slater_amplitudes,
     slater_density,
-    trace_distance,
     wick_check,
 )
 from fermifree.entropy import _divergences, _live
 from fermifree.fock import ladder_table
 from fermifree.free import spec_from_pdm
 from fermifree.io import dumps
-from fermifree.states import bernoulli_weights
+from fermifree.states import bernoulli_weights, hubbard_ground_state
 from fermifree.verify import (
     GRID_POINTS,
     GRID_RANGE,
@@ -47,6 +45,7 @@ from fermifree.verify import (
     sample_free_specs,
     sample_pure,
     sample_unitary,
+    trace_distance,
 )
 from sparse_ladder import sparse_ladder
 
@@ -490,3 +489,50 @@ def test_one_pdm_and_wick_check_build_no_sparse_ladder_operators(monkeypatch):
     wick_check(rho, max_order=2)
     wick_check(pair_state(), max_order=2)
     hubbard_ground_state(3, 1.0, 4.0, 2, 1)
+
+
+def test_split_roundtrip_claim_catches_one_flipped_sign(monkeypatch):
+    def split_report():
+        reports = property_suite(seed=0, trials=3)
+        return next(r for r in reports if r.claim == "fock-split-roundtrip")
+
+    assert split_report().passed and split_report().worst == 0.0
+    original = fermifree.fock.split_table
+
+    def flipped(keep, d):
+        n1, n2, sign = original(keep, d)
+        sign = sign.copy()
+        sign[-1] = -sign[-1]  # the list with every orbital occupied
+        return n1, n2, sign
+
+    # bound wherever the library or the oracle looks the table up
+    for module in (fermifree.fock, fermifree.verify):
+        monkeypatch.setattr(module, "split_table", flipped, raising=False)
+    report = split_report()
+    assert not report.passed and report.worst > 0.0
+
+
+PUBLIC_NAMES = [
+    "CapacityError", "CorrelationReport", "DensityOperator", "FreeStateSpec",
+    "NaturalSpectrum", "OnePdm", "OrbitalSpace", "PureState", "SearchConfig",
+    "ValidationError", "VerificationReport", "__version__", "basis_change_unitary",
+    "binary_entropy", "correlation_renyi", "correlation_sandwiched", "cross_entropy",
+    "free_from_pdm", "gamma_of", "gibbs_free_density", "hubbard_ground_amplitudes",
+    "min_relent_search", "mixture", "natural_spectrum", "nonfreeness", "one_pdm",
+    "pair_state", "property_suite", "pure_density", "purify_free", "relative_entropy",
+    "remark_state", "renyi_divergence", "renyi_min_search", "restrict", "sandwiched_renyi",
+    "slater_amplitudes", "slater_density", "von_neumann", "wick_check",
+]
+
+
+def test_public_namespace_is_pinned_and_resolves():
+    assert sorted(fermifree.__all__) == PUBLIC_NAMES
+    for name in fermifree.__all__:
+        assert hasattr(fermifree, name), name
+    for name in ("split_index", "join_index", "amplitudes_in_basis", "hubbard_ground_state"):
+        assert not hasattr(fermifree, name), name
+    for name in ("tensor_product", "trace_distance", "kernel_inclusion_1pdm", "chain_rule_terms"):
+        assert not hasattr(fermifree, name) and callable(getattr(fermifree.verify, name)), name
+    # the benchmark's tracer wraps these two by module and name
+    assert callable(fermifree.states.hubbard_ground_state)
+    assert callable(fermifree.fock.ladder_matrices)
