@@ -25,10 +25,11 @@ from .entropy import (
 )
 from .errors import CapacityError, ValidationError
 from .fock import OrbitalSpace, basis_change_unitary
-from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, wick_check
-from .pdm import NaturalSpectrum, OnePdm, natural_spectrum, one_pdm
+from .free import free_from_pdm, purify_free, wick_check
+from .pdm import OnePdm, natural_spectrum, one_pdm
 from .states import (
     DensityOperator,
+    FreeStateSpec,
     PureState,
     gibbs_free_density,
     hubbard_ground_amplitudes,
@@ -53,7 +54,6 @@ __all__ = [
     "CorrelationReport",
     "DensityOperator",
     "FreeStateSpec",
-    "NaturalSpectrum",
     "OnePdm",
     "OrbitalSpace",
     "PureState",
@@ -66,7 +66,6 @@ __all__ = [
     "correlation_sandwiched",
     "cross_entropy",
     "free_from_pdm",
-    "gamma_of",
     "gibbs_free_density",
     "hubbard_ground_amplitudes",
     "min_relent_search",

@@ -14,14 +14,13 @@ from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
-from .free import spec_from_pdm
-from .pdm import one_pdm
-from .states import DensityOperator, PureState, State
+from .pdm import natural_spectrum, one_pdm
+from .states import DensityOperator, PureState, State, _probabilities
 
 
 def binary_entropy(p: np.ndarray) -> float:
-    """Sum of -p log p - (1-p) log(1-p) over the entries of p, in nats."""
-    p = np.asarray(p, dtype=float)
+    """Sum of -p log p - (1-p) log(1-p) over the entries of p, each in [0, 1], in nats."""
+    p = _probabilities(p)
     out = 0.0
     for q in (p, 1.0 - p):
         live = q > 0
@@ -55,7 +54,7 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     relative entropy against the reference's spec, which the divergences
     reach by Givens rotations; no Fock unitary or free density is built.
     """
-    reference = spec_from_pdm(one_pdm(state))
+    reference = natural_spectrum(one_pdm(state))
     entropy_free = binary_entropy(reference.occupations)
     entropy_state = von_neumann(state)
     value = entropy_free - entropy_state
@@ -79,12 +78,12 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
 
 def correlation_renyi(state: State, alpha: float) -> float:
     """D_alpha of `state` from its free reference state, alpha in (0, 2]."""
-    return renyi_divergence(alpha, state, spec_from_pdm(one_pdm(state)))
+    return renyi_divergence(alpha, state, natural_spectrum(one_pdm(state)))
 
 
 def correlation_sandwiched(state: State, alpha: float) -> float:
     """Sandwiched D_alpha of `state` from its free reference state, alpha >= 1/2."""
-    return sandwiched_renyi(alpha, state, spec_from_pdm(one_pdm(state)))
+    return sandwiched_renyi(alpha, state, natural_spectrum(one_pdm(state)))
 
 
 def restrict(state: State, keep) -> DensityOperator:

@@ -16,8 +16,7 @@ import numpy as np
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
 from .fock import _givens_amplitudes
-from .free import FreeStateSpec
-from .states import DensityOperator, PureState, State, bernoulli_weights
+from .states import DensityOperator, FreeStateSpec, PureState, State, _real, bernoulli_weights
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
@@ -144,6 +143,7 @@ def renyi_divergence(alpha: float, a: State, b: Reference) -> float:
     orthogonal, that is when the weight of A's support on B's support is at
     most KERNEL_TOL.
     """
+    alpha = _real(alpha, "alpha")
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     return _divergence(alpha, a, b)
@@ -157,6 +157,7 @@ def sandwiched_renyi(alpha: float, a: State, b: Reference) -> float:
     when ker B is not contained in ker A.  The trace is that of a k x k core,
     k the rank of A, for either kind of B (see `_divergences`).
     """
-    if not 0.5 <= alpha < float("inf"):
-        raise ValidationError(f"alpha must be a finite number >= 1/2, got {alpha}")
+    alpha = _real(alpha, "alpha")
+    if alpha < 0.5:
+        raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
     return _divergence(alpha, a, b, sandwiched=True)

@@ -153,21 +153,20 @@ def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
     return sums.reshape((d,) * len(word))
 
 
-def _require_unitary(u: np.ndarray, d: int, tol: float, stacked: bool = False):
-    """`u` as a complex d x d unitary, or a stack (..., d, d) of them if `stacked`."""
+def _require_unitary(u: np.ndarray, d: int, stacked: bool = False):
+    """`u` as a complex d x d unitary within TOL_UNITARY, or a stack (..., d, d)
+    of them if `stacked`."""
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (d, d) or (u.ndim != 2 and not stacked):
         raise ValidationError(f"expected a {d}x{d} matrix, got shape {u.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN, rejected
         err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(initial=0.0)
-    if not err <= tol:
+    if not err <= TOL_UNITARY:
         raise ValidationError(f"matrix is not unitary: deviation {err:.3e}")
     return u
 
 
-def basis_change_unitary(
-    u: np.ndarray, space: OrbitalSpace, *, tol: float = TOL_UNITARY
-) -> np.ndarray:
+def basis_change_unitary(u: np.ndarray, space: OrbitalSpace) -> np.ndarray:
     """Fock-space unitary induced by a 1-particle basis change u.
 
     The matrix element between occupation lists of equal particle number is
@@ -178,7 +177,7 @@ def basis_change_unitary(
     gives the stack of their Fock unitaries, shape (..., 2^d, 2^d).
     """
     d = space.d
-    u = _require_unitary(u, d, tol, stacked=True)
+    u = _require_unitary(u, d, stacked=True)
     out = np.zeros(u.shape[:-2] + (space.dim, space.dim), dtype=complex)
     out[..., 0, 0] = 1.0
     for k in range(1, d + 1):

@@ -5,55 +5,12 @@ natural orbitals; it is the unique state whose correlations satisfy Wick's
 determinant formula with that 1-pdm.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, _require_unitary, basis_change_unitary, expectations
+from .fock import expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
-from .states import DensityOperator, _with_eigenpairs, bernoulli_weights
-
-
-@dataclass(frozen=True)
-class FreeStateSpec:
-    """Natural orbitals (columns of a unitary) plus occupation probabilities.
-
-    The represented density operator is U-hat @ diag(Bernoulli weights) @
-    U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`, which
-    must be a d x d unitary within TOL_UNITARY.  Both are stored as read-only
-    copies, so a spec stays valid once checked and is never checked again.
-    """
-
-    space: OrbitalSpace
-    occupations: np.ndarray
-    orbitals: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.occupations, dtype=float)
-        if p.shape != (self.space.d,):
-            raise ValidationError(f"expected {self.space.d} occupation probabilities")
-        if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
-            raise ValidationError("occupation probabilities must lie in [0, 1]")
-        orbitals = np.array(_require_unitary(self.orbitals, self.space.d, TOL_UNITARY))
-        for name, array in (("occupations", p), ("orbitals", orbitals)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    def to_density(self) -> DensityOperator:
-        """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
-        fock_u = basis_change_unitary(self.orbitals, self.space)
-        w = bernoulli_weights(self.occupations)
-        live = fock_u[:, w > 0]
-        return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
-
-
-def spec_from_pdm(q: OnePdm) -> FreeStateSpec:
-    """The spec of the unique free state whose 1-pdm is q: its natural
-    orbitals and occupations."""
-    spectrum = natural_spectrum(q)
-    return FreeStateSpec(q.space, spectrum.occupations, spectrum.orbitals)
+from .states import DensityOperator, FreeStateSpec, PureState, State
 
 
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
@@ -62,34 +19,28 @@ def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
     Boundary occupations (0 or 1) are represented exactly by zero Bernoulli
     weights; no regularization is applied.
     """
-    spec = spec_from_pdm(q)
+    spec = natural_spectrum(q)
     return spec.to_density(), spec
 
 
-def gamma_of(rho: DensityOperator) -> DensityOperator:
-    """The free reference state with the same 1-pdm as `rho`."""
-    density, _ = free_from_pdm(one_pdm(rho))
-    return density
-
-
-def wick_check(
-    rho: DensityOperator, max_order: int = 2, tol: float = 1e-10
-) -> tuple[bool, float]:
+def wick_check(state: State, max_order: int = 2, tol: float = 1e-10) -> tuple[bool, float]:
     """Test the determinant form of correlations over the reference orbitals.
 
     Order 1 covers all monomials with at most two ladder operators, including
     the anomalous pairs <a a> and <a* a*> that must vanish for a
     gauge-invariant state; order 2 adds the three- and four-operator
     monomials, whose nonvanishing cases must equal 2x2 minors of the 1-pdm.
+    A pure state is gathered over its amplitudes, as ``one_pdm`` does.
     Returns (passed, worst violation).
     """
     if max_order not in (1, 2):
         raise ValidationError(f"max_order must be 1 or 2, got {max_order}")
-    d = rho.space.d
-    gamma = one_pdm(rho).gamma
+    d = state.space.d
+    gamma = one_pdm(state).gamma
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
 
     def expect(word):
-        return expectations(rho.matrix, word, d)
+        return expectations(data, word, d)
 
     deviations = [expect("+"), expect("-"), expect("--"), expect("++"), expect("+-") - gamma.T]
     if max_order == 2:

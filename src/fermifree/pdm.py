@@ -1,6 +1,6 @@
 """One-particle density matrices: extraction and natural orbitals."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -8,7 +8,7 @@ import numpy as np
 from .config import TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
 from .fock import OrbitalSpace, expectations
-from .states import PureState, State, spectrum
+from .states import FreeStateSpec, PureState, State, spectrum
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,6 @@ class OnePdm:
         return float(self.gamma.trace().real)
 
 
-@dataclass(frozen=True)
-class NaturalSpectrum:
-    """Eigendecomposition of a 1-pdm: occupations descending, orbitals as columns.
-
-    `clamped` records the largest adjustment applied to push eigenvalues into
-    [0, 1], so downstream x log x evaluations never see -1e-16.
-    """
-
-    occupations: np.ndarray
-    orbitals: np.ndarray
-    clamped: float = field(default=0.0)
-
-
 def one_pdm(state: State) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator, or of a
     pure state from its amplitudes alone."""
@@ -72,17 +59,18 @@ def one_pdm(state: State) -> OnePdm:
     return OnePdm(state.space, (g + g.conj().T) / 2)
 
 
-def natural_spectrum(pdm: OnePdm) -> NaturalSpectrum:
-    """Deterministic natural orbitals and occupations, descending.
+def natural_spectrum(pdm: OnePdm) -> FreeStateSpec:
+    """The free state whose 1-pdm is `pdm`: its natural orbitals and occupations,
+    descending.
 
-    The phase of each orbital is fixed by making its first component of
-    nonnegligible magnitude real and positive.
+    Occupations are the eigenvalues clipped into [0, 1], so downstream
+    x log x evaluations never see -1e-16; the clip moves none by more than
+    TOL_OCCUPATION, which validation allows.  The phase of each orbital is
+    fixed by making its first component of nonnegligible magnitude real and
+    positive.
     """
     w, v = pdm.eigenpairs
-    w, v = w[::-1], v[:, ::-1]
-    clamp = max(0.0, float(-w.min()), float(w.max() - 1.0))
-    w = np.clip(w, 0.0, 1.0)
+    w, v = np.clip(w[::-1], 0.0, 1.0), v[:, ::-1]
     big = np.abs(v) > TOL_PHASE_PIVOT
     pivot = np.where(big.any(axis=0), v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)
-    v = v / (pivot / np.abs(pivot))
-    return NaturalSpectrum(occupations=w, orbitals=v, clamped=clamp)
+    return FreeStateSpec(pdm.space, w, v / (pivot / np.abs(pivot)))

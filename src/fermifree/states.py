@@ -8,7 +8,14 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
-from .fock import OrbitalSpace, _integer, _number_sector, ladder_table
+from .fock import (
+    OrbitalSpace,
+    _integer,
+    _number_sector,
+    _require_unitary,
+    basis_change_unitary,
+    ladder_table,
+)
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +114,39 @@ class PureState:
             err = abs(np.linalg.norm(a) - 1.0)
         if not err <= TOL_NORM:
             raise ValidationError(f"amplitude norm deviates from 1 by {err:.3e}")
+
+
+@dataclass(frozen=True)
+class FreeStateSpec:
+    """A free (gauge-invariant quasi-free) state: natural orbitals (columns of
+    a unitary) plus occupation probabilities.
+
+    The represented density operator is U-hat @ diag(Bernoulli weights) @
+    U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`, which
+    must be a d x d unitary within TOL_UNITARY.  Both are stored as read-only
+    copies, so a spec stays valid once checked and is never checked again.
+    ``pdm.natural_spectrum`` gives the spec of the free state with a given 1-pdm.
+    """
+
+    space: OrbitalSpace
+    occupations: np.ndarray
+    orbitals: np.ndarray
+
+    def __post_init__(self):
+        p = _probabilities(self.occupations)
+        if p.shape != (self.space.d,):
+            raise ValidationError(f"expected {self.space.d} occupation probabilities")
+        orbitals = np.array(_require_unitary(self.orbitals, self.space.d))
+        for name, array in (("occupations", p), ("orbitals", orbitals)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def to_density(self) -> DensityOperator:
+        """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
+        fock_u = basis_change_unitary(self.orbitals, self.space)
+        w = bernoulli_weights(self.occupations)
+        live = fock_u[:, w > 0]
+        return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
 
 
 State = DensityOperator | PureState  # what the functionals of a single state accept
@@ -221,6 +261,8 @@ def mixture(components, labels=None) -> DensityOperator:
         raise ValidationError(
             f"mixture weights sum deviates from 1 by {abs(weights.sum() - 1.0):.3e}"
         )
+    if not all(isinstance(rho, DensityOperator) for _, rho in components):
+        raise ValidationError("mixture components must be density operators (see pure_density)")
     space = components[0][1].space
     if any(rho.space != space for _, rho in components):
         raise ValidationError("mixture components live on different spaces")
@@ -228,6 +270,14 @@ def mixture(components, labels=None) -> DensityOperator:
         space = OrbitalSpace(space.d, labels)
     acc = sum(w * rho.matrix for w, rho in components)
     return DensityOperator(space, acc)
+
+
+def _probabilities(p) -> np.ndarray:
+    """A float copy of the occupation probabilities `p`, each in [0, 1]."""
+    p = np.array(p, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
+        raise ValidationError("occupation probabilities must lie in [0, 1]")
+    return p
 
 
 def _real(value, what: str) -> float:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import config, io
-from .config import KERNEL_TOL, TOL_UNITARY
+from .config import KERNEL_TOL
 from .correlation import (
     binary_entropy,
     correlation_renyi,
@@ -34,17 +34,21 @@ from .entropy import (
 from .errors import ValidationError
 from .fock import (
     OrbitalSpace,
+    _integer,
     _require_unitary,
     basis_change_unitary,
     ladder_matrices,
     number_operator,
     split_table,
 )
-from .free import FreeStateSpec, free_from_pdm, gamma_of, purify_free, spec_from_pdm, wick_check
-from .pdm import OnePdm, one_pdm
+from .free import free_from_pdm, purify_free, wick_check
+from .pdm import OnePdm, natural_spectrum, one_pdm
 from .states import (
     DensityOperator,
+    FreeStateSpec,
     PureState,
+    _probabilities,
+    _real,
     bernoulli_weights,
     gibbs_free_density,
     mixture,
@@ -54,6 +58,7 @@ from .states import (
 )
 
 OCCUPATION_CLAMP = 1e-3  # sampled occupations stay inside [eps, 1-eps]
+STEP_SCALE = 0.3  # first scale of the searches' random refinement steps
 GRID_POINTS = 200
 GRID_RANGE = (0.01, 0.99)
 GRID_AGREEMENT = 1e-10  # stacked score vs per-candidate divergence of its winner
@@ -63,7 +68,7 @@ SUITE_DMAX, SUITE_TRIALS = 4, 50  # the property suite's defaults, here and in t
 
 def _require_seed(seed: int):
     """numpy seeds its generators from nonnegative integers only."""
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
@@ -72,13 +77,15 @@ class SearchConfig:
     samples: int = 500
     refine_steps: int = 80
     seed: int = 0
-    step_scale: float = 0.3
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.samples < 1:
+        if _integer(self.samples, "samples") < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        if _integer(self.refine_steps, "refine_steps") < 0:
+            raise ValidationError(f"refine_steps must be >= 0, got {self.refine_steps}")
         _require_seed(self.seed)
+        _real(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)
@@ -148,25 +155,23 @@ def sample_even_density(
 
 
 def sample_free_specs(
-    space: OrbitalSpace, rng: np.random.Generator, n: int, eps: float = OCCUPATION_CLAMP
+    space: OrbitalSpace, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n random free states as stacks, occupations (n, d) in [eps, 1-eps] and
-    Haar natural orbitals (n, d, d), checked as `FreeStateSpec` checks one;
-    drawn as, and leaving `rng` as, n calls of `sample_free_spec`."""
+    """n random free states as stacks, occupations (n, d) in [eps, 1-eps] with
+    eps = OCCUPATION_CLAMP and Haar natural orbitals (n, d, d), checked as
+    `FreeStateSpec` checks one; drawn as, and leaving `rng` as, n calls of
+    `sample_free_spec`."""
     d = space.d
     p, g = np.empty((n, d)), np.empty((n, d, d), dtype=complex)
     for k in range(n):
-        p[k], g[k] = rng.uniform(eps, 1.0 - eps, d), _gaussian(d, rng)
-    if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
-        raise ValidationError("occupation probabilities must lie in [0, 1]")
-    return p, _require_unitary(_haar(g), d, TOL_UNITARY, stacked=True)
+        p[k], g[k] = rng.uniform(OCCUPATION_CLAMP, 1.0 - OCCUPATION_CLAMP, d), _gaussian(d, rng)
+    return _probabilities(p), _require_unitary(_haar(g), d, stacked=True)
 
 
-def sample_free_spec(
-    space: OrbitalSpace, rng: np.random.Generator, eps: float = OCCUPATION_CLAMP
-) -> FreeStateSpec:
-    """Random free state: Haar natural orbitals, occupations in [eps, 1-eps]."""
-    p, u = sample_free_specs(space, rng, 1, eps)
+def sample_free_spec(space: OrbitalSpace, rng: np.random.Generator) -> FreeStateSpec:
+    """Random free state: Haar natural orbitals, occupations in [eps, 1-eps]
+    with eps = OCCUPATION_CLAMP."""
+    p, u = sample_free_specs(space, rng, 1)
     return FreeStateSpec(space, p[0], u[0])
 
 
@@ -237,21 +242,21 @@ def kernel_inclusion_1pdm(
 
 
 def chain_rule_terms(
-    rho: DensityOperator, gamma_free: DensityOperator, wick_tol: float = 1e-8
+    rho: DensityOperator, gamma_free: DensityOperator
 ) -> tuple[float, float, float]:
     """The three relative entropies whose chain identity pins the minimum property.
 
     Returns (S(rho || free reference), S(free reference || gamma_free),
     S(rho || gamma_free)); the first two sum to the third, trivially so when
     any of them is infinite.  `gamma_free` must pass the order-2 determinant
-    check.
+    check within 1e-8.
     """
-    ok, worst = wick_check(gamma_free, max_order=2, tol=wick_tol)
+    ok, worst = wick_check(gamma_free, max_order=2, tol=1e-8)
     if not ok:
         raise ValidationError(
             f"reference state fails the determinant-correlation check ({worst:.3e})"
         )
-    reference = gamma_of(rho)
+    reference, _ = free_from_pdm(one_pdm(rho))
     return (
         relative_entropy(rho, reference),
         relative_entropy(reference, gamma_free),
@@ -275,15 +280,16 @@ def _rotate_columns(u, i, j, scale, rng):
 
 def min_relent_search(
     rho: DensityOperator, cfg: SearchConfig = SearchConfig()
-) -> tuple[DensityOperator, float]:
+) -> tuple[FreeStateSpec, float]:
     """Brute-force minimization of S(rho || Gamma) over sampled free states.
 
     Random (orbitals, occupations) samples, scored as stacks, are followed by
     greedy local refinement: exact coordinate minimization over the occupations
     (the objective is separable in them at fixed orbitals) interleaved with
     random two-column rotations of shrinking scale, every candidate scored
-    against its spec.  The returned value can never fall below the
-    nonfreeness of `rho` beyond numerical noise.
+    against its spec.  Returns (spec of the best free state found, its relative
+    entropy); the value can never fall below the nonfreeness of `rho` beyond
+    numerical noise.
     """
     rng = np.random.default_rng(cfg.seed)
     space = rho.space
@@ -291,7 +297,7 @@ def min_relent_search(
     gamma = one_pdm(rho).gamma
 
     best_val, best_spec = _stacked_minimum(rho, 1.0, *sample_free_specs(space, rng, cfg.samples))
-    scale = cfg.step_scale
+    scale = STEP_SCALE
     for _ in range(cfg.refine_steps):
         u = best_spec.orbitals
         p_opt = np.clip(np.real(np.diag(u.conj().T @ gamma @ u)), 0.0, 1.0)
@@ -310,7 +316,7 @@ def min_relent_search(
             if val < best_val:
                 best_val, best_spec = val, cand
         scale *= 0.93
-    return best_spec.to_density(), float(best_val)
+    return best_spec, float(best_val)
 
 
 def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool = False):
@@ -349,10 +355,10 @@ def renyi_min_search(
     alpha: float,
     cfg: SearchConfig = SearchConfig(),
     sandwiched: bool = False,
-) -> tuple[DensityOperator, float, bool]:
+) -> tuple[FreeStateSpec, float, bool]:
     """Search for free states beating the free reference under a Renyi divergence.
 
-    Returns (best free state found, best divergence value, improved), where
+    Returns (spec of the best free state found, its divergence, improved), where
     `improved` records whether the search undercut the divergence at the free
     reference by more than cfg.tolerance.  On two orbitals a deterministic
     occupation grid over diagonal free states (in the natural-orbital basis)
@@ -364,7 +370,7 @@ def renyi_min_search(
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
     space = rho.space
     d = space.d
-    reference = spec_from_pdm(one_pdm(rho))
+    reference = natural_spectrum(one_pdm(rho))
     baseline = divergence(alpha, rho, reference)
 
     best_val, best_spec = baseline, reference
@@ -381,7 +387,7 @@ def renyi_min_search(
     val, spec = _stacked_minimum(rho, alpha, *samples, sandwiched)
     if val < best_val:
         best_val, best_spec = val, spec
-    scale = cfg.step_scale
+    scale = STEP_SCALE
     # refinement walks only from a random sample that beat the reference and grid
     for _ in range(cfg.refine_steps if best_spec is not unsampled else 0):
         for _ in range(d):
@@ -400,7 +406,7 @@ def renyi_min_search(
                 best_val, best_spec = val, cand
         scale *= 0.9
     improved = bool(best_val < baseline - cfg.tolerance)
-    return best_spec.to_density(), float(best_val), improved
+    return best_spec, float(best_val), improved
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +588,11 @@ def _claim_free_substate(rng, d_cap):
 
 def _claim_free_entropy_formula(rng, d_cap):
     spec = sample_free_spec(OrbitalSpace(_sample_d(rng, min(d_cap, 4))), rng)
-    return abs(von_neumann(spec.to_density()) - binary_entropy(spec.occupations))
+    # the entropy from a fresh eigensolve of the matrix, not the state's carried
+    # Bernoulli weights, so the check stays independent of the closed form
+    w = np.linalg.eigvalsh(spec.to_density().matrix)
+    w = w[w > 0.0]
+    return abs(float(-(w * np.log(w)).sum()) - binary_entropy(spec.occupations))
 
 
 def _claim_gibbs_log(rng, d_cap):
@@ -682,7 +692,8 @@ def _claim_reference_trace_identity(rng, d_cap):
     space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
     rho = sample_density(space, rng)
     free_gamma = sample_free_spec(space, rng).to_density()
-    return abs(cross_entropy(rho, free_gamma) - cross_entropy(gamma_of(rho), free_gamma))
+    reference, _ = free_from_pdm(one_pdm(rho))
+    return abs(cross_entropy(rho, free_gamma) - cross_entropy(reference, free_gamma))
 
 
 def _claim_reference_trace_boundary(rng, d_cap):
@@ -691,8 +702,9 @@ def _claim_reference_trace_boundary(rng, d_cap):
     p[0] = 1.0
     blocked, _ = free_from_pdm(OnePdm(space, np.diag(p).astype(complex)))
     rho = sample_density(space, rng)  # full rank, so <h1|gamma h1> < 1
+    reference, _ = free_from_pdm(one_pdm(rho))
     both_infinite = np.isinf(cross_entropy(rho, blocked)) and np.isinf(
-        cross_entropy(gamma_of(rho), blocked)
+        cross_entropy(reference, blocked)
     )
     return float(not both_infinite), (rho, blocked)
 
@@ -827,9 +839,9 @@ def property_suite(seed: int = 42, d_max: int = SUITE_DMAX, trials: int = SUITE_
     (`config.d_max()`); the claims that need three orbitals still take three
     at d_max = 2.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if d_max < 2:
+    if _integer(d_max, "d_max") < 2:
         raise ValidationError(f"d_max must be >= 2, got {d_max}")
     ceiling = config.d_max()
     if d_max > ceiling:

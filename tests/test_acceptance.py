@@ -15,7 +15,6 @@ from fermifree import (
     correlation_sandwiched,
     cross_entropy,
     free_from_pdm,
-    gamma_of,
     min_relent_search,
     nonfreeness,
     one_pdm,
@@ -97,12 +96,12 @@ def test_criterion_03_minimum_property_search():
             rho = sample_density(space, rng)
             base = nonfreeness(rho, cross_check=False).nonfreeness
             cfg = SearchConfig(samples=500, refine_steps=80, seed=int(rng.integers(1 << 31)))
-            best_gamma, best_value = min_relent_search(rho, cfg)
+            best_spec, best_value = min_relent_search(rho, cfg)
             worst_undershoot = max(worst_undershoot, base - best_value)
             if best_value <= base + 1e-3:
                 near_optimal += 1
                 worst_distance = max(
-                    worst_distance, trace_distance(best_gamma, gamma_of(rho))
+                    worst_distance, trace_distance(best_spec.to_density(), free_from_pdm(one_pdm(rho))[0])
                 )
     _report(
         3,
@@ -276,7 +275,7 @@ def test_criterion_10_trace_identity_and_kernel_boundaries():
         rho = sample_density(space, rng)
         gamma = sample_free_spec(space, rng).to_density()
         worst = max(
-            worst, abs(cross_entropy(rho, gamma) - cross_entropy(gamma_of(rho), gamma))
+            worst, abs(cross_entropy(rho, gamma) - cross_entropy(free_from_pdm(one_pdm(rho))[0], gamma))
         )
     # kernel-mismatch boundary: a free state fully occupying an orbital that
     # the state leaves partially empty sends both traces to +inf
@@ -289,7 +288,7 @@ def test_criterion_10_trace_identity_and_kernel_boundaries():
         blocked, _ = free_from_pdm(OnePdm(space, np.diag(p).astype(complex)))
         rho = sample_density(space, rng)
         boundary_ok = boundary_ok and math.isinf(cross_entropy(rho, blocked))
-        boundary_ok = boundary_ok and math.isinf(cross_entropy(gamma_of(rho), blocked))
+        boundary_ok = boundary_ok and math.isinf(cross_entropy(free_from_pdm(one_pdm(rho))[0], blocked))
     # kernel predicates on the 1-pdm agree with direct Fock-space inclusion
     predicates_ok = True
     for _ in range(30):

@@ -14,7 +14,6 @@ from fermifree import (
     correlation_renyi,
     correlation_sandwiched,
     free_from_pdm,
-    gamma_of,
     gibbs_free_density,
     nonfreeness,
     pair_state,
@@ -26,7 +25,7 @@ from fermifree import (
     slater_density,
 )
 from fermifree import fock
-from fermifree import free as free_module
+from fermifree import states as states_module
 from fermifree.verify import (
     chain_rule_terms,
     sample_density,
@@ -194,7 +193,7 @@ def test_additivity_needs_statistical_independence():
 
 def test_chain_rule_collapses_at_reference():
     rho = remark_state()
-    first, middle, third = chain_rule_terms(rho, gamma_of(rho))
+    first, middle, third = chain_rule_terms(rho, free_from_pdm(one_pdm(rho))[0])
     assert middle < 1e-9
     assert abs(first - third) < 1e-9
 
@@ -265,7 +264,7 @@ def test_maximally_mixed_state_is_free():
 
 def test_correlation_functionals_build_no_fock_unitary_or_free_density(monkeypatch):
     rho = sample_density(OrbitalSpace(6), np.random.default_rng(61))
-    free = gamma_of(rho)
+    free = free_from_pdm(one_pdm(rho))[0]
     expected = {
         "nonfreeness": relative_entropy(rho, free),
         "renyi": renyi_divergence(0.5, rho, free),
@@ -276,7 +275,7 @@ def test_correlation_functionals_build_no_fock_unitary_or_free_density(monkeypat
         raise AssertionError("a correlation functional built a dense free reference")
 
     monkeypatch.setattr(fock, "basis_change_unitary", forbidden)
-    monkeypatch.setattr(free_module, "basis_change_unitary", forbidden)
+    monkeypatch.setattr(states_module, "basis_change_unitary", forbidden)
     monkeypatch.setattr(FreeStateSpec, "to_density", forbidden)
     report = nonfreeness(rho, cross_check=True)
     assert abs(report.nonfreeness - expected["nonfreeness"]) <= 1e-10

@@ -13,9 +13,11 @@ from fermifree import (
     PureState,
     ValidationError,
     cross_entropy,
+    free_from_pdm,
     gibbs_free_density,
     mixture,
     nonfreeness,
+    one_pdm,
     pure_density,
     relative_entropy,
     remark_state,
@@ -26,7 +28,6 @@ from fermifree import (
 )
 from fermifree.config import KERNEL_TOL
 from fermifree.entropy import _divergences, _joint
-from fermifree.free import gamma_of
 from fermifree.states import hubbard_ground_state, spectrum
 from fermifree.verify import sample_density, sample_pure, sample_unitary, tensor_product
 
@@ -81,7 +82,7 @@ def test_relative_entropy_classical_two_point():
 
 def test_relative_entropy_remark_vs_reference():
     rho = remark_state()
-    value = relative_entropy(rho, gamma_of(rho))
+    value = relative_entropy(rho, free_from_pdm(one_pdm(rho))[0])
     assert abs(value - H23) < 1e-9
     assert abs(value - 0.636514) < 1e-6
 
@@ -360,7 +361,7 @@ def _number_conserving_pairs():
         ]
         weights = rng.dirichlet(np.ones(3))
         rho = mixture(zip(weights, slaters))
-        pairs.append((rho, gamma_of(rho)))
+        pairs.append((rho, free_from_pdm(one_pdm(rho))[0]))
         free = [
             FreeStateSpec(space, rng.uniform(0.1, 0.9, d), sample_unitary(d, rng)).to_density()
             for _ in range(2)
@@ -371,7 +372,7 @@ def _number_conserving_pairs():
     # four sites).  U = 8 keeps it above 1e-5.
     for sites in (2, 3, 4):
         rho = hubbard_ground_state(sites, 1.0, 8.0, (sites + 1) // 2, sites // 2)
-        pairs.append((rho, gamma_of(rho)))
+        pairs.append((rho, free_from_pdm(one_pdm(rho))[0]))
     return pairs
 
 
@@ -435,7 +436,7 @@ def _carried_pairs():
         pairs[f"free-free-d{d}"] = tuple(free)
         psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         pure = pure_density(PureState(space, psi / np.linalg.norm(psi)))
-        pairs[f"pure-gamma-d{d}"] = (pure, gamma_of(pure))
+        pairs[f"pure-gamma-d{d}"] = (pure, free_from_pdm(one_pdm(pure))[0])
         pairs[f"pure-free-d{d}"] = (pure, free[0])
         rows = sample_unitary(d, rng)[: d // 2]
         pairs[f"slater-free-d{d}"] = (slater_density(rows, space), free[1])
@@ -444,7 +445,7 @@ def _carried_pairs():
     pairs["basis-gibbs"] = (basis_pure(OrbitalSpace(3), 0b101), gibbs)
     for sites in (2, 3, 4):  # U = 8: see _number_conserving_pairs
         rho = hubbard_ground_state(sites, 1.0, 8.0, (sites + 1) // 2, sites // 2)
-        pairs[f"hubbard-{sites}"] = (rho, gamma_of(rho))
+        pairs[f"hubbard-{sites}"] = (rho, free_from_pdm(one_pdm(rho))[0])
     return pairs
 
 

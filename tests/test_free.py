@@ -8,16 +8,19 @@ from fermifree import (
     FreeStateSpec,
     OnePdm,
     OrbitalSpace,
+    PureState,
     ValidationError,
     binary_entropy,
     free_from_pdm,
-    gamma_of,
     gibbs_free_density,
+    hubbard_ground_amplitudes,
     one_pdm,
     pair_state,
+    pure_density,
     purify_free,
     remark_state,
     restrict,
+    slater_amplitudes,
     slater_density,
     von_neumann,
     wick_check,
@@ -42,7 +45,7 @@ def test_spec_stores_read_only_copies():
 
 def test_divergences_against_a_spec_do_not_revalidate_it(monkeypatch):
     import fermifree.fock
-    import fermifree.free
+    import fermifree.states
     from fermifree import relative_entropy, sandwiched_renyi
 
     rng = np.random.default_rng(31)
@@ -56,7 +59,7 @@ def test_divergences_against_a_spec_do_not_revalidate_it(monkeypatch):
 
     original = fermifree.fock._require_unitary
     monkeypatch.setattr(fermifree.fock, "_require_unitary", counting)
-    monkeypatch.setattr(fermifree.free, "_require_unitary", counting)
+    monkeypatch.setattr(fermifree.states, "_require_unitary", counting)
     relative_entropy(rho, spec)
     sandwiched_renyi(0.5, rho, spec)
     assert calls == []
@@ -92,18 +95,18 @@ def test_free_from_pdm_reproduces_pdm_and_idempotence():
 def test_gamma_of_fixes_free_states():
     space = OrbitalSpace(3)
     rho = gibbs_free_density([0.3, 0.6, 0.8], space)
-    np.testing.assert_allclose(gamma_of(rho).matrix, rho.matrix, atol=1e-9)
+    np.testing.assert_allclose(free_from_pdm(one_pdm(rho))[0].matrix, rho.matrix, atol=1e-9)
 
 
 def test_gamma_of_remark_state():
     expected = gibbs_free_density([2 / 3, 1 / 3], OrbitalSpace(2))
     np.testing.assert_allclose(
-        gamma_of(remark_state()).matrix, expected.matrix, atol=1e-12
+        free_from_pdm(one_pdm(remark_state()))[0].matrix, expected.matrix, atol=1e-12
     )
 
 
 def test_gamma_of_pair_state_is_half_filling():
-    gamma = gamma_of(pair_state())
+    gamma = free_from_pdm(one_pdm(pair_state()))[0]
     np.testing.assert_allclose(
         one_pdm(gamma).gamma, np.eye(4) / 2, atol=1e-12
     )
@@ -130,6 +133,25 @@ def test_wick_check_rejects_pair_state():
     ok, worst = wick_check(pair_state(), max_order=2)
     assert not ok
     assert worst > 0.1
+
+
+def test_wick_check_reads_pure_state_amplitudes():
+    rng = np.random.default_rng(12)
+    states = [
+        slater_amplitudes(np.eye(3)[:1], OrbitalSpace(3)),
+        slater_amplitudes(sample_unitary(4, rng)[:2], OrbitalSpace(4)),
+        hubbard_ground_amplitudes(2, 1.0, 4.0, 1, 1),
+        hubbard_ground_amplitudes(3, 1.0, 2.0, 2, 1),
+    ]
+    for psi in states:
+        ok, worst = wick_check(psi, max_order=2)
+        dense_ok, dense_worst = wick_check(pure_density(psi), max_order=2)
+        assert ok == dense_ok and abs(worst - dense_worst) <= 1e-12
+    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes[0b0011] = amplitudes[0b1100] = 1 / np.sqrt(2)  # as in pair_state()
+    pair = PureState(OrbitalSpace(4), amplitudes)
+    ok, worst = wick_check(pair, max_order=2)
+    assert not ok and abs(worst - wick_check(pair_state(), max_order=2)[1]) <= 1e-12
 
 
 def test_wick_order_validation():

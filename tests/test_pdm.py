@@ -126,6 +126,17 @@ def test_natural_spectrum_descending_and_consistent():
         )
 
 
+def test_natural_spectrum_is_the_free_spec_of_its_pdm():
+    pdm = one_pdm(sample_density(OrbitalSpace(3), np.random.default_rng(7)))
+    spec = natural_spectrum(pdm)
+    assert isinstance(spec, FreeStateSpec) and spec.space == pdm.space
+    assert not spec.occupations.flags.writeable and not spec.orbitals.flags.writeable
+    np.testing.assert_allclose(one_pdm(spec.to_density()).gamma, pdm.gamma, atol=1e-12)
+    # the clamp into [0, 1] is recomputed from the cached eigenpairs, not stored
+    w = pdm.eigenpairs[0][::-1]
+    np.testing.assert_array_equal(spec.occupations, np.clip(w, 0.0, 1.0))
+
+
 def test_natural_spectrum_trivial_cases():
     space = OrbitalSpace(2)
     spectrum = natural_spectrum(OnePdm(space, np.diag([1.0, 0.0]).astype(complex)))

@@ -16,7 +16,9 @@ from fermifree import (
     correlation_renyi,
     correlation_sandwiched,
     cross_entropy,
+    free_from_pdm,
     hubbard_ground_amplitudes,
+    natural_spectrum,
     nonfreeness,
     one_pdm,
     pure_density,
@@ -31,7 +33,6 @@ from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.config import KERNEL_TOL
 from fermifree.fock import _givens_amplitudes
-from fermifree.free import gamma_of, spec_from_pdm
 from fermifree.verify import sample_density, sample_unitary
 
 
@@ -78,7 +79,7 @@ def _assert_same_value(fast, dense, what):
 def test_amplitude_path_matches_dense_path(name):
     psi = PURE_CASES[name]()
     rho = pure_density(psi)
-    gamma = gamma_of(rho)
+    gamma = free_from_pdm(one_pdm(rho))[0]
     assert np.array_equal(one_pdm(psi).gamma, one_pdm(rho).gamma)
     fast, dense = nonfreeness(psi), nonfreeness(rho)
     assert fast.nonfreeness == dense.nonfreeness
@@ -153,8 +154,8 @@ def test_rank_one_sandwiched_matches_full_core(d):
     if d <= 6:
         states += [sample_density(space, rng, rank) for rank in (2, 3, None)]
     for rho in states:
-        own = spec_from_pdm(one_pdm(rho))
-        for b in (free, spec, gamma_of(rho), own):
+        own = natural_spectrum(one_pdm(rho))
+        for b in (free, spec, free_from_pdm(one_pdm(rho))[0], own):
             dense_b = b.to_density() if isinstance(b, FreeStateSpec) else b
             for alpha in (0.5, 0.75, 2.0):
                 reference = _full_core_sandwiched(alpha, rho, dense_b)

@@ -17,9 +17,9 @@ from fermifree import (
     basis_change_unitary,
     correlation_sandwiched,
     free_from_pdm,
-    gamma_of,
     gibbs_free_density,
     min_relent_search,
+    natural_spectrum,
     one_pdm,
     pair_state,
     property_suite,
@@ -33,7 +33,6 @@ from fermifree import (
 )
 from fermifree.entropy import _divergences, _live
 from fermifree.fock import ladder_table
-from fermifree.free import spec_from_pdm
 from fermifree.io import dumps
 from fermifree.states import bernoulli_weights, hubbard_ground_state
 from fermifree.verify import (
@@ -63,17 +62,17 @@ def test_sampler_free_states_pass_wick():
 def test_min_search_on_free_input_finds_zero():
     rho = gibbs_free_density([0.3, 0.7], OrbitalSpace(2))
     cfg = SearchConfig(samples=200, refine_steps=40, seed=1)
-    best_gamma, best_value = min_relent_search(rho, cfg)
+    best_spec, best_value = min_relent_search(rho, cfg)
     assert best_value < 1e-4
-    assert trace_distance(best_gamma, rho) < 0.05
+    assert trace_distance(best_spec.to_density(), rho) < 0.05
 
 
 def test_min_search_remark_state():
     cfg = SearchConfig(samples=500, refine_steps=80, seed=2)
-    best_gamma, best_value = min_relent_search(remark_state(), cfg)
+    best_spec, best_value = min_relent_search(remark_state(), cfg)
     assert abs(best_value - 0.636514) < 1e-3
     assert best_value >= H23 - 1e-6
-    assert trace_distance(best_gamma, gamma_of(remark_state())) < 0.05
+    assert trace_distance(best_spec.to_density(), free_from_pdm(one_pdm(remark_state()))[0]) < 0.05
 
 
 def test_min_search_pair_state_lower_bound():
@@ -298,7 +297,7 @@ def test_renyi_search_one_orbital_refines_occupations_only():
     rho = sample_pure(OrbitalSpace(1), np.random.default_rng(0))
     cfg = SearchConfig(seed=0, samples=300, refine_steps=10)
     _, best, improved = renyi_min_search(rho, 0.5, cfg, sandwiched=True)
-    baseline = sandwiched_renyi(0.5, rho, spec_from_pdm(one_pdm(rho)))
+    baseline = sandwiched_renyi(0.5, rho, natural_spectrum(one_pdm(rho)))
     assert improved and 0.0 <= best < baseline - cfg.tolerance
 
 
@@ -514,10 +513,10 @@ def test_split_roundtrip_claim_catches_one_flipped_sign(monkeypatch):
 
 PUBLIC_NAMES = [
     "CapacityError", "CorrelationReport", "DensityOperator", "FreeStateSpec",
-    "NaturalSpectrum", "OnePdm", "OrbitalSpace", "PureState", "SearchConfig",
+    "OnePdm", "OrbitalSpace", "PureState", "SearchConfig",
     "ValidationError", "VerificationReport", "__version__", "basis_change_unitary",
     "binary_entropy", "correlation_renyi", "correlation_sandwiched", "cross_entropy",
-    "free_from_pdm", "gamma_of", "gibbs_free_density", "hubbard_ground_amplitudes",
+    "free_from_pdm", "gibbs_free_density", "hubbard_ground_amplitudes",
     "min_relent_search", "mixture", "natural_spectrum", "nonfreeness", "one_pdm",
     "pair_state", "property_suite", "pure_density", "purify_free", "relative_entropy",
     "remark_state", "renyi_divergence", "renyi_min_search", "restrict", "sandwiched_renyi",
@@ -536,3 +535,48 @@ def test_public_namespace_is_pinned_and_resolves():
     # the benchmark's tracer wraps these two by module and name
     assert callable(fermifree.states.hubbard_ground_state)
     assert callable(fermifree.fock.ladder_matrices)
+
+
+def _wrong_typed_calls():
+    rho = remark_state()
+    psi = slater_amplitudes(np.eye(2)[:1], OrbitalSpace(2))
+    return {
+        "binary-entropy-above-1": lambda: fermifree.binary_entropy([1.5]),
+        "binary-entropy-nan": lambda: fermifree.binary_entropy([float("nan")]),
+        "correlation-renyi-str": lambda: fermifree.correlation_renyi(rho, "0.5"),
+        "correlation-sandwiched-none": lambda: fermifree.correlation_sandwiched(rho, None),
+        "renyi-divergence-str": lambda: renyi_divergence("0.5", rho, rho),
+        "renyi-divergence-bool": lambda: renyi_divergence(True, rho, rho),
+        "sandwiched-renyi-none": lambda: sandwiched_renyi(None, rho, rho),
+        "mixture-pure-component": lambda: fermifree.mixture([(0.5, rho), (0.5, psi)]),
+        "search-samples-float": lambda: SearchConfig(samples=1.5),
+        "search-refine-steps-negative": lambda: SearchConfig(refine_steps=-1),
+        "search-refine-steps-float": lambda: SearchConfig(refine_steps=2.0),
+        "search-seed-float": lambda: SearchConfig(seed=1.5),
+        "search-tolerance-str": lambda: SearchConfig(tolerance="1e-4"),
+        "suite-trials-float": lambda: property_suite(seed=0, trials=2.0),
+        "suite-dmax-float": lambda: property_suite(seed=0, d_max=2.5, trials=1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wrong_typed_calls()))
+def test_wrong_typed_arguments_raise_validation_error(case):
+    with pytest.raises(ValidationError):
+        _wrong_typed_calls()[case]()
+
+
+def test_free_entropy_claim_reads_the_matrix_not_the_carried_weights(monkeypatch):
+    def entropy_report():
+        reports = property_suite(seed=0, trials=3)
+        return next(r for r in reports if r.claim == "free-entropy-formula")
+
+    assert entropy_report().passed
+    original = fermifree.states._with_eigenpairs
+
+    def mixed_toward_identity(space, matrix, w, v):
+        # a valid state whose spectrum is no longer the carried Bernoulli weights
+        return original(space, (matrix + np.eye(space.dim) / space.dim) / 2, w, v)
+
+    monkeypatch.setattr(fermifree.states, "_with_eigenpairs", mixed_toward_identity)
+    report = entropy_report()
+    assert not report.passed and report.worst > 1e-3
