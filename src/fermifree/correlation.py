@@ -15,7 +15,7 @@ from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_n
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
 from .pdm import natural_spectrum, one_pdm
-from .states import DensityOperator, PureState, State, _probabilities
+from .states import DensityOperator, State, _probabilities, _state_array
 
 
 def binary_entropy(p: np.ndarray) -> float:
@@ -95,7 +95,7 @@ def restrict(state: State, keep) -> DensityOperator:
     signed and laid out as M[a, b] over (kept, complement) lists, give
     M @ M^dagger.
     """
-    space = state.space
+    data, space = _state_array(state), state.space
     try:
         keep = tuple(keep)
     except TypeError as exc:
@@ -107,11 +107,11 @@ def restrict(state: State, keep) -> DensityOperator:
     # complement list b, the kept lists a appear in increasing order
     joined = np.argsort(n2, kind="stable").reshape(1 << (space.d - len(keep)), -1)
     s = sign[joined]
-    if isinstance(state, PureState):
-        m = (s * state.amplitudes[joined]).T
+    if data.ndim == 1:
+        m = (s * data[joined]).T
         out = m @ m.conj().T
     else:
-        terms = state.matrix[joined[:, :, None], joined[:, None, :]]
+        terms = data[joined[:, :, None], joined[:, None, :]]
         terms *= s[:, :, None]
         terms *= s[:, None, :]
         out = terms.sum(axis=0)

@@ -16,7 +16,9 @@ import numpy as np
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
 from .fock import _givens_amplitudes
-from .states import DensityOperator, FreeStateSpec, PureState, State, _real, bernoulli_weights
+from .states import (
+    DensityOperator, FreeStateSpec, State, _real, _state_array, bernoulli_weights,
+)
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
@@ -24,8 +26,9 @@ Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its 
 def _live(a: State):
     """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns);
     a pure state is its own eigenvector, with eigenvalue 1."""
-    if isinstance(a, PureState):
-        return np.ones(1), a.amplitudes[:, None]
+    data = _state_array(a)
+    if data.ndim == 1:
+        return np.ones(1), data[:, None]
     w, v = a.eigenpairs
     live = w > KERNEL_TOL
     return (w, v) if live.all() else (w[live], v[:, live])
@@ -38,9 +41,13 @@ def _joint(a: State, b: Reference):
     A free state given by its spec is diagonal, with its Bernoulli weights, in
     the Fock basis of its orbitals, which the vectors reach by Givens rotations.
     """
+    if not isinstance(b, Reference):
+        raise ValidationError(
+            f"expected a DensityOperator or FreeStateSpec, not {type(b).__name__}"
+        )
+    p, va = _live(a)
     if a.space.d != b.space.d:
         raise ValidationError("divergences require both states on the same space")
-    p, va = _live(a)
     if isinstance(b, FreeStateSpec):
         return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
     q, vb = b.eigenpairs

@@ -156,9 +156,7 @@ def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
 def _require_unitary(u: np.ndarray, d: int, stacked: bool = False):
     """`u` as a complex d x d unitary within TOL_UNITARY, or a stack (..., d, d)
     of them if `stacked`."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (d, d) or (u.ndim != 2 and not stacked):
-        raise ValidationError(f"expected a {d}x{d} matrix, got shape {u.shape}")
+    u = _array(u, "orbital unitary", (..., d, d) if stacked else (d, d))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN, rejected
         err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(initial=0.0)
     if not err <= TOL_UNITARY:
@@ -227,6 +225,28 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _array(value, what: str, shape=None, dtype=complex) -> np.ndarray:
+    """`value` as a finite array of `dtype` (not copied if it already is one), of
+    `shape` when given, where None matches any length and a leading ... any
+    leading axes.  Only rectangular arrays of numbers pass: integers, reals and,
+    unless `dtype` is float, complex numbers; no str, bool or object entries."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged, or nested deeper than numpy allows
+        raise ValidationError(f"{what} is not a rectangular array: {exc}") from exc
+    if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
+    array = array.astype(dtype, copy=False)
+    if shape is not None and array.shape != shape:
+        if shape[:1] == (...,):
+            shape = (None,) * (array.ndim + 1 - len(shape)) + shape[1:]
+        if len(shape) != array.ndim or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+            raise ValidationError(f"{what} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return array
 
 
 def _keep_mask(keep, d: int) -> int:

@@ -37,28 +37,22 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _numbers(data, ndim: int, what: str) -> np.ndarray:
-    """`data` as a float array; it must be JSON numbers in rectangular lists `ndim` deep."""
-    try:
-        array = np.array(data)
-    except ValueError as exc:  # ragged rows, or nesting deeper than numpy allows
-        raise ValidationError(f"{what} is ragged: {exc}") from exc
-    if array.ndim != ndim or array.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must be numbers in rectangular lists {ndim} deep")
+def _numbers(data, shape: tuple, what: str) -> np.ndarray:
+    """`data` as a float array of `shape` (as ``fock._array`` reads it): JSON
+    numbers in rectangular lists, no true or false among them."""
+    array = fock._array(data, what, shape, float)
     # numpy reads a JSON true or false among numbers as 1 or 0, so look at the leaves
     leaves = [data]
-    for _ in range(ndim):
+    for _ in shape:
         leaves = chain.from_iterable(leaves)
     if bool in set(map(type, leaves)):
         raise ValidationError(f"{what} must be numbers, not true or false")
-    return array.astype(float)
+    return array
 
 
 def _complex(data, ndim: int) -> np.ndarray:
-    pairs = _numbers(data, ndim + 1, "complex array")
-    if pairs.shape[-1] != 2:
-        raise ValidationError("complex numbers must be [re, im] pairs")
-    return pairs.view(complex)[..., 0]
+    """[re, im] pairs in rectangular lists `ndim` deep, as a complex array."""
+    return _numbers(data, (None,) * ndim + (2,), "complex array").view(complex)[..., 0]
 
 
 def vector_from_json(data) -> np.ndarray:
@@ -72,12 +66,6 @@ def matrix_from_json(data) -> np.ndarray:
 def value_to_json(value):
     if isinstance(value, float) and math.isinf(value):
         return "+inf"
-    return value
-
-
-def value_from_json(value):
-    if value == "+inf":
-        return float("inf")
     return value
 
 
@@ -95,7 +83,7 @@ def _integer(doc: dict, key: str) -> int:
 
 def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
     """A numeric field: a number (ndim 0) or rectangular lists of numbers, as floats."""
-    return _numbers(_require(doc, key), ndim, f"field {key!r}")
+    return _numbers(_require(doc, key), (None,) * ndim, f"field {key!r}")
 
 
 def density_to_document(rho: DensityOperator) -> dict:
@@ -164,10 +152,6 @@ def density_from_document(doc: dict) -> DensityOperator:
     """Build a density operator from a state document; validations re-run."""
     state = state_from_document(doc)
     return pure_density(state) if isinstance(state, PureState) else state
-
-
-def pdm_to_document(pdm: OnePdm) -> dict:
-    return {"d": pdm.space.d, "kind": "pdm", "gamma": matrix_to_json(pdm.gamma)}
 
 
 def pdm_from_document(doc: dict) -> OnePdm:

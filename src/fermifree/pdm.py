@@ -7,8 +7,8 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
-from .fock import OrbitalSpace, expectations
-from .states import FreeStateSpec, PureState, State, spectrum
+from .fock import OrbitalSpace, _array, expectations
+from .states import FreeStateSpec, State, _state_array, spectrum
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,8 @@ class OnePdm:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=complex)
+        g = _array(self.gamma, "1-pdm", (self.space.d,) * 2)
         object.__setattr__(self, "gamma", g)
-        d = self.space.d
-        if g.shape != (d, d):
-            raise ValidationError(f"1-pdm shape {g.shape} does not match d={d}")
-        if not np.isfinite(g).all():
-            raise ValidationError("1-pdm has non-finite entries")
         with np.errstate(over="ignore"):  # overflow: inf, rejected
             herm = np.abs(g - g.conj().T).max()
         if herm > TOL_HERM:
@@ -54,8 +49,7 @@ class OnePdm:
 def one_pdm(state: State) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator, or of a
     pure state from its amplitudes alone."""
-    data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    g = expectations(data, "+-", state.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
+    g = expectations(_state_array(state), "+-", state.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
     return OnePdm(state.space, (g + g.conj().T) / 2)
 
 

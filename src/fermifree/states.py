@@ -10,6 +10,7 @@ from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
 from .fock import (
     OrbitalSpace,
+    _array,
     _integer,
     _number_sector,
     _require_unitary,
@@ -40,15 +41,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _array(self.matrix, "density matrix", (self.space.dim,) * 2)
         object.__setattr__(self, "matrix", m)
-        dim = self.space.dim
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                f"density matrix shape {m.shape} does not match Fock dimension {dim}"
-            )
-        if not np.isfinite(m).all():
-            raise ValidationError("density matrix has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected below
             herm = np.abs(m - m.conj().T).max()
             tr = m.trace()
@@ -101,15 +95,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = _array(self.amplitudes, "amplitude vector", (self.space.dim,))
         object.__setattr__(self, "amplitudes", a)
-        if a.shape != (self.space.dim,):
-            raise ValidationError(
-                f"amplitude vector length {a.shape} does not match Fock dimension"
-                f" {self.space.dim}"
-            )
-        if not np.isfinite(a).all():
-            raise ValidationError("amplitude vector has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected
             err = abs(np.linalg.norm(a) - 1.0)
         if not err <= TOL_NORM:
@@ -133,9 +120,7 @@ class FreeStateSpec:
     orbitals: np.ndarray
 
     def __post_init__(self):
-        p = _probabilities(self.occupations)
-        if p.shape != (self.space.d,):
-            raise ValidationError(f"expected {self.space.d} occupation probabilities")
+        p = _probabilities(self.occupations, (self.space.d,))
         orbitals = np.array(_require_unitary(self.orbitals, self.space.d))
         for name, array in (("occupations", p), ("orbitals", orbitals)):
             array.flags.writeable = False
@@ -150,6 +135,16 @@ class FreeStateSpec:
 
 
 State = DensityOperator | PureState  # what the functionals of a single state accept
+
+
+def _state_array(state: State) -> np.ndarray:
+    """What the functionals read of a state: a pure state's amplitudes, or a
+    density operator's matrix."""
+    if isinstance(state, PureState):
+        return state.amplitudes
+    if isinstance(state, DensityOperator):
+        return state.matrix
+    raise ValidationError(f"expected a DensityOperator or PureState, not {type(state).__name__}")
 
 
 def pure_density(psi: PureState) -> DensityOperator:
@@ -185,14 +180,10 @@ def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
     must then lie within TOL_TRACE of 1, and the vector is normalized.
     """
     d = space.d
-    rows = np.asarray(orbitals, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] != d:
-        raise ValidationError(f"orbitals must be an n x {d} matrix, got shape {rows.shape}")
+    rows = _array(orbitals, "orbitals", (None, d))
     n = rows.shape[0]
     if n > d:
         raise ValidationError(f"cannot occupy {n} orbitals in a {d}-orbital space")
-    if not np.isfinite(rows).all():
-        raise ValidationError("orbitals have non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected below
         gram_err = np.abs(rows.conj() @ rows.T - np.eye(n)).max(initial=0.0)
     if not gram_err <= TOL_UNITARY:
@@ -235,9 +226,7 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
     Boundary occupations belong to ``free.free_from_pdm``, which handles them
     structurally instead of as Gibbs limits.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (space.d,):
-        raise ValidationError(f"expected {space.d} occupation probabilities")
+    p = _array(p, "occupation probabilities", (space.d,), float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValidationError(
             "occupation probabilities must lie strictly inside (0, 1);"
@@ -251,10 +240,13 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
 def mixture(components, labels=None) -> DensityOperator:
     """Convex combination of density operators on one shared space, labels
     included; `labels`, when given, name the result's orbitals instead."""
-    components = list(components)
+    try:
+        components = [(w, rho) for w, rho in components]
+    except (TypeError, ValueError) as exc:  # not iterable, or not pairs
+        raise ValidationError("mixture components must be (weight, state) pairs") from exc
     if not components:
         raise ValidationError("mixture needs at least one component")
-    weights = np.array([w for w, _ in components], dtype=float)
+    weights = _array([w for w, _ in components], "mixture weights", (len(components),), float)
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > TOL_TRACE:
@@ -268,14 +260,15 @@ def mixture(components, labels=None) -> DensityOperator:
         raise ValidationError("mixture components live on different spaces")
     if labels is not None:
         space = OrbitalSpace(space.d, labels)
-    acc = sum(w * rho.matrix for w, rho in components)
+    acc = sum(w * rho.matrix for w, (_, rho) in zip(weights, components))
     return DensityOperator(space, acc)
 
 
-def _probabilities(p) -> np.ndarray:
-    """A float copy of the occupation probabilities `p`, each in [0, 1]."""
-    p = np.array(p, dtype=float)
-    if not ((p >= 0.0) & (p <= 1.0)).all():  # also NaN
+def _probabilities(p, shape=None) -> np.ndarray:
+    """A float copy of the occupation probabilities `p`, each in [0, 1], of
+    `shape` when given."""
+    p = np.array(_array(p, "occupation probabilities", shape, float))
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValidationError("occupation probabilities must lie in [0, 1]")
     return p
 

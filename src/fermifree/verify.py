@@ -248,10 +248,10 @@ def chain_rule_terms(
 
     Returns (S(rho || free reference), S(free reference || gamma_free),
     S(rho || gamma_free)); the first two sum to the third, trivially so when
-    any of them is infinite.  `gamma_free` must pass the order-2 determinant
-    check within 1e-8.
+    any of them is infinite.  `gamma_free` must pass ``wick_check`` within
+    1e-8.
     """
-    ok, worst = wick_check(gamma_free, max_order=2, tol=1e-8)
+    ok, worst = wick_check(gamma_free, tol=1e-8)
     if not ok:
         raise ValidationError(
             f"reference state fails the determinant-correlation check ({worst:.3e})"
@@ -569,12 +569,12 @@ def _claim_free_idempotence(rng, d_cap):
 
 def _claim_wick(rng, d_cap):
     free_density = sample_free_spec(OrbitalSpace(_sample_d(rng, min(d_cap, 4))), rng).to_density()
-    return wick_check(free_density, max_order=2)[1], (free_density,)
+    return wick_check(free_density)[1], (free_density,)
 
 
 def _pair_state_fails_wick():
     """Negative control: the correlated pair state must fail the check by a clear margin."""
-    violation = wick_check(pair_state(), max_order=2)[1]
+    violation = wick_check(pair_state())[1]
     return None if violation > 0.1 else (violation, pair_state())
 
 
@@ -583,7 +583,7 @@ def _claim_free_substate(rng, d_cap):
     spec = sample_free_spec(space, rng)
     keep = _sample_keep(rng, space.d, int(rng.integers(1, space.d)))
     sub = restrict(spec.to_density(), keep)
-    return wick_check(sub, max_order=2)[1], (sub,)
+    return wick_check(sub)[1], (sub,)
 
 
 def _claim_free_entropy_formula(rng, d_cap):

@@ -253,11 +253,11 @@ def test_criterion_09_wick_and_uniqueness():
     for _ in range(20):
         d = int(rng.integers(1, 5))
         spec = sample_free_spec(OrbitalSpace(d), rng)
-        ok, violation = wick_check(spec.to_density(), max_order=2, tol=1e-10)
+        ok, violation = wick_check(spec.to_density(), tol=1e-10)
         worst = max(worst, violation)
         if not ok:
             break
-    pair_ok, pair_violation = wick_check(pair_state(), max_order=2, tol=1e-10)
+    pair_ok, pair_violation = wick_check(pair_state(), tol=1e-10)
     _report(
         9,
         "sampled free states satisfy order-2 determinant relations; the pair state breaks them",

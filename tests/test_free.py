@@ -117,7 +117,7 @@ def test_wick_check_passes_for_free_states():
     rng = np.random.default_rng(1)
     for _ in range(3):
         spec = sample_free_spec(OrbitalSpace(3), rng)
-        ok, worst = wick_check(spec.to_density(), max_order=2)
+        ok, worst = wick_check(spec.to_density())
         assert ok and worst < 1e-10
     ok, worst = wick_check(gibbs_free_density([0.25, 0.75], OrbitalSpace(2)))
     assert ok and worst < 1e-10
@@ -130,7 +130,7 @@ def test_wick_check_vacuum():
 
 
 def test_wick_check_rejects_pair_state():
-    ok, worst = wick_check(pair_state(), max_order=2)
+    ok, worst = wick_check(pair_state())
     assert not ok
     assert worst > 0.1
 
@@ -144,19 +144,14 @@ def test_wick_check_reads_pure_state_amplitudes():
         hubbard_ground_amplitudes(3, 1.0, 2.0, 2, 1),
     ]
     for psi in states:
-        ok, worst = wick_check(psi, max_order=2)
-        dense_ok, dense_worst = wick_check(pure_density(psi), max_order=2)
+        ok, worst = wick_check(psi)
+        dense_ok, dense_worst = wick_check(pure_density(psi))
         assert ok == dense_ok and abs(worst - dense_worst) <= 1e-12
     amplitudes = np.zeros(16, dtype=complex)
     amplitudes[0b0011] = amplitudes[0b1100] = 1 / np.sqrt(2)  # as in pair_state()
     pair = PureState(OrbitalSpace(4), amplitudes)
-    ok, worst = wick_check(pair, max_order=2)
-    assert not ok and abs(worst - wick_check(pair_state(), max_order=2)[1]) <= 1e-12
-
-
-def test_wick_order_validation():
-    with pytest.raises(Exception):
-        wick_check(remark_state(), max_order=3)
+    ok, worst = wick_check(pair)
+    assert not ok and abs(worst - wick_check(pair_state())[1]) <= 1e-12
 
 
 def test_uniqueness_free_state_with_matching_pdm():
@@ -166,7 +161,7 @@ def test_uniqueness_free_state_with_matching_pdm():
     space = OrbitalSpace(3)
     spec = sample_free_spec(space, rng)
     candidate = spec.to_density()
-    ok, _ = wick_check(candidate, max_order=2, tol=1e-9)
+    ok, _ = wick_check(candidate, tol=1e-9)
     assert ok
     canonical, _ = free_from_pdm(one_pdm(candidate))
     np.testing.assert_allclose(candidate.matrix, canonical.matrix, atol=1e-8)
@@ -177,7 +172,7 @@ def test_substates_of_free_states_are_free():
     space = OrbitalSpace(4)
     spec = sample_free_spec(space, rng)
     sub = restrict(spec.to_density(), [2, 4])
-    ok, worst = wick_check(sub, max_order=2, tol=1e-9)
+    ok, worst = wick_check(sub, tol=1e-9)
     assert ok, worst
 
 

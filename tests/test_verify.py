@@ -55,7 +55,7 @@ def test_sampler_free_states_pass_wick():
     rng = np.random.default_rng(0)
     for _ in range(5):
         spec = sample_free_spec(OrbitalSpace(3), rng)
-        ok, _ = wick_check(spec.to_density(), max_order=2)
+        ok, _ = wick_check(spec.to_density())
         assert ok
 
 
@@ -421,7 +421,7 @@ def test_property_suite_dmax_ceiling_follows_the_env(monkeypatch):
         property_suite(seed=0, d_max=14, trials=1)
 
 
-def sparse_wick_check(rho, max_order, tol=1e-10):
+def sparse_wick_check(rho, tol=1e-10):
     """``wick_check`` from sparse ladder products, one monomial at a time.
 
     Anomalous and odd monomials must vanish, <a*_i a_j> = gamma[j, i], and
@@ -432,8 +432,7 @@ def sparse_wick_check(rho, max_order, tol=1e-10):
     ops = {"+": creators, "-": annihilators}
     gamma = np.empty((d, d), dtype=complex)
     expect = {}
-    words = ("+", "-", "--", "++", "+-") + (("++-", "+--", "++--") if max_order == 2 else ())
-    for word in words:
+    for word in ("+", "-", "--", "++", "+-", "++-", "+--", "++--"):
         for orbs in itertools.product(range(d), repeat=len(word)):
             op = ops[word[0]][orbs[0]]
             for letter, i in zip(word[1:], orbs[1:]):
@@ -459,17 +458,17 @@ def test_wick_check_matches_sparse_reference(d):
     space = OrbitalSpace(d)
     rng = np.random.default_rng(200 + d)
     states = [sample_density(space, rng), sample_free_spec(space, rng).to_density()]
-    for rho, max_order in itertools.product(states, (1, 2)):
-        ok, worst = wick_check(rho, max_order=max_order)
-        ref_ok, ref_worst = sparse_wick_check(rho, max_order)
+    for rho in states:
+        ok, worst = wick_check(rho)
+        ref_ok, ref_worst = sparse_wick_check(rho)
         assert ok == ref_ok
         assert abs(worst - ref_worst) <= 1e-12
-    assert wick_check(states[1], max_order=2)[0]
+    assert wick_check(states[1])[0]
 
 
 def test_wick_check_pair_state_matches_sparse_reference():
-    ok, worst = wick_check(pair_state(), max_order=2)
-    ref_ok, ref_worst = sparse_wick_check(pair_state(), 2)
+    ok, worst = wick_check(pair_state())
+    ref_ok, ref_worst = sparse_wick_check(pair_state())
     assert not ok and not ref_ok
     assert abs(worst - 0.5) <= 1e-12 and abs(worst - ref_worst) <= 1e-12
 
@@ -485,8 +484,8 @@ def test_one_pdm_and_wick_check_build_no_sparse_ladder_operators(monkeypatch):
     ladder_table.cache_clear()  # so the tables are rebuilt under the patch
     rho = sample_density(OrbitalSpace(3), np.random.default_rng(0))
     one_pdm(rho)
-    wick_check(rho, max_order=2)
-    wick_check(pair_state(), max_order=2)
+    wick_check(rho)
+    wick_check(pair_state())
     hubbard_ground_state(3, 1.0, 4.0, 2, 1)
 
 
@@ -538,8 +537,10 @@ def test_public_namespace_is_pinned_and_resolves():
 
 
 def _wrong_typed_calls():
+    one, two = OrbitalSpace(1), OrbitalSpace(2)
     rho = remark_state()
-    psi = slater_amplitudes(np.eye(2)[:1], OrbitalSpace(2))
+    psi = slater_amplitudes(np.eye(2)[:1], two)
+    spec = FreeStateSpec(two, [0.25, 0.5], np.eye(2))
     return {
         "binary-entropy-above-1": lambda: fermifree.binary_entropy([1.5]),
         "binary-entropy-nan": lambda: fermifree.binary_entropy([float("nan")]),
@@ -556,6 +557,33 @@ def _wrong_typed_calls():
         "search-tolerance-str": lambda: SearchConfig(tolerance="1e-4"),
         "suite-trials-float": lambda: property_suite(seed=0, trials=2.0),
         "suite-dmax-float": lambda: property_suite(seed=0, d_max=2.5, trials=1),
+        # arrays that are not rectangular arrays of numbers
+        "density-str": lambda: fermifree.DensityOperator(one, "x"),
+        "density-ragged": lambda: fermifree.DensityOperator(one, [[1, 0], [0]]),
+        "density-bool": lambda: fermifree.DensityOperator(one, np.diag([True, False])),
+        "pure-str": lambda: fermifree.PureState(one, ["1", "0"]),
+        "pure-ragged": lambda: fermifree.PureState(one, [[1], [0, 0]]),
+        "pdm-str": lambda: fermifree.OnePdm(one, [["x"]]),
+        "pdm-ragged": lambda: fermifree.OnePdm(two, [[0.5, 0], [0]]),
+        "spec-occupations-str": lambda: FreeStateSpec(one, ["x"], np.eye(1)),
+        "spec-orbitals-str": lambda: FreeStateSpec(one, [0.5], [["x"]]),
+        "spec-orbitals-ragged": lambda: FreeStateSpec(two, [0.5, 0.5], [[1, 0], [0]]),
+        "gibbs-str": lambda: gibbs_free_density(["a", "b"], two),
+        "slater-str": lambda: slater_amplitudes([["x", 0]], two),
+        "slater-ragged": lambda: slater_amplitudes([[1, 0], [0]], two),
+        "basis-change-str": lambda: basis_change_unitary([["x"]], one),
+        "binary-entropy-str": lambda: fermifree.binary_entropy(["x"]),
+        "mixture-weight-str": lambda: fermifree.mixture([("0.5", rho), (0.5, rho)]),
+        # states of the wrong type
+        "mixture-not-pairs": lambda: fermifree.mixture([(1.0,)]),
+        "mixture-not-iterable": lambda: fermifree.mixture(5),
+        "one-pdm-spec": lambda: one_pdm(spec),
+        "nonfreeness-spec": lambda: fermifree.nonfreeness(spec),
+        "restrict-spec": lambda: fermifree.restrict(spec, [1]),
+        "wick-check-spec": lambda: wick_check(spec),
+        "von-neumann-spec": lambda: fermifree.von_neumann(spec),
+        "relative-entropy-pure-reference": lambda: fermifree.relative_entropy(rho, psi),
+        "purify-free-density": lambda: fermifree.purify_free(rho),
     }
 
 
