@@ -39,21 +39,25 @@ _TOLERANCES = {
 
 
 def _read_document(path: str) -> dict:
-    """The JSON document at `path`, or on stdin for "-", decoded as strict UTF-8."""
+    """The JSON document at `path`, or on stdin for "-", decoded as strict UTF-8.
+
+    The bytes are read once and handed to ``io.loads`` undecoded, so that no
+    copy of a large document's text sits beside them.
+    """
     try:
         if path != "-":
-            text = Path(path).read_text(encoding="utf-8")
+            data = Path(path).read_bytes()
         elif hasattr(sys.stdin, "buffer"):
             # stdin's bytes, so its locale's error handler cannot let bad UTF-8 through
-            text = sys.stdin.buffer.read().decode("utf-8")
+            data = sys.stdin.buffer.read()
         else:
-            text = sys.stdin.read()
+            data = sys.stdin.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return io.loads(data)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
-    try:
-        return io.loads(text)
     except RecursionError as exc:
         raise ValidationError(f"{path} is nested too deeply to decode") from exc
     except json.JSONDecodeError as exc:

@@ -16,7 +16,7 @@ never builds them.
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -238,6 +238,13 @@ def _array(value, what: str, shape=None, dtype=complex) -> np.ndarray:
         raise ValidationError(f"{what} is not a rectangular array: {exc}") from exc
     if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
+    if isinstance(value, (list, tuple)):
+        # numpy reads True or False among numbers as 1 or 0, so look at the leaves
+        leaves = [value]
+        for _ in range(array.ndim):
+            leaves = chain.from_iterable(leaves)
+        if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            raise ValidationError(f"{what} must be numbers, not true or false")
     array = array.astype(dtype, copy=False)
     if shape is not None and array.shape != shape:
         if shape[:1] == (...,):

@@ -7,7 +7,7 @@ Deserialization re-runs every constructor validation.
 
 import json
 import math
-from itertools import chain
+import re
 
 import numpy as np
 
@@ -37,22 +37,10 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _numbers(data, shape: tuple, what: str) -> np.ndarray:
-    """`data` as a float array of `shape` (as ``fock._array`` reads it): JSON
-    numbers in rectangular lists, no true or false among them."""
-    array = fock._array(data, what, shape, float)
-    # numpy reads a JSON true or false among numbers as 1 or 0, so look at the leaves
-    leaves = [data]
-    for _ in shape:
-        leaves = chain.from_iterable(leaves)
-    if bool in set(map(type, leaves)):
-        raise ValidationError(f"{what} must be numbers, not true or false")
-    return array
-
-
 def _complex(data, ndim: int) -> np.ndarray:
     """[re, im] pairs in rectangular lists `ndim` deep, as a complex array."""
-    return _numbers(data, (None,) * ndim + (2,), "complex array").view(complex)[..., 0]
+    pairs = fock._array(data, "complex array", (None,) * ndim + (2,), float)
+    return pairs.view(complex)[..., 0]
 
 
 def vector_from_json(data) -> np.ndarray:
@@ -83,7 +71,7 @@ def _integer(doc: dict, key: str) -> int:
 
 def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
     """A numeric field: a number (ndim 0) or rectangular lists of numbers, as floats."""
-    return _numbers(_require(doc, key), (None,) * ndim, f"field {key!r}")
+    return fock._array(_require(doc, key), f"field {key!r}", (None,) * ndim, float)
 
 
 def density_to_document(rho: DensityOperator) -> dict:
@@ -134,7 +122,8 @@ def state_from_document(doc: dict) -> State:
         return gibbs_free_density(_field(doc, "occupations", 1), space)
     if kind == "slater":
         rows = _require(doc, "orbitals")
-        array = matrix_from_json(rows) if rows else np.zeros((0, d), dtype=complex)
+        empty = isinstance(rows, list) and not rows  # only [] means no rows
+        array = np.zeros((0, d), dtype=complex) if empty else matrix_from_json(rows)
         return slater_amplitudes(array, space)
     items = _require(doc, "components")
     if not isinstance(items, list):
@@ -198,5 +187,93 @@ def _reject_constant(name: str):
     raise ValidationError(f"documents may not contain the non-finite number {name}")
 
 
-def loads(text: str) -> dict:
+# The grammar of a rectangular array of JSON numbers, matched before numpy reads
+# the array's text.  Quantifiers are possessive, so that a match keeps no
+# backtracking state per number.  An integer has at most 18 digits: inside int64,
+# where json's int and numpy's float read the same value.  Longer ones go to json.
+_WS = rb"[ \t\n\r]*+"
+_NUMBER = rb"-?+(?:0|[1-9][0-9]{0,17}+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
+_TOKEN = re.compile(rb'"(?:[^"\\]++|\\.)*+"|[\[\]{}]', re.DOTALL)  # a string or a bracket
+_OPENING = re.compile(rb"\[(?:" + _WS + rb"\[)*+")
+_NEGATIVE_ZERO = re.compile(rb"-0(?![.eE0-9])")  # the integer -0, which json reads as 0
+_MAX_DEPTH = 32  # well inside numpy's 64 dimensions; deeper arrays go to json
+_CHUNK = 1 << 20  # bytes of array text copied at a time
+
+
+def _list_pattern(item: bytes, n: int | None) -> bytes:
+    """A JSON list of `n` items that match `item` (None: one or more)."""
+    repeat = b"++" if n is None else b"{%d}+" % n
+    # each item is followed by a comma and another item, or by the closing bracket
+    step = rb"(?:,(?!%s\])|(?=\]))" % _WS
+    return rb"\[(?:%s%s%s%s)%s%s\]" % (_WS, item, _WS, step, repeat, _WS)
+
+
+def _numeric_array(data: bytes, start: int):
+    """(float array, end) of the rectangular array of JSON numbers whose text
+    starts at data[start]; None when the text there is any other value."""
+    opening = _OPENING.match(data, start).group()
+    if opening.count(b"[") > _MAX_DEPTH:
+        return None
+    # from the innermost list out: match the first list of each depth, whose
+    # items have the shape found so far, and count its items by its commas
+    item, shape, commas = _NUMBER, [], 0
+    for offset in reversed([i for i, c in enumerate(opening) if c == ord("[")]):
+        match = re.compile(_list_pattern(item, None)).match(data, start + offset)
+        if match is None:
+            return None
+        n = (data.count(b",", start + offset, match.end()) + 1) // (commas + 1)
+        shape.insert(0, n)
+        commas = n * (commas + 1) - 1
+        item = _list_pattern(item, n)
+    end = match.end()
+    array = np.empty(shape)
+    flat, filled = array.reshape(-1), 0
+    while start < end:  # the text a chunk at a time, each cut after a comma
+        cut = data.find(b",", min(start + _CHUNK, end), end) + 1 or end
+        text = data[start:cut].translate(None, b"[]")
+        values = np.fromstring(text, sep=",")
+        if (np.signbit(values) & (values == 0)).any():
+            values = np.fromstring(_NEGATIVE_ZERO.sub(b"0", text), sep=",")
+        flat[filled : filled + values.size] = values
+        filled += values.size
+        start = cut
+    return array, end
+
+
+def loads(text: str | bytes) -> dict:
+    """Decode a JSON document, given as str or as bytes read as strict UTF-8.
+
+    Each rectangular array of numbers that is the document or the value of an
+    object member comes back as a float ndarray, read by numpy; json decodes
+    the rest, other arrays as lists.  Every number reads as json reads it,
+    the integer -0 as +0.0.
+    """
+    # a str's lone surrogates pass through to json, as they would undecoded
+    errors = "surrogatepass" if isinstance(text, str) else "strict"
+    data = text.encode("utf-8", errors) if isinstance(text, str) else text
+    arrays, pieces, last, pos, enclosing = [], [], 0, 0, []
+    while (token := _TOKEN.search(data, pos)) is not None:
+        start, pos, kind = token.start(), token.end(), data[token.start()]
+        if kind == ord("[") and (not enclosing or enclosing[-1] == ord("{")):
+            found = _numeric_array(data, start)
+            if found is not None:
+                pieces.append(data[last:start])
+                arrays.append(found[0])
+                last = pos = found[1]
+                continue
+        if kind in b"[{":
+            enclosing.append(kind)
+        elif kind in b"]}" and enclosing:
+            enclosing.pop()
+    pieces.append(data[last:])
+    # each array's text becomes a NaN, which json hands back through parse_constant
+    if arrays and not any(b"NaN" in p or b"Infinity" in p for p in pieces):
+        order = iter(arrays)
+        try:
+            rest = b" NaN ".join(pieces).decode("utf-8", errors)
+            return json.loads(rest, parse_constant=lambda _: next(order))
+        except (ValueError, RecursionError):
+            pass  # decoding the whole text below raises the text's own error
+    if not isinstance(text, str):
+        text = data.decode("utf-8")
     return json.loads(text, parse_constant=_reject_constant)

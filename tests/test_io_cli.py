@@ -23,6 +23,7 @@ from fermifree import (
 from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.pdm import one_pdm
+from fermifree.states import _state_array
 from fermifree.verify import sample_density, sample_free_spec
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
@@ -244,6 +245,13 @@ BAD_TYPE_DOCUMENTS = {
     "1 x 2 free-spec orbitals": {
         "d": 2, "kind": "free-spec", "occupations": [0.5, 0.5], "orbitals": [[[1, 0], [0, 0]]]
     },
+    # only [] means a Slater state without rows
+    **{
+        f"{name} slater orbitals": {"d": 2, "kind": "slater", "orbitals": value}
+        for name, value in [
+            ("null", None), ("false", False), ("empty string", ""), ("zero", 0.0), ("empty object", {})
+        ]
+    },
 }
 
 
@@ -382,9 +390,8 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), base=st.sampled_from(VALID_DOCUMENTS))
-def test_malformed_documents_raise_only_validation_error(data, base):
+def _mutated(data, base):
+    """A copy of document `base` with one to three values replaced or deleted."""
     doc = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
@@ -399,6 +406,13 @@ def test_malformed_documents_raise_only_validation_error(data, base):
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.sampled_from(VALID_DOCUMENTS))
+def test_malformed_documents_raise_only_validation_error(data, base):
+    doc = _mutated(data, base)
     try:
         state = ffio.state_from_document(doc)
     except ValidationError:
@@ -407,6 +421,232 @@ def test_malformed_documents_raise_only_validation_error(data, base):
         return
     assert isinstance(state, (DensityOperator, PureState))
     assert isinstance(ffio.density_from_document(doc), DensityOperator)
+
+
+# --- the text reader against json's lists ------------------------------------
+
+
+def _json_lists(text):
+    """The reference reader: json alone, every array as lists."""
+    return json.loads(text, parse_constant=ffio._reject_constant)
+
+
+def _reading(loads, text):
+    """(document tree, state) that `loads` and the list path make of `text`,
+    None for each step that rejects it."""
+    try:
+        tree = loads(text)
+    except (ValidationError, json.JSONDecodeError, RecursionError):  # what the CLI reports
+        return None, None
+    try:
+        return tree, ffio.state_from_document(tree)
+    except ValidationError:
+        return tree, None
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _leaves(node):
+    if isinstance(node, list):
+        for child in node:
+            yield from _leaves(child)
+    else:
+        yield node
+
+
+def _assert_same_tree(tree, reference):
+    """`tree` is `reference`, but for float arrays in place of lists of
+    numbers, bit for bit (sign of zero included)."""
+    if isinstance(tree, np.ndarray):
+        # what the list path admits: integers that fit int64 or uint64, no true or false
+        assert isinstance(reference, list)
+        assert all(type(x) in (int, float) for x in _leaves(reference))
+        expected = np.asarray(reference)
+        assert expected.dtype.kind in "iuf"
+        expected = expected.astype(float)
+        assert tree.dtype == np.float64 and tree.shape == expected.shape
+        assert np.array_equal(_bits(tree), _bits(expected))
+    elif isinstance(tree, (dict, list)):
+        assert type(tree) is type(reference) and len(tree) == len(reference)
+        if isinstance(tree, dict):
+            assert tree.keys() == reference.keys()
+            tree, reference = tree.values(), reference.values()
+        for a, b in zip(tree, reference):
+            _assert_same_tree(a, b)
+    else:
+        assert type(tree) is type(reference) and tree == reference
+
+
+def assert_read_as_json_reads(text):
+    """io.loads, from str and from UTF-8 bytes, accepts and rejects what json
+    does, and every state built from it is the list path's, bit for bit."""
+    ref_tree, ref_state = _reading(_json_lists, text)
+    for source in (text, text.encode("utf-8", "surrogatepass")):
+        tree, state = _reading(ffio.loads, source)
+        assert (tree is None) == (ref_tree is None)
+        assert (state is None) == (ref_state is None)
+        if tree is not None:
+            _assert_same_tree(tree, ref_tree)
+        if state is not None:
+            assert type(state) is type(ref_state) and state.space == ref_state.space
+            data, ref_data = (_state_array(s).view(float) for s in (state, ref_state))
+            assert np.array_equal(_bits(data), _bits(ref_data))
+
+
+WHITESPACE = st.sampled_from(["", "", " ", "\t", "\n", "\r", " \r\n\t"])
+INDENTS = st.sampled_from([None, 0, 2, "\t", "\r\n"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), base=st.sampled_from(VALID_DOCUMENTS))
+def test_text_reader_matches_json_on_mutated_documents(data, base):
+    doc = _mutated(data, base) if data.draw(st.booleans(), label="mutate") else base
+    comma = data.draw(WHITESPACE) + "," + data.draw(WHITESPACE)
+    colon = data.draw(WHITESPACE) + ":" + data.draw(WHITESPACE)
+    assert_read_as_json_reads(json.dumps(doc, indent=data.draw(INDENTS), separators=(comma, colon)))
+
+
+# JSON numbers, among them integers just inside and just outside [-2^63, 2^64)
+NUMBERS = [
+    "0", "-0", "-0.0", "0.5", "-0.5", "5e-1", "2.5E-1", "1E+2", "4.9e-324", "-4.9e-324", "1e-400",
+    "1e400", "-1e400", "123456789012345678", "1234567890123456789", "0.1234567890123456789",
+    "-9223372036854775808", "-9223372036854775809", "18446744073709551615",
+    "18446744073709551616",
+]
+# tokens that are not JSON numbers, or not numbers at all
+NOT_NUMBERS = [
+    "01", ".5", "+1", "1.", "1e", "-", "1 2", "true", "false", "null", "NaN", "-Infinity",
+    '"[1,2]"', "[]", "[1]", "{}",
+]
+# spellings of the entries of a valid d=1 density matrix
+ZERO = ["0", "-0", "0.0", "-0.0", "0E0", "-0e+3", "1e-400", "4.9e-324", "-4.9e-324"]
+QUARTER = ["0.25", "2.5E-1", "25e-2", "0.250"]
+THREE_QUARTERS = ["0.75", "7.5e-1", "75E-2", "0.7500"]
+
+
+@st.composite
+def list_texts(draw, items, malformed=True):
+    """A JSON list of the texts `items`, with random whitespace; if `malformed`,
+    now and then a missing or doubled comma, or one after the last item."""
+    comma, trailing = ",", ""
+    if malformed:
+        comma = draw(st.sampled_from([","] * 8 + ["", ",,"]))
+        trailing = draw(st.sampled_from([""] * 9 + [","]))
+    ws = draw(WHITESPACE)
+    return "[" + ws + (ws + comma + ws).join(items) + ws + trailing + "]"
+
+
+@st.composite
+def density_texts(draw):
+    """(text, valid): a d=1 density document whose matrix entries are spelled
+    in many ways.  A valid one is a state; the others may hold foreign tokens
+    and malformed lists."""
+    valid = draw(st.booleans(), label="valid")
+    slot = st.sampled_from(ZERO if valid else ZERO + NUMBERS + NOT_NUMBERS)
+    diagonal = [draw(st.sampled_from(QUARTER)), draw(st.sampled_from(THREE_QUARTERS))]
+    rows = []
+    for i in range(2):
+        pairs = []
+        for j in range(2):
+            real = diagonal[i] if i == j else draw(slot)
+            pairs.append(draw(list_texts([real, draw(slot)], not valid)))
+        rows.append(draw(list_texts(pairs, not valid)))
+    ws = draw(WHITESPACE)
+    matrix = draw(list_texts(rows, not valid))
+    text = f'{{"d": 1,{ws}"kind": "density", "labels": ["[1,2]"], "matrix":{ws}{matrix}}}'
+    return text, valid
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=density_texts())
+def test_text_reader_matches_json_on_spelled_numbers(case):
+    text, valid = case
+    assert_read_as_json_reads(text)
+    if valid:
+        assert isinstance(ffio.loads(text)["matrix"], np.ndarray)
+        assert isinstance(ffio.state_from_document(ffio.loads(text)), DensityOperator)
+
+
+ARRAY_TEXTS = st.recursive(
+    st.sampled_from(NUMBERS + NOT_NUMBERS),
+    lambda inner: st.lists(inner, max_size=3).flatmap(list_texts),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(array=ARRAY_TEXTS, kind=st.sampled_from(["density", "gibbs", "pure"]))
+def test_text_reader_matches_json_on_arbitrary_arrays(array, kind):
+    field = {"density": "matrix", "gibbs": "occupations", "pure": "amplitudes"}[kind]
+    assert_read_as_json_reads(f'{{"d": 1, "kind": "{kind}", "{field}": {array}}}')
+    assert_read_as_json_reads(array)
+
+
+STRUCTURES = {
+    "empty": "[]",
+    "empty row": "[[]]",
+    "ragged rows": "[[1, 2], [3]]",
+    "ragged depth": "[1, [2]]",
+    "empty and full rows": "[[], [1]]",
+    "65 deep": "[" * 65 + "0.5" + "]" * 65,
+    "33 deep": "[" * 33 + "0.5" + "]" * 33,
+    "string with brackets": '["[1,2]", [1, 2]]',
+    "numbers after strings": '[[1, 2], "x", [3, 4]]',
+    "object in list": '[{"a": [1, 2]}, [3, 4]]',
+    "unterminated string": '["a, [1, 2]]',
+    "extra data": "[1, 2] [3]",
+    "trailing number": "[1, 2]3",
+    "whitespace": " \t\r\n[ \t\r\n1 \t\r\n, \t\r\n2 \t\r\n] \t\r\n",
+    "form feed": "[1,\f2]",
+    "vertical tab": "[1\v, 2]",
+    "NaN after": '[[0.5, 0]], "x": NaN',
+    "-Infinity before": '-Infinity, "x": [[0.5, 0]]',
+    "NaN in a string": '[[0.5, 0]], "labels": ["NaN"]',
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_text_reader_matches_json_on_structures(name):
+    array = STRUCTURES[name]
+    assert_read_as_json_reads(array)
+    for kind, field in [("density", "matrix"), ("gibbs", "occupations"), ("slater", "orbitals")]:
+        assert_read_as_json_reads(f'{{"d": 1, "kind": "{kind}", "{field}": {array}}}')
+
+
+def test_text_reader_matches_json_on_unclosed_nesting():
+    assert_read_as_json_reads("[" * 100_000)
+
+
+@pytest.mark.parametrize("token", NUMBERS + NOT_NUMBERS)
+def test_text_reader_matches_json_on_each_token(token):
+    assert_read_as_json_reads(f"[{token}]")
+    assert_read_as_json_reads(f'{{"d": 1, "kind": "gibbs", "occupations": [{token}, 0.5]}}')
+    matrix = f"[[[0.25, 0], [0, 0]], [[0, 0], [0.75, {token}]]]"
+    assert_read_as_json_reads(f'{{"d": 1, "kind": "density", "matrix": {matrix}}}')
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_text_reader_reads_across_chunks(monkeypatch, chunk):
+    # numpy reads an array's text a chunk at a time, each cut after a comma
+    monkeypatch.setattr(ffio, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    spellings = np.array(ZERO + QUARTER + NUMBERS[:6] + ["-1e-7", "123456789012345678"])
+    entries = rng.choice(spellings, size=(6, 5, 2))
+    rows = ["[" + ",\n ".join(f"[{a},\t{b}]" for a, b in row) + "]" for row in entries]
+    text = '{"d": 1, "kind": "density", "matrix": [' + ", ".join(rows) + "]}"
+    assert isinstance(ffio.loads(text)["matrix"], np.ndarray)
+    assert_read_as_json_reads(text)
+
+
+def test_text_reader_decodes_numeric_arrays_to_ndarrays():
+    doc = ffio.loads(ffio.dumps(ffio.density_to_document(remark_state())))
+    assert isinstance(doc["matrix"], np.ndarray) and doc["matrix"].shape == (4, 4, 2)
+    nested = ffio.loads('{"components": [{"weight": 0.5, "state": {"occupations": [0.5]}}]}')
+    assert isinstance(nested["components"], list)
+    assert isinstance(nested["components"][0]["state"]["occupations"], np.ndarray)
+    assert np.signbit(ffio.loads("[-0, -0.0]")).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -574,6 +574,11 @@ def _wrong_typed_calls():
         "basis-change-str": lambda: basis_change_unitary([["x"]], one),
         "binary-entropy-str": lambda: fermifree.binary_entropy(["x"]),
         "mixture-weight-str": lambda: fermifree.mixture([("0.5", rho), (0.5, rho)]),
+        # True and False among numbers in a list, which numpy would read as 1 and 0
+        "density-bool-in-list": lambda: fermifree.DensityOperator(one, [[True, 0], [0, 0.0]]),
+        "mixture-weight-bool": lambda: fermifree.mixture([(True, rho), (0.0, rho)]),
+        "pure-bool-in-list": lambda: fermifree.PureState(one, [True, 0.0]),
+        "spec-occupations-bool": lambda: FreeStateSpec(two, [True, 0.0], np.eye(2)),
         # states of the wrong type
         "mixture-not-pairs": lambda: fermifree.mixture([(1.0,)]),
         "mixture-not-iterable": lambda: fermifree.mixture(5),
