@@ -1,14 +1,19 @@
 """Spectral entropy functionals: von Neumann, relative, Renyi, sandwiched Renyi.
 
-Everything is in nats.  All spectral functions read each state's cached
-eigendecomposition (`DensityOperator.eigenpairs`: carried from construction
-for free and pure states, otherwise `states.spectrum`, taken once) and treat
-eigenvalues at or below `KERNEL_TOL` as exact kernel, which makes the
-+infinity conventions of the divergences testable.  The first state may also
-be a `PureState` (eigenvalue 1 on its amplitudes) and the second a
-`FreeStateSpec` (Bernoulli weights on the Fock basis of its orbitals), which
-no 2^d x 2^d matrix represents.  The three divergences share one core,
-`_divergences`, which also scores stacks of references for the searches.
+Everything is in nats.  Eigenvalues at or below `KERNEL_TOL` are treated as
+exact kernel, which makes the +infinity conventions of the divergences
+testable.  `von_neumann` reads a state's eigenvalues only
+(`DensityOperator.eigenvalues`).  The relative entropy and the sandwiched
+divergences from a density operator to a `FreeStateSpec` rotate the operator
+into the Fock basis of the spec's orbitals (`_rotated`) and need none of its
+eigenvectors, as long as its kernel eigenvalues are negligible; every other
+case reads the cached eigenpairs (`DensityOperator.eigenpairs`: carried from
+construction for free and pure states, otherwise `states.spectrum`, taken on
+first use).  The first state may also be a `PureState` (eigenvalue 1 on its
+amplitudes) and the second a `FreeStateSpec` (Bernoulli weights on the Fock
+basis of its orbitals), which no 2^d x 2^d matrix represents.  The three
+divergences share one core, `_divergences`, which also scores stacks of
+references for the searches, and both routes apply the same +inf rules.
 """
 
 import numpy as np
@@ -23,6 +28,14 @@ from .states import (
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
 
+def _live_eigenvalues(a: State) -> np.ndarray:
+    """The eigenvalues of `a` above KERNEL_TOL; 1 for a pure state."""
+    if _state_array(a).ndim == 1:
+        return np.ones(1)
+    w = a.eigenvalues
+    return w[w > KERNEL_TOL]
+
+
 def _live(a: State):
     """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns);
     a pure state is its own eigenvector, with eigenvalue 1."""
@@ -34,6 +47,17 @@ def _live(a: State):
     return (w, v) if live.all() else (w[live], v[:, live])
 
 
+def _check_pair(a: State, b: Reference):
+    """Reject a pair that is not a state and a reference on one space."""
+    _state_array(a)
+    if not isinstance(b, Reference):
+        raise ValidationError(
+            f"expected a DensityOperator or FreeStateSpec, not {type(b).__name__}"
+        )
+    if a.space.d != b.space.d:
+        raise ValidationError("divergences require both states on the same space")
+
+
 def _joint(a: State, b: Reference):
     """Live spectrum p of a, spectrum q of b, and the coefficients
     c[i, j] = <b_j|a_i> of a's live eigenvectors in b's eigenbasis.
@@ -41,27 +65,55 @@ def _joint(a: State, b: Reference):
     A free state given by its spec is diagonal, with its Bernoulli weights, in
     the Fock basis of its orbitals, which the vectors reach by Givens rotations.
     """
-    if not isinstance(b, Reference):
-        raise ValidationError(
-            f"expected a DensityOperator or FreeStateSpec, not {type(b).__name__}"
-        )
     p, va = _live(a)
-    if a.space.d != b.space.d:
-        raise ValidationError("divergences require both states on the same space")
     if isinstance(b, FreeStateSpec):
         return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
     q, vb = b.eigenpairs
     return p, q, (vb.conj().T @ va).T
 
 
-def _support(p, q, overlap):
-    """Which eigenvalues of each reference B lie above KERNEL_TOL; the weights
-    m_j = sum_i p_i |c_ij|^2 of A's support on B's eigenvectors; and whether
-    more than KERNEL_TOL of that weight lies in ker B, where -Tr(A log B) and
-    the divergences from alpha >= 1 are +inf."""
+def _support(q, mass):
+    """Which eigenvalues of each reference B lie above KERNEL_TOL, and whether
+    more than KERNEL_TOL of A's weights `mass` on B's eigenvectors lies in
+    ker B, where -Tr(A log B) and the divergences from alpha >= 1 are +inf."""
     live = q > KERNEL_TOL
-    mass = p @ overlap
-    return live, mass, np.where(live, 0.0, mass).sum(axis=-1) > KERNEL_TOL
+    return live, np.where(live, 0.0, mass).sum(axis=-1) > KERNEL_TOL
+
+
+def _powers(q, exponent: float):
+    """q ** exponent on B's support (above KERNEL_TOL), 0 on its kernel."""
+    live = q > KERNEL_TOL
+    return np.where(live, np.where(live, q, 1.0) ** exponent, 0.0)
+
+
+def _relative(p, q, mass) -> np.ndarray:
+    """S(A||B) = sum p log p - sum_j m_j log q_j + sum q - sum p for each
+    reference B, from A's live eigenvalues p, B's spectrum q and A's weights
+    m = `mass` on B's eigenvectors; +inf where ``_support`` finds a crossing."""
+    live, crossing = _support(q, mass)
+    log_q = np.log(np.where(live, q, 1.0))
+    values = (p * np.log(p)).sum() - np.vecdot(log_q, mass) + _powers(q, 1.0).sum(axis=-1) - p.sum()
+    return np.where(crossing, np.inf, values)
+
+
+def _from_trace(alpha: float, q, mass, trace, sandwiched: bool) -> np.ndarray:
+    """log(trace) / (alpha - 1) for each reference B, alpha != 1, with the +inf
+    rules: a vanishing trace; above alpha = 1 a crossing (``_support``); and for
+    Petz below alpha = 1 orthogonal supports, at most KERNEL_TOL of A's
+    weights `mass` on B's support."""
+    live, crossing = _support(q, mass)
+    positive = trace > 0.0
+    values = np.where(positive, np.log(np.where(positive, trace, 1.0)) / (alpha - 1.0), np.inf)
+    if alpha > 1.0:
+        return np.where(crossing, np.inf, values)
+    if not sandwiched:
+        return np.where(np.where(live, mass, 0.0).sum(axis=-1) <= KERNEL_TOL, np.inf, values)
+    return values
+
+
+def _power_trace(w, alpha: float):
+    """sum w^alpha over the eigenvalues w of a sandwiched core above KERNEL_TOL."""
+    return (np.where(w > KERNEL_TOL, w, 0.0) ** alpha).sum(axis=-1)
 
 
 def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
@@ -70,42 +122,57 @@ def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
     p (k,) holds the live eigenvalues of A, q (..., n) the spectrum of each B
     (entries at or below KERNEL_TOL are its kernel) and c (..., k, n) the
     coefficients of A's live eigenvectors in B's eigenbasis, or their complex
-    conjugates.  With m_j the weight of A's support on B's j-th eigenvector:
+    conjugates.  With m_j = sum_i p_i |c_ij|^2 the weight of A's support on
+    B's j-th eigenvector:
 
-    - alpha = 1: S(A||B) = sum p log p - sum_j m_j log q_j + sum q - sum p, the
-      double sum over joint eigenpairs of `relative_entropy` summed over i,
-      since each row of |c|^2 sums to 1;
-    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha),
-      +inf below alpha = 1 when at most KERNEL_TOL of A's weight lies on B's
-      support (orthogonal supports);
+    - alpha = 1: ``_relative``, the double sum over joint eigenpairs of
+      `relative_entropy` summed over i, since each row of |c|^2 sums to 1;
+    - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha);
     - sandwiched, e = (1-alpha)/(2 alpha): B^e A B^e = X X^dagger with
       X = B^e V_A sqrt(p), whose nonzero eigenvalues are those of the k x k
       matrix X^dagger X, the conjugate of y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e;
       no 2^d x 2^d core is formed.
 
-    Away from alpha = 1 a vanishing trace gives +inf.
+    The traces go through ``_from_trace``, which applies the +inf rules.
     """
     overlap = np.abs(c) ** 2
-    live, mass, crossing = _support(p, q, overlap)
-    safe_q = np.where(live, q, 1.0)
+    mass = p @ overlap
     if alpha == 1.0:
-        plogp, total_q = (p * np.log(p)).sum(), np.where(live, q, 0.0).sum(axis=-1)
-        values = plogp - np.vecdot(np.log(safe_q), mass) + total_q - p.sum()
-        return np.where(crossing, np.inf, values)
+        return _relative(p, q, mass)
     if sandwiched:
-        exponent = (1.0 - alpha) / (2.0 * alpha)
-        y = np.sqrt(p)[:, None] * c * np.where(live, safe_q**exponent, 0.0)[..., None, :]
-        w = np.linalg.eigvalsh(y @ y.conj().swapaxes(-1, -2))
-        trace = (np.where(w > KERNEL_TOL, w, 0.0) ** alpha).sum(axis=-1)
+        y = np.sqrt(p)[:, None] * c * _powers(q, (1.0 - alpha) / (2.0 * alpha))[..., None, :]
+        trace = _power_trace(np.linalg.eigvalsh(y @ y.conj().swapaxes(-1, -2)), alpha)
     else:
-        trace = np.vecdot(np.where(live, safe_q ** (1.0 - alpha), 0.0), p**alpha @ overlap)
-    positive = trace > 0.0
-    values = np.where(positive, np.log(np.where(positive, trace, 1.0)) / (alpha - 1.0), np.inf)
-    if alpha > 1.0:
-        return np.where(crossing, np.inf, values)
-    if not sandwiched:  # orthogonal supports
-        return np.where(np.where(live, mass, 0.0).sum(axis=-1) <= KERNEL_TOL, np.inf, values)
-    return values
+        trace = np.vecdot(_powers(q, 1.0 - alpha), p**alpha @ overlap)
+    return _from_trace(alpha, q, mass, trace, sandwiched)
+
+
+def _rotated(alpha: float, a: DensityOperator, b: FreeStateSpec) -> float:
+    """The relative entropy (alpha = 1) or sandwiched divergence from a density
+    operator A to a spec B, unclamped, through T = U-hat^dagger A U-hat, A in
+    the Fock basis of B's orbitals, where B is diag(q): two Givens passes,
+    ``G(G(A)^dagger)`` with G(M) = U-hat^dagger M, and no eigenvectors of A.
+
+    A's weights on B's eigenvectors are diag(T), so the relative entropy reads
+    diag(T) and A's eigenvalues.  The sandwiched core B^e A B^e is
+    U-hat s T s U-hat^dagger with s = q^e on B's support, so its trace reads
+    ``eigvalsh`` of the Hermitian part of s T s, as A's eigenvalues read that
+    of A.  diag(T) also counts A's eigenvalues at or below KERNEL_TOL, which
+    the eigenvector route drops, so ``_divergence`` sends A here only when
+    they are negligible.
+    """
+    q = bernoulli_weights(b.occupations)
+    u, d = b.orbitals, b.space.d
+    t = _givens_amplitudes(u, _givens_amplitudes(u, a.matrix, d).conj().T, d)
+    mass = t.diagonal().real.copy()  # t is overwritten below
+    if alpha == 1.0:
+        return _relative(_live_eigenvalues(a), q, mass)
+    s = _powers(q, (1.0 - alpha) / (2.0 * alpha))
+    t += t.conj().T
+    t *= s[:, None] / 2
+    t *= s
+    trace = _power_trace(np.linalg.eigvalsh(t), alpha)
+    return _from_trace(alpha, q, mass, trace, sandwiched=True)
 
 
 def _clamp(value: float) -> float:
@@ -116,20 +183,34 @@ def _clamp(value: float) -> float:
 
 
 def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) -> float:
-    """`_divergences` for one reference: a stack of one, clamped."""
+    """One divergence, clamped: ``_divergences`` for a stack of one, or
+    ``_rotated`` for the relative entropy or a sandwiched divergence from a
+    density operator to a spec, when the operator's eigenvectors are not at
+    hand (neither carried from construction nor computed by an earlier call)
+    and its eigenvalues at or below KERNEL_TOL sum in magnitude to at most
+    KERNEL_TOL / 1000, so that both routes count the same weights."""
+    _check_pair(a, b)
+    dense_to_spec = isinstance(a, DensityOperator) and isinstance(b, FreeStateSpec)
+    if dense_to_spec and (alpha == 1.0 or sandwiched) and "eigenpairs" not in vars(a):
+        w = a.eigenvalues  # vars(a) is where cached_property keeps the eigenpairs
+        # diag(T) and the eigenvector route's weights differ by at most this sum
+        if np.abs(w[w <= KERNEL_TOL]).sum() <= 1e-3 * KERNEL_TOL:
+            return _clamp(float(_rotated(alpha, a, b)))
     return _clamp(float(_divergences(alpha, *_joint(a, b), sandwiched)))
 
 
 def von_neumann(rho: State) -> float:
     """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
-    w, _ = _live(rho)
+    w = _live_eigenvalues(rho)
     return _clamp(float(-(w * np.log(w)).sum()))
 
 
 def cross_entropy(a: State, b: Reference) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
+    _check_pair(a, b)
     p, q, c = _joint(a, b)
-    live, mass, crossing = _support(p, q, np.abs(c) ** 2)
+    mass = p @ np.abs(c) ** 2
+    live, crossing = _support(q, mass)
     return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 

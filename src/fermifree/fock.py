@@ -239,11 +239,17 @@ def _array(value, what: str, shape=None, dtype=complex) -> np.ndarray:
     if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
     if isinstance(value, (list, tuple)):
-        # numpy reads True or False among numbers as 1 or 0, so look at the leaves
+        # numpy reads True or False among numbers as 1 or 0, so look at the
+        # leaves: Python and numpy booleans, and 0-d arrays of booleans
         leaves = [value]
         for _ in range(array.ndim):
             leaves = chain.from_iterable(leaves)
-        if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+        leaves = list(leaves)
+        kinds = set(map(type, leaves))
+        arrays = any(issubclass(kind, np.ndarray) for kind in kinds) and any(
+            isinstance(leaf, np.ndarray) and leaf.dtype == bool for leaf in leaves
+        )
+        if arrays or not {bool, np.bool_}.isdisjoint(kinds):
             raise ValidationError(f"{what} must be numbers, not true or false")
     array = array.astype(dtype, copy=False)
     if shape is not None and array.shape != shape:

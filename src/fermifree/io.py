@@ -197,7 +197,7 @@ _TOKEN = re.compile(rb'"(?:[^"\\]++|\\.)*+"|[\[\]{}]', re.DOTALL)  # a string or
 _OPENING = re.compile(rb"\[(?:" + _WS + rb"\[)*+")
 _NEGATIVE_ZERO = re.compile(rb"-0(?![.eE0-9])")  # the integer -0, which json reads as 0
 _MAX_DEPTH = 32  # well inside numpy's 64 dimensions; deeper arrays go to json
-_CHUNK = 1 << 20  # bytes of array text copied at a time
+_CHUNK = 1 << 16  # bytes of array text copied at a time
 
 
 def _list_pattern(item: bytes, n: int | None) -> bytes:

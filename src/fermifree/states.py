@@ -50,16 +50,32 @@ class DensityOperator:
             raise ValidationError(f"matrix is not Hermitian: deviation {herm:.3e}")
         if not abs(tr - 1.0) <= TOL_TRACE:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lo = self.eigenpairs[0].min()
+        lo = self.eigenvalues.min()
         if lo < -TOL_PSD:
             raise ValidationError(
                 f"matrix is not positive-semidefinite: eigenvalue {lo:.3e}"
             )
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of the Hermitian part of `matrix`, read-only: one
+        ``eigvalsh`` per state (ascending) unless its constructor supplied the
+        eigenpairs (free and pure states).  Validation and `von_neumann` read them."""
+        m = self.matrix
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected
+            h = m + m.conj().T
+            h /= 2
+            w = np.linalg.eigvalsh(h)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum(matrix)``, computed once per state unless its constructor
-        supplied the eigenpairs (free and pure states); the arrays are read-only."""
+        """``spectrum(matrix)``, computed on first use unless the constructor
+        supplied the eigenpairs (free and pure states); the arrays are read-only.
+        The relative entropy and the sandwiched divergences to a
+        `FreeStateSpec` read them only if they are at hand (see
+        ``entropy._divergence`` and ``entropy._rotated``)."""
         return spectrum(self.matrix)
 
     @property
@@ -74,15 +90,15 @@ def _with_eigenpairs(
     v @ diag(w) @ v^dagger with w >= 0 and v unitary, built by the caller from
     its own structure.
 
-    The eigenpairs are cached as given, so no eigensolve runs; the shape,
-    finiteness, Hermiticity and trace checks still run on the matrix, and the
-    PSD check reads w.
+    The eigenvalues and eigenpairs are cached as given, so no eigensolve runs;
+    the shape, finiteness, Hermiticity and trace checks still run on the
+    matrix, and the PSD check reads w.
     """
     rho = object.__new__(DensityOperator)
     object.__setattr__(rho, "space", space)
     object.__setattr__(rho, "matrix", matrix)
     w.flags.writeable = v.flags.writeable = False
-    rho.__dict__["eigenpairs"] = (w, v)
+    rho.__dict__["eigenvalues"], rho.__dict__["eigenpairs"] = w, (w, v)
     rho.__post_init__()
     return rho
 

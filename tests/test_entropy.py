@@ -12,6 +12,8 @@ from fermifree import (
     OrbitalSpace,
     PureState,
     ValidationError,
+    basis_change_unitary,
+    correlation_sandwiched,
     cross_entropy,
     free_from_pdm,
     gibbs_free_density,
@@ -22,13 +24,14 @@ from fermifree import (
     relative_entropy,
     remark_state,
     renyi_divergence,
+    restrict,
     sandwiched_renyi,
     slater_density,
     von_neumann,
 )
 from fermifree.config import KERNEL_TOL
 from fermifree.entropy import _divergences, _joint
-from fermifree.states import hubbard_ground_state, spectrum
+from fermifree.states import bernoulli_weights, hubbard_ground_state, spectrum
 from fermifree.verify import sample_density, sample_pure, sample_unitary, tensor_product
 
 H23 = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)  # binary entropy of 2/3
@@ -289,13 +292,135 @@ def test_stacked_references_equal_single_calls():
         )
 
 
+# --- a density operator rotated into its reference's basis ---------------------
+
+
+def _spec_reference(rho, spec, alpha, sandwiched):
+    """The divergence from `rho` to `spec`, unclamped, from a dense eigh of rho
+    and the spec's Fock unitary, with the +inf rules written out; eigenvalues
+    of rho and Bernoulli weights of the spec at or below KERNEL_TOL are kernel."""
+    fock_u = basis_change_unitary(spec.orbitals, spec.space)
+    q = bernoulli_weights(spec.occupations)
+    w, v = np.linalg.eigh(rho.matrix)
+    p, c = w[w > KERNEL_TOL], fock_u.conj().T @ v[:, w > KERNEL_TOL]  # c[j, i] = <b_j|a_i>
+    mass, live = np.abs(c) ** 2 @ p, q > KERNEL_TOL
+    crossing = mass[~live].sum() > KERNEL_TOL
+    if alpha == 1.0:
+        if crossing:
+            return math.inf
+        return (p * np.log(p)).sum() - mass[live] @ np.log(q[live]) + q[live].sum() - p.sum()
+    if alpha > 1.0 and crossing:
+        return math.inf
+    if sandwiched:
+        b_e = (fock_u[:, live] * q[live] ** ((1 - alpha) / (2 * alpha))) @ fock_u[:, live].conj().T
+        core = b_e @ rho.matrix @ b_e
+        core_w = np.linalg.eigvalsh((core + core.conj().T) / 2)
+        trace = (core_w[core_w > KERNEL_TOL] ** alpha).sum()
+    else:
+        if alpha < 1.0 and mass[live].sum() <= KERNEL_TOL:
+            return math.inf
+        trace = q[live] ** (1 - alpha) @ (np.abs(c[live]) ** 2 @ p**alpha)
+    return math.log(trace) / (alpha - 1) if trace > 0 else math.inf
+
+
+ROTATED_DIVERGENCES = [
+    ("relative", 1.0, False),
+    *(("sandwiched", alpha, True) for alpha in (0.5, 0.75, 2.0)),
+    *(("petz", alpha, False) for alpha in (0.5, 2.0)),
+]
+
+
+def _spec_divergence(rho, spec, alpha, sandwiched):
+    if alpha == 1.0:
+        return relative_entropy(rho, spec)
+    return (sandwiched_renyi if sandwiched else renyi_divergence)(alpha, rho, spec)
+
+
+def _assert_matches(value, expected, case, rtol=1e-12, atol=0.0):
+    assert math.isinf(value) == math.isinf(expected), case
+    if not math.isinf(expected):
+        assert abs(value - max(expected, 0.0)) <= rtol * abs(expected) + atol, case
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_rotation_route_matches_dense_eigh_reference(d):
+    """Divergences from a density operator without eigenvectors to a spec,
+    which rotate it into the spec's Fock basis (relative and sandwiched), against
+    the dense reference: full-rank and rank 1 and 3 states; references with
+    random occupations, with occupations 1e-3 and 1 - 1e-9, and with boundary
+    occupations 0 and 1, whose kernel makes the divergences from alpha = 1 up
+    +inf.  Reading the eigenpairs afterwards, which moves the state to the
+    eigenvector route, gives the same values; Petz takes that route anyway."""
+    rng = np.random.default_rng(40 + d)
+    space = OrbitalSpace(d)
+    interior = rng.uniform(0.2, 0.8, d)
+    specs = {
+        "random": interior,
+        "near-boundary": np.concatenate([[1e-3, 1 - 1e-9], interior[2:]]),
+        "boundary": np.concatenate([[0.0, 1.0], interior[2:]]),
+    }
+    for rank in (None, 1, 3):
+        for name, occupations in specs.items():
+            spec = FreeStateSpec(space, occupations, sample_unitary(d, rng))
+            rho = sample_density(space, rng, rank)
+            rotated = {}
+            for kind, alpha, sandwiched in ROTATED_DIVERGENCES[:4]:
+                rotated[alpha] = _spec_divergence(rho, spec, alpha, sandwiched)
+            if rank is None:
+                assert "eigenpairs" not in rho.__dict__  # rotated, never diagonalized
+            rho.eigenpairs
+            for kind, alpha, sandwiched in ROTATED_DIVERGENCES:
+                case = (rank, name, kind, alpha)
+                expected = _spec_reference(rho, spec, alpha, sandwiched)
+                # the eigenvector route's k x k core rounds the smallest core
+                # eigenvalues differently, and w^alpha magnifies that below
+                # alpha = 1 (up to 1e-11 relative with Bernoulli weights of 1e-12)
+                value = _spec_divergence(rho, spec, alpha, sandwiched)
+                _assert_matches(value, expected, case, 1e-10 if sandwiched else 1e-12)
+                if kind != "petz":
+                    _assert_matches(rotated[alpha], expected, case)
+                if name != "near-boundary":  # whose smallest weights reach KERNEL_TOL
+                    # the boundary spec's kernel holds weight of every state drawn
+                    assert math.isinf(expected) == (name == "boundary" and alpha >= 1.0), case
+
+
+@pytest.mark.parametrize(
+    "kernel, infinite",
+    [
+        ([0.75e-12, 0.75e-12], False),  # both at or below KERNEL_TOL: dropped, no crossing
+        ([2e-12, -5e-11], True),  # 2e-12 is live and crosses; -5e-11 is dropped
+    ],
+)
+def test_kernel_eigenvalues_give_one_answer_on_both_routes(kernel, infinite):
+    """A Slater reference S and a state (1 - sum(kernel)) |S><S| plus weights
+    `kernel` on two other Fock vectors of S's orbitals, which lie in the
+    reference's kernel.  Eigenvalues at or below KERNEL_TOL are exact kernel, so
+    the divergences from alpha = 1 up are +inf exactly when a live eigenvalue
+    lies in that kernel, with or without the eigenpairs cached."""
+    rng = np.random.default_rng(71)
+    space = OrbitalSpace(3)
+    spec = FreeStateSpec(space, [1.0, 0.0, 1.0], sample_unitary(3, rng))
+    fock_u = basis_change_unitary(spec.orbitals, space)
+    slater = int(np.argmax(bernoulli_weights(spec.occupations)))
+    kernel_vectors = [k for k in range(space.dim) if k != slater][:2]
+    weights = np.zeros(space.dim)
+    weights[slater], weights[kernel_vectors] = 1.0 - sum(kernel), kernel
+    rho = DensityOperator(space, (fock_u * weights) @ fock_u.conj().T)
+    for kind, alpha, sandwiched in ROTATED_DIVERGENCES:
+        case = (kind, alpha)
+        expected = _spec_reference(rho, spec, alpha, sandwiched)
+        assert math.isinf(expected) == (infinite and alpha >= 1.0), case
+        before = _spec_divergence(rho, spec, alpha, sandwiched)
+        rho.eigenpairs
+        _assert_matches(before, expected, case, atol=1e-14)  # values near 0
+        assert _spec_divergence(rho, spec, alpha, sandwiched) == before, case
+        rho = DensityOperator(space, rho.matrix)  # eigenpairs not computed
+
+
 # --- joint invariances ----------------------------------------------------------
 
 
 def test_unitary_invariance_of_all_functionals():
-    from fermifree import basis_change_unitary
-    from fermifree.verify import sample_unitary
-
     rng = np.random.default_rng(13)
     space = OrbitalSpace(2)
     a, b = sample_density(space, rng), sample_density(space, rng)
@@ -418,6 +543,26 @@ def test_hubbard_nonfreeness_makes_no_full_size_eigh(monkeypatch):
     report = nonfreeness(rho, cross_check=True)
     assert report.cross_check < 1e-7
     assert shapes and max(max(shape) for shape in shapes) < rho.dim
+
+
+def test_dense_state_takes_no_full_size_eigh(monkeypatch):
+    """Validation and the entropy read eigenvalues, and the divergences to the
+    free reference rotate the state into its basis, so no command on a dense
+    state hands eigh its 128 x 128 matrix."""
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    rho = sample_density(OrbitalSpace(7), np.random.default_rng(70))
+    assert nonfreeness(rho, cross_check=True).cross_check < 1e-7
+    assert 0.0 < correlation_sandwiched(rho, 0.5) < math.inf
+    one_pdm(rho)
+    restrict(rho, [1, 2, 3])
+    assert sizes and (128, 128) not in sizes  # the 7 x 7 1-pdm's only
 
 
 # --- spectra carried from construction against the dense eigensolve -------------

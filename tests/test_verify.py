@@ -577,6 +577,11 @@ def _wrong_typed_calls():
         # True and False among numbers in a list, which numpy would read as 1 and 0
         "density-bool-in-list": lambda: fermifree.DensityOperator(one, [[True, 0], [0, 0.0]]),
         "mixture-weight-bool": lambda: fermifree.mixture([(True, rho), (0.0, rho)]),
+        # a 0-d boolean array among them, whose type is ndarray, not bool
+        "density-bool-array-in-list": lambda: fermifree.DensityOperator(
+            one, [[np.array(True), 0], [0, 0.0]]
+        ),
+        "mixture-weight-bool-array": lambda: fermifree.mixture([(np.array(True), rho), (0.0, rho)]),
         "pure-bool-in-list": lambda: fermifree.PureState(one, [True, 0.0]),
         "spec-occupations-bool": lambda: FreeStateSpec(two, [True, 0.0], np.eye(2)),
         # states of the wrong type
