@@ -17,7 +17,6 @@ from .correlation import (
     restrict,
 )
 from .entropy import (
-    cross_entropy,
     relative_entropy,
     renyi_divergence,
     sandwiched_renyi,
@@ -36,16 +35,17 @@ from .states import (
     mixture,
     pure_density,
     slater_amplitudes,
-    slater_density,
 )
 from .verify import (
     SearchConfig,
     VerificationReport,
+    cross_entropy,
     min_relent_search,
     pair_state,
     property_suite,
     remark_state,
     renyi_min_search,
+    slater_density,
 )
 
 __all__ = [

@@ -1,9 +1,7 @@
 """Correlation functionals: nonfreeness, its Renyi relatives, and restriction.
 
 Nonfreeness is the entropy of a state relative to the unique free state with
-the same 1-pdm.  At finite dimension the state entropy is always finite, so
-the primary computation is the entropy difference over natural occupations,
-with the direct relative-entropy evaluation kept as a cross-check.
+the same 1-pdm: an entropy difference, with the relative entropy as a cross-check.
 """
 
 from dataclasses import dataclass
@@ -15,7 +13,7 @@ from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_n
 from .errors import ValidationError
 from .fock import OrbitalSpace, split_table
 from .pdm import natural_spectrum, one_pdm
-from .states import DensityOperator, State, _probabilities, _state_array
+from .states import DensityOperator, State, _probabilities, _require_state
 
 
 def binary_entropy(p: np.ndarray) -> float:
@@ -46,13 +44,12 @@ class CorrelationReport:
 def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     """Entropy of `state` relative to its free reference state.
 
-    Computed as S(free reference) - S(state), where the free entropy is the
-    binary-entropy sum over the natural occupation numbers and a pure state's
-    entropy is 0.  Values in [-TOL_NONFREENESS, 0) are treated as float noise
-    and clamped to 0; anything lower is a hard error, since the free entropy
-    can never fall below the state entropy.  The cross-check evaluates the
-    relative entropy against the reference's spec, which the divergences
-    reach by Givens rotations; no Fock unitary or free density is built.
+    Computed as S(free reference) - S(state), the free entropy a binary-entropy
+    sum over the natural occupations.  Values in [-TOL_NONFREENESS, 0) are
+    float noise, clamped to 0; lower ones are a hard error, since the free
+    entropy never falls below the state entropy.  The cross-check evaluates
+    the relative entropy against the reference's spec, reached by Givens
+    rotations; no Fock unitary or free density is built.
     """
     reference = natural_spectrum(one_pdm(state))
     entropy_free = binary_entropy(reference.occupations)
@@ -90,12 +87,12 @@ def restrict(state: State, keep) -> DensityOperator:
     """Substate delimited by the orbitals in `keep` (fermionic partial trace).
 
     Matrix elements are summed over the complement's occupation lists with
-    the reordering signs of the tensor factorization; the result's 1-pdm is
-    the keep x keep compression of the input's.  A pure state's amplitudes,
-    signed and laid out as M[a, b] over (kept, complement) lists, give
-    M @ M^dagger.
+    the reordering signs of the tensor factorization (the state's
+    ``partial_trace``); the result's 1-pdm is the keep x keep compression of
+    the input's.
     """
-    data, space = _state_array(state), state.space
+    _require_state(state)
+    space = state.space
     try:
         keep = tuple(keep)
     except TypeError as exc:
@@ -106,15 +103,7 @@ def restrict(state: State, keep) -> DensityOperator:
     # joined[b, a] is the occupation list with factors (a, b): for each
     # complement list b, the kept lists a appear in increasing order
     joined = np.argsort(n2, kind="stable").reshape(1 << (space.d - len(keep)), -1)
-    s = sign[joined]
-    if data.ndim == 1:
-        m = (s * data[joined]).T
-        out = m @ m.conj().T
-    else:
-        terms = data[joined[:, :, None], joined[:, None, :]]
-        terms *= s[:, :, None]
-        terms *= s[:, None, :]
-        out = terms.sum(axis=0)
+    out = state.partial_trace(joined, sign[joined])
     labels = space.labels
     sub_labels = tuple(labels[i - 1] for i in sorted(keep)) if labels is not None else None
     return DensityOperator(OrbitalSpace(len(keep), sub_labels), out)

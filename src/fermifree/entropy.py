@@ -2,18 +2,14 @@
 
 Everything is in nats.  Eigenvalues at or below `KERNEL_TOL` are treated as
 exact kernel, which makes the +infinity conventions of the divergences
-testable.  `von_neumann` reads a state's eigenvalues only
-(`DensityOperator.eigenvalues`).  The relative entropy and the sandwiched
-divergences from a density operator to a `FreeStateSpec` rotate the operator
-into the Fock basis of the spec's orbitals (`_rotated`) and need none of its
-eigenvectors, as long as its kernel eigenvalues are negligible; every other
-case reads the cached eigenpairs (`DensityOperator.eigenpairs`: carried from
-construction for free and pure states, otherwise `states.spectrum`, taken on
-first use).  The first state may also be a `PureState` (eigenvalue 1 on its
-amplitudes) and the second a `FreeStateSpec` (Bernoulli weights on the Fock
-basis of its orbitals), which no 2^d x 2^d matrix represents.  The three
-divergences share one core, `_divergences`, which also scores stacks of
-references for the searches, and both routes apply the same +inf rules.
+testable.  A state is a `DensityOperator` or a `FactoredState`, a reference a
+`DensityOperator` or a `FreeStateSpec` (Bernoulli weights on the Fock basis of
+its orbitals).  `von_neumann` reads a state's eigenvalues only.  The three
+divergences read its live eigenpairs in one core, `_divergences`, which also
+scores stacks of references for the searches; a density operator with
+negligible kernel eigenvalues is instead rotated into a spec's Fock basis
+(`_rotated`), which needs none of its eigenvectors and applies the same +inf
+rules.
 """
 
 import numpy as np
@@ -22,26 +18,21 @@ from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
 from .fock import _givens_amplitudes
 from .states import (
-    DensityOperator, FreeStateSpec, State, _real, _state_array, bernoulli_weights,
+    DensityOperator, FreeStateSpec, State, _real, _require_state, bernoulli_weights,
 )
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
 
 def _live_eigenvalues(a: State) -> np.ndarray:
-    """The eigenvalues of `a` above KERNEL_TOL; 1 for a pure state."""
-    if _state_array(a).ndim == 1:
-        return np.ones(1)
+    """The eigenvalues of `a` above KERNEL_TOL."""
+    _require_state(a)
     w = a.eigenvalues
     return w[w > KERNEL_TOL]
 
 
 def _live(a: State):
-    """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns);
-    a pure state is its own eigenvector, with eigenvalue 1."""
-    data = _state_array(a)
-    if data.ndim == 1:
-        return np.ones(1), data[:, None]
+    """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns)."""
     w, v = a.eigenpairs
     live = w > KERNEL_TOL
     return (w, v) if live.all() else (w[live], v[:, live])
@@ -49,7 +40,7 @@ def _live(a: State):
 
 def _check_pair(a: State, b: Reference):
     """Reject a pair that is not a state and a reference on one space."""
-    _state_array(a)
+    _require_state(a)
     if not isinstance(b, Reference):
         raise ValidationError(
             f"expected a DensityOperator or FreeStateSpec, not {type(b).__name__}"
@@ -149,17 +140,15 @@ def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
 
 def _rotated(alpha: float, a: DensityOperator, b: FreeStateSpec) -> float:
     """The relative entropy (alpha = 1) or sandwiched divergence from a density
-    operator A to a spec B, unclamped, through T = U-hat^dagger A U-hat, A in
-    the Fock basis of B's orbitals, where B is diag(q): two Givens passes,
-    ``G(G(A)^dagger)`` with G(M) = U-hat^dagger M, and no eigenvectors of A.
+    operator A to a spec B = diag(q), unclamped, through T = U-hat^dagger A U-hat,
+    two Givens passes ``G(G(A)^dagger)`` with G(M) = U-hat^dagger M.
 
     A's weights on B's eigenvectors are diag(T), so the relative entropy reads
     diag(T) and A's eigenvalues.  The sandwiched core B^e A B^e is
     U-hat s T s U-hat^dagger with s = q^e on B's support, so its trace reads
-    ``eigvalsh`` of the Hermitian part of s T s, as A's eigenvalues read that
-    of A.  diag(T) also counts A's eigenvalues at or below KERNEL_TOL, which
-    the eigenvector route drops, so ``_divergence`` sends A here only when
-    they are negligible.
+    ``eigvalsh`` of s T s.  diag(T) also counts A's eigenvalues at or below
+    KERNEL_TOL, which the eigenvector route drops, so ``_divergence`` sends A
+    here only when they are negligible.
     """
     q = bernoulli_weights(b.occupations)
     u, d = b.orbitals, b.space.d
@@ -185,9 +174,8 @@ def _clamp(value: float) -> float:
 def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) -> float:
     """One divergence, clamped: ``_divergences`` for a stack of one, or
     ``_rotated`` for the relative entropy or a sandwiched divergence from a
-    density operator to a spec, when the operator's eigenvectors are not at
-    hand (neither carried from construction nor computed by an earlier call)
-    and its eigenvalues at or below KERNEL_TOL sum in magnitude to at most
+    density operator to a spec whose eigenvectors are not at hand, when its
+    eigenvalues at or below KERNEL_TOL sum in magnitude to at most
     KERNEL_TOL / 1000, so that both routes count the same weights."""
     _check_pair(a, b)
     dense_to_spec = isinstance(a, DensityOperator) and isinstance(b, FreeStateSpec)
@@ -203,15 +191,6 @@ def von_neumann(rho: State) -> float:
     """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
     w = _live_eigenvalues(rho)
     return _clamp(float(-(w * np.log(w)).sum()))
-
-
-def cross_entropy(a: State, b: Reference) -> float:
-    """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
-    _check_pair(a, b)
-    p, q, c = _joint(a, b)
-    mass = p @ np.abs(c) ** 2
-    live, crossing = _support(q, mass)
-    return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 
 def relative_entropy(a: State, b: Reference) -> float:

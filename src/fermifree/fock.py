@@ -8,10 +8,8 @@ increasing orbital order; every fermionic sign in this module is derived by
 anticommuting through that normal form.
 
 The dense operators (`creator`, `annihilator`, `number_operator`,
-`ladder_matrices`) are the oracle's reference for the signed index tables.
-They are 2^d x 2^d complex arrays, meant for the small d the oracle's claims
-run at; outside the oracle the package computes from the index tables and
-never builds them.
+`ladder_matrices`) are the oracle's 2^d x 2^d references for the signed index
+tables; outside the oracle the package computes from the tables alone.
 """
 
 from dataclasses import dataclass, field
@@ -37,15 +35,11 @@ class OrbitalSpace:
             raise ValidationError(f"orbital count must be >= 1, got {self.d}")
         ceiling = d_max()
         if self.d > ceiling:
-            raise CapacityError(
-                f"orbital count {self.d} exceeds D_MAX = {ceiling}"
-            )
+            raise CapacityError(f"orbital count {self.d} exceeds D_MAX = {ceiling}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.d:
-                raise ValidationError(
-                    f"expected {self.d} labels, got {len(self.labels)}"
-                )
+                raise ValidationError(f"expected {self.d} labels, got {len(self.labels)}")
 
     @property
     def dim(self) -> int:
@@ -128,26 +122,16 @@ def ladder_table(word: str, d: int, n: int | None = None) -> tuple[np.ndarray, .
     return table
 
 
-def expectations(state: np.ndarray, word: str, d: int) -> np.ndarray:
+def expectations(entries, word: str, d: int, sector: tuple = ()) -> np.ndarray:
     """Tr(rho M) for every ladder monomial M spelled by `word`, shape (d,)*len(word):
-    one signed gather over ``ladder_table(word, d)``, or over its n-particle
-    sector, summed per monomial.
-
-    `state` is the 2^d x 2^d matrix rho, or an amplitude vector psi standing
-    for rho = |psi><psi|, whose entry rho[src, dst] is psi[src] conj(psi[dst]).
-    A vector whose nonzero amplitudes all hold n particles gathers over the
-    n-particle table only: the entries it drops are exact zeros, and the rest
-    keep their order, so the sums are the same to the bit.  A matrix always
-    takes the full table, since finding its sector blocks would cost O(4^d).
+    one signed gather of rho[src, dst] = `entries(src, dst)` over
+    ``ladder_table(word, d, *sector)``, summed per monomial.  A state whose
+    nonzero amplitudes all hold n particles passes sector (n,): the entries the
+    n-particle table drops are exact zeros, and the rest keep their order, so
+    the sums are the same to the bit.
     """
-    sector = ()  # the full table is cached under (word, d), as every caller names it
-    if state.ndim == 1:
-        counts = np.bitwise_count(np.flatnonzero(state))
-        if counts.size and counts.min() == counts.max():
-            sector = (int(counts[0]),)
     mono, src, dst, sign = ladder_table(word, d, *sector)
-    pairs = state[src, dst] if state.ndim == 2 else state[src] * state[dst].conj()
-    values = sign * pairs
+    values = sign * entries(src, dst)
     size = d ** len(word)
     sums = np.bincount(mono, values.real, size) + 1j * np.bincount(mono, values.imag, size)
     return sums.reshape((d,) * len(word))

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 from .fock import expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
-from .states import DensityOperator, FreeStateSpec, State, _state_array
+from .states import DensityOperator, FreeStateSpec, State
 
 
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
@@ -29,15 +29,12 @@ def wick_check(state: State, tol: float = 1e-10) -> tuple[bool, float]:
     Covers every monomial with at most four ladder operators: the odd ones and
     the anomalous pairs <a a> and <a* a*> must vanish for a gauge-invariant
     state, <a* a> must be the 1-pdm, and the nonvanishing four-operator ones
-    must equal 2x2 minors of it.  A pure state is gathered over its
-    amplitudes, as ``one_pdm`` does.  Returns (passed, worst violation).
+    must equal 2x2 minors of it.  Returns (passed, worst violation).
     """
-    data = _state_array(state)
-    d = state.space.d
     gamma = one_pdm(state).gamma
 
     def expect(word):
-        return expectations(data, word, d)
+        return expectations(state.entries, word, state.space.d, state.sector)
 
     # <a*_f1 a*_f2 a_g2 a_g1> = gamma[g1, f1] gamma[g2, f2] - gamma[g1, f2] gamma[g2, f1],
     # laid out as [f1, f2, g2, g1] like expect("++--")
@@ -54,9 +51,7 @@ def purify_free(spec: FreeStateSpec) -> np.ndarray:
     """Slater rows on a doubled orbital set whose substate on the first half is `spec`.
 
     Row i is sqrt(p_i) times natural orbital i on the first d coordinates plus
-    sqrt(1 - p_i) times an extraneous orbital on coordinate d + i; restricting
-    the resulting Slater determinant state to the first d orbitals recovers the
-    free state.
+    sqrt(1 - p_i) times an extraneous orbital on coordinate d + i.
     """
     if not isinstance(spec, FreeStateSpec):
         raise ValidationError(f"expected a FreeStateSpec, not {type(spec).__name__}")

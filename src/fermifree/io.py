@@ -24,7 +24,6 @@ from .states import (
     gibbs_free_density,
     hubbard_ground_amplitudes,
     mixture,
-    pure_density,
     slater_amplitudes,
 )
 
@@ -75,11 +74,7 @@ def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
 
 
 def density_to_document(rho: DensityOperator) -> dict:
-    doc = {
-        "d": rho.space.d,
-        "kind": "density",
-        "matrix": matrix_to_json(rho.matrix),
-    }
+    doc = {"d": rho.space.d, "kind": "density", "matrix": matrix_to_json(rho.matrix)}
     if rho.space.labels is not None:
         doc["labels"] = list(rho.space.labels)
     return doc
@@ -89,7 +84,8 @@ def state_from_document(doc: dict) -> State:
     """Build a state from a state document; validations re-run.
 
     `pure`, `slater` and `hubbard` documents give their amplitudes as a
-    `PureState`, every other kind a `DensityOperator`.
+    `PureState`, a `mixture` of those or of such mixtures a `FactoredState`,
+    and every other kind, or a mixture with one, a `DensityOperator`.
     """
     d = _integer(doc, "d")
     kind = _require(doc, "kind")
@@ -130,7 +126,7 @@ def state_from_document(doc: dict) -> State:
         raise ValidationError("mixture components must be a list")
     components = []
     for item in items:
-        sub = density_from_document(_require(item, "state"))
+        sub = state_from_document(_require(item, "state"))
         if sub.space.d != d:
             raise ValidationError("mixture component dimension differs from document d")
         components.append((float(_field(item, "weight", 0)), sub))
@@ -139,8 +135,7 @@ def state_from_document(doc: dict) -> State:
 
 def density_from_document(doc: dict) -> DensityOperator:
     """Build a density operator from a state document; validations re-run."""
-    state = state_from_document(doc)
-    return pure_density(state) if isinstance(state, PureState) else state
+    return state_from_document(doc).to_density()
 
 
 def pdm_from_document(doc: dict) -> OnePdm:

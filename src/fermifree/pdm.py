@@ -8,16 +8,13 @@ import numpy as np
 from .config import TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
 from .errors import ValidationError
 from .fock import OrbitalSpace, _array, expectations
-from .states import FreeStateSpec, State, _state_array, spectrum
+from .states import FreeStateSpec, State, _require_state, spectrum
 
 
 @dataclass(frozen=True)
 class OnePdm:
-    """The d x d matrix gamma with gamma[i, j] = Tr(rho a*_j+1 a_i+1).
-
-    A Hermitian positive-semidefinite contraction; its trace is the expected
-    particle number.
-    """
+    """The d x d matrix gamma with gamma[i, j] = Tr(rho a*_j+1 a_i+1): a Hermitian
+    positive-semidefinite contraction whose trace is the expected particle number."""
 
     space: OrbitalSpace
     gamma: np.ndarray
@@ -48,8 +45,9 @@ class OnePdm:
 
 def one_pdm(state: State) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator, or of a
-    pure state from its amplitudes alone."""
-    g = expectations(_state_array(state), "+-", state.space.d).T  # g[i, j] = Tr(rho a*_j a_i)
+    factored state from its columns alone."""
+    _require_state(state)
+    g = expectations(state.entries, "+-", state.space.d, state.sector).T  # Tr(rho a*_j a_i)
     return OnePdm(state.space, (g + g.conj().T) / 2)
 
 
@@ -57,11 +55,9 @@ def natural_spectrum(pdm: OnePdm) -> FreeStateSpec:
     """The free state whose 1-pdm is `pdm`: its natural orbitals and occupations,
     descending.
 
-    Occupations are the eigenvalues clipped into [0, 1], so downstream
-    x log x evaluations never see -1e-16; the clip moves none by more than
-    TOL_OCCUPATION, which validation allows.  The phase of each orbital is
-    fixed by making its first component of nonnegligible magnitude real and
-    positive.
+    Occupations are the eigenvalues clipped into [0, 1], so x log x never sees
+    -1e-16; validation bounds the clip by TOL_OCCUPATION.  Each orbital's first
+    component of nonnegligible magnitude is made real and positive.
     """
     w, v = pdm.eigenpairs
     w, v = np.clip(w[::-1], 0.0, 1.0), v[:, ::-1]

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
+from .config import KERNEL_TOL, TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError
 from .fock import (
     OrbitalSpace,
@@ -30,12 +30,9 @@ def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A Hermitian, positive-semidefinite, unit-trace matrix on a 2^d Fock space.
-
-    Validation is strict: inputs outside the tolerances are rejected rather
-    than renormalized, because the entropy functionals downstream amplify
-    normalization errors.
-    """
+    """A Hermitian, positive-semidefinite, unit-trace matrix on a 2^d Fock space,
+    rejected rather than renormalized outside the tolerances, since the entropy
+    functionals downstream amplify normalization errors."""
 
     space: OrbitalSpace
     matrix: np.ndarray
@@ -52,15 +49,12 @@ class DensityOperator:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         lo = self.eigenvalues.min()
         if lo < -TOL_PSD:
-            raise ValidationError(
-                f"matrix is not positive-semidefinite: eigenvalue {lo:.3e}"
-            )
+            raise ValidationError(f"matrix is not positive-semidefinite: eigenvalue {lo:.3e}")
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of the Hermitian part of `matrix`, read-only: one
-        ``eigvalsh`` per state (ascending) unless its constructor supplied the
-        eigenpairs (free and pure states).  Validation and `von_neumann` read them."""
+        """The eigenvalues of the Hermitian part of `matrix`, ascending and
+        read-only: one ``eigvalsh`` unless the constructor supplied them."""
         m = self.matrix
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected
             h = m + m.conj().T
@@ -72,26 +66,37 @@ class DensityOperator:
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """``spectrum(matrix)``, computed on first use unless the constructor
-        supplied the eigenpairs (free and pure states); the arrays are read-only.
-        The relative entropy and the sandwiched divergences to a
-        `FreeStateSpec` read them only if they are at hand (see
-        ``entropy._divergence`` and ``entropy._rotated``)."""
+        supplied them (free and pure states); ``entropy._divergence`` reads
+        whether they are at hand."""
         return spectrum(self.matrix)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
+    sector = ()  # the full ladder tables: finding a matrix's sector blocks costs O(4^d)
+
+    def entries(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """rho[src, dst] for index arrays of one shape."""
+        return self.matrix[src, dst]
+
+    def partial_trace(self, joined: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """sum_b diag(s_b) rho[j_b, j_b] diag(s_b) over the rows j_b, s_b of `joined`, `signs`."""
+        terms = self.entries(joined[:, :, None], joined[:, None, :])
+        terms *= signs[:, :, None]
+        terms *= signs[:, None, :]
+        return terms.sum(axis=0)
+
+    def to_density(self) -> "DensityOperator":
+        return self
+
 
 def _with_eigenpairs(
     space: OrbitalSpace, matrix: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> DensityOperator:
     """A density operator whose constructor knows its spectrum: `matrix` is
-    v @ diag(w) @ v^dagger with w >= 0 and v unitary, built by the caller from
-    its own structure.
-
-    The eigenvalues and eigenpairs are cached as given, so no eigensolve runs;
-    the shape, finiteness, Hermiticity and trace checks still run on the
+    v @ diag(w) @ v^dagger with w >= 0 and v unitary.  The eigenpairs are
+    cached as given, so no eigensolve runs; the other checks still run on the
     matrix, and the PSD check reads w.
     """
     rho = object.__new__(DensityOperator)
@@ -104,31 +109,116 @@ def _with_eigenpairs(
 
 
 @dataclass(frozen=True)
-class PureState:
-    """A unit vector on the Fock space, indexed by occupation lists."""
+class FactoredState:
+    """rho = V diag(p) V^dagger = X X^dagger, X = V diag(sqrt p) its `columns`:
+    k unit vectors on the Fock space, the columns of `vectors` (2^d, k), mixed
+    with probabilities `weights` p (k,).  No 2^d x 2^d matrix is formed."""
 
     space: OrbitalSpace
-    amplitudes: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        a = _array(self.amplitudes, "amplitude vector", (self.space.dim,))
-        object.__setattr__(self, "amplitudes", a)
+        v = _array(self.vectors, "amplitude vectors", (self.space.dim, None))
+        p = _array(self.weights, "weights", v.shape[1:], float)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected
-            err = abs(np.linalg.norm(a) - 1.0)
+            err = np.abs(np.linalg.norm(v, axis=0) - 1.0).max(initial=0.0)
         if not err <= TOL_NORM:
             raise ValidationError(f"amplitude norm deviates from 1 by {err:.3e}")
+        if not (p.size and p.min() >= 0.0 and abs(p.sum() - 1.0) <= TOL_TRACE):
+            raise ValidationError("weights must be nonnegative and sum to 1")
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "weights", p)
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self.vectors * np.sqrt(self.weights)
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues above KERNEL_TOL and their eigenvectors: lambda_i and
+        X u_i / sqrt(lambda_i) for the eigenpairs of the k x k Gram matrix X^dagger X."""
+        x = self.columns
+        w, u = spectrum(x.conj().T @ x)
+        live = w > KERNEL_TOL
+        return w[live], x @ u[:, live] / np.sqrt(w[live])
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigenpairs[0]
+
+    @cached_property
+    def sector(self) -> tuple[int, ...]:
+        """(n,) when every nonzero amplitude holds n particles, else ()."""
+        counts = np.bitwise_count(np.flatnonzero(self.vectors.any(axis=1)))
+        return (int(counts[0]),) if counts.size and counts.min() == counts.max() else ()
+
+    def entries(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        x = self.columns
+        return (x[src] * x[dst].conj()).sum(axis=-1)
+
+    def partial_trace(self, joined: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        m = (self.columns[joined] * signs[:, :, None]).swapaxes(0, 1)
+        m = m.reshape(m.shape[0], -1)  # M[a, (b, c)], so that M M^dagger sums the blocks
+        return m @ m.conj().T
+
+    def to_density(self) -> DensityOperator:
+        terms = (p * np.outer(v, v.conj()) for p, v in zip(self.weights, self.vectors.T))
+        return DensityOperator(self.space, sum(terms))
+
+
+class PureState(FactoredState):
+    """A unit vector on the Fock space, indexed by occupation lists: the
+    factored state with k = 1 and p = [1], its own column and eigenvector."""
+
+    def __init__(self, space: OrbitalSpace, amplitudes):
+        a = _array(amplitudes, "amplitude vector", (space.dim,))
+        super().__init__(space, a[:, None], np.ones(1))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self.vectors[:, 0]
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self.vectors
+
+    @property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.weights, self.vectors
+
+    def to_density(self) -> DensityOperator:
+        """Rank-1 projector |psi><psi|, carrying its eigenpairs.
+
+        The eigenvalue 1 sits at k = argmax |a_k| of the amplitudes a, zeros
+        elsewhere.  The eigenvectors are the columns of the Householder reflector
+        that swaps e_k with a (up to the phase of a_k), with column k set to a
+        exactly; reflecting about a / phase + e_k keeps the pivot away from
+        cancellation.  For a basis vector the reflector is the identity.
+        """
+        a = self.amplitudes
+        k = int(np.argmax(np.abs(a)))
+        u = a * (abs(a[k]) / a[k])
+        u[k] = 1.0 + abs(a[k])
+        v = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
+        v.flat[:: a.size + 1] += 1.0
+        v[:, k] = a
+        w = np.zeros(a.size)
+        w[k] = 1.0
+        return _with_eigenpairs(self.space, np.outer(a, a.conj()), w, v)
+
+
+pure_density = PureState.to_density  # pure_density(psi) is psi's projector
 
 
 @dataclass(frozen=True)
 class FreeStateSpec:
     """A free (gauge-invariant quasi-free) state: natural orbitals (columns of
-    a unitary) plus occupation probabilities.
+    a d x d unitary within TOL_UNITARY) plus occupation probabilities.
 
-    The represented density operator is U-hat @ diag(Bernoulli weights) @
-    U-hat-dagger where U-hat is the Fock unitary induced by `orbitals`, which
-    must be a d x d unitary within TOL_UNITARY.  Both are stored as read-only
-    copies, so a spec stays valid once checked and is never checked again.
-    ``pdm.natural_spectrum`` gives the spec of the free state with a given 1-pdm.
+    It represents U-hat diag(Bernoulli weights) U-hat^dagger, U-hat the Fock
+    unitary of `orbitals`.  Both are stored as read-only copies, so a spec is
+    checked once; ``pdm.natural_spectrum`` gives the spec with a given 1-pdm.
     """
 
     space: OrbitalSpace
@@ -150,38 +240,14 @@ class FreeStateSpec:
         return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
 
 
-State = DensityOperator | PureState  # what the functionals of a single state accept
+State = DensityOperator | FactoredState  # what the functionals of a single state accept
 
 
-def _state_array(state: State) -> np.ndarray:
-    """What the functionals read of a state: a pure state's amplitudes, or a
-    density operator's matrix."""
-    if isinstance(state, PureState):
-        return state.amplitudes
-    if isinstance(state, DensityOperator):
-        return state.matrix
-    raise ValidationError(f"expected a DensityOperator or PureState, not {type(state).__name__}")
-
-
-def pure_density(psi: PureState) -> DensityOperator:
-    """Rank-1 projector |psi><psi|, carrying its eigenpairs.
-
-    The eigenvalue 1 sits at k = argmax |a_k| of the amplitudes a, zeros
-    elsewhere.  The eigenvectors are the columns of the Householder reflector
-    that swaps e_k with a (up to the phase of a_k), with column k set to a
-    exactly; reflecting about a / phase + e_k keeps the pivot away from
-    cancellation.  For a basis vector the reflector is the identity.
-    """
-    a = psi.amplitudes
-    k = int(np.argmax(np.abs(a)))
-    u = a * (abs(a[k]) / a[k])
-    u[k] = 1.0 + abs(a[k])
-    v = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
-    v.flat[:: a.size + 1] += 1.0
-    v[:, k] = a
-    w = np.zeros(a.size)
-    w[k] = 1.0
-    return _with_eigenpairs(psi.space, np.outer(a, a.conj()), w, v)
+def _require_state(state):
+    """Reject anything but a density operator or a factored state."""
+    if not isinstance(state, State):
+        kind = type(state).__name__
+        raise ValidationError(f"expected a DensityOperator or FactoredState, not {kind}")
 
 
 def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
@@ -190,10 +256,9 @@ def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
     `orbitals` is an n x d matrix whose rows are the occupied 1-particle
     vectors; n = 0 yields the vacuum.  The amplitude of an n-particle
     occupation list is the n x n minor of the rows on its occupied orbitals
-    (in increasing order): column (1 << n) - 1 of the Fock unitary of any
-    orbital unitary whose first n columns are the rows.  The rows need only be
-    orthonormal within TOL_UNITARY; the squared norm, their Gram determinant,
-    must then lie within TOL_TRACE of 1, and the vector is normalized.
+    (in increasing order).  The rows need only be orthonormal within
+    TOL_UNITARY; the squared norm, their Gram determinant, must then lie within
+    TOL_TRACE of 1, and the vector is normalized.
     """
     d = space.d
     rows = _array(orbitals, "orbitals", (None, d))
@@ -211,11 +276,6 @@ def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
     if not abs(norm2 - 1.0) <= TOL_TRACE:
         raise ValidationError(f"trace deviates from 1 by {abs(norm2 - 1.0):.3e}")
     return PureState(space, psi / np.sqrt(norm2))
-
-
-def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator:
-    """Pure density of ``slater_amplitudes(orbitals, space)``."""
-    return pure_density(slater_amplitudes(orbitals, space))
 
 
 @cache
@@ -253,9 +313,10 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
     return _with_eigenpairs(space, np.diag(w).astype(complex), w, identity)
 
 
-def mixture(components, labels=None) -> DensityOperator:
-    """Convex combination of density operators on one shared space, labels
-    included; `labels`, when given, name the result's orbitals instead."""
+def mixture(components, labels=None) -> State:
+    """Convex combination of states on one shared space, labels included;
+    `labels`, when given, name the result's orbitals instead.  Pure and
+    factored components give a factored state, their columns side by side."""
     try:
         components = [(w, rho) for w, rho in components]
     except (TypeError, ValueError) as exc:  # not iterable, or not pairs
@@ -269,14 +330,18 @@ def mixture(components, labels=None) -> DensityOperator:
         raise ValidationError(
             f"mixture weights sum deviates from 1 by {abs(weights.sum() - 1.0):.3e}"
         )
-    if not all(isinstance(rho, DensityOperator) for _, rho in components):
-        raise ValidationError("mixture components must be density operators (see pure_density)")
-    space = components[0][1].space
-    if any(rho.space != space for _, rho in components):
+    states = [rho for _, rho in components]
+    if not all(isinstance(rho, State) for rho in states):
+        raise ValidationError("mixture components must be density operators or factored states")
+    space = states[0].space
+    if any(rho.space != space for rho in states):
         raise ValidationError("mixture components live on different spaces")
     if labels is not None:
         space = OrbitalSpace(space.d, labels)
-    acc = sum(w * rho.matrix for w, (_, rho) in zip(weights, components))
+    if all(isinstance(rho, FactoredState) for rho in states):
+        p = np.hstack([w * rho.weights for w, rho in zip(weights, states)])
+        return FactoredState(space, np.hstack([rho.vectors for rho in states]), p)
+    acc = sum(w * rho.to_density().matrix for w, rho in zip(weights, states))
     return DensityOperator(space, acc)
 
 
@@ -304,11 +369,9 @@ def _hubbard_sector(sites: int, n_up: int, n_down: int) -> tuple[np.ndarray, ...
     read-only and shared: (sector, rows, cols, signs, doubly_occupied).
 
     `sector` lists the sector's occupation lists in increasing order; the
-    hopping entries of the sector block, in sector positions, are
-    block[rows, cols] = signs, read from the monomials of the
-    (N_up + N_down)-particle table ``ladder_table("+-", 2 * sites, N_up + N_down)``
-    with |i - j| = 2 whose source holds N_up up-spins; `doubly_occupied` counts
-    the doubly occupied sites of each list.
+    hopping entries of the sector block are block[rows, cols] = signs, read
+    from the monomials of ``ladder_table("+-", 2 * sites, N_up + N_down)`` with
+    |i - j| = 2 whose source holds N_up up-spins.
     """
     d, n = 2 * sites, n_up + n_down
     up_mask = sum(1 << (2 * s) for s in range(sites))
@@ -331,12 +394,10 @@ def hubbard_ground_amplitudes(
     """Ground state of a small open Hubbard chain in a fixed-(N_up, N_down) sector.
 
     Spin-orbitals are ordered (1up, 1dn, 2up, 2dn, ...).  The sector block of
-    H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is the diagonal U times the
-    count of doubly occupied sites plus -t times the signed hopping entries of
-    ``_hubbard_sector``, cached per (sites, N_up, N_down).  Since t, U and the
-    signs are real, the block is a real symmetric matrix and is solved as one.
-    Degeneracies are resolved deterministically by taking the first column of
-    its eigensolve.
+    H = -t sum (a*_i a_j + h.c.) + U sum n_up n_dn is U times the count of
+    doubly occupied sites on the diagonal plus -t times the signed hopping
+    entries of ``_hubbard_sector``: a real symmetric matrix, solved as one.
+    Degeneracies are resolved deterministically by its eigensolve's first column.
     """
     sites = _integer(sites, "site count")
     n_up, n_down = _integer(n_up, "N_up"), _integer(n_down, "N_down")
@@ -361,4 +422,4 @@ def hubbard_ground_state(
     sites: int, t: float, u_int: float, n_up: int, n_down: int
 ) -> DensityOperator:
     """Pure density of ``hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down)``."""
-    return pure_density(hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down))
+    return hubbard_ground_amplitudes(sites, t, u_int, n_up, n_down).to_density()

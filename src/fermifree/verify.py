@@ -4,8 +4,8 @@ The searches here corroborate that the free reference state minimizes the
 relative entropy (and that it fails to minimize the Renyi divergences away
 from alpha = 1) by brute force over sampled free states; the property suite
 re-runs every module invariant on randomized instances.  The product states,
-distances and predicates that only these checks need live here, not in the
-library that computes.
+distances, cross entropies and predicates that only these checks need live
+here, not in the library that computes.
 """
 
 import time
@@ -23,9 +23,12 @@ from .correlation import (
     restrict,
 )
 from .entropy import (
+    Reference,
+    _check_pair,
     _divergences,
+    _joint,
     _live,
-    cross_entropy,
+    _support,
     relative_entropy,
     renyi_divergence,
     sandwiched_renyi,
@@ -47,13 +50,14 @@ from .states import (
     DensityOperator,
     FreeStateSpec,
     PureState,
+    State,
     _probabilities,
     _real,
     bernoulli_weights,
     gibbs_free_density,
     mixture,
     pure_density,
-    slater_density,
+    slater_amplitudes,
     spectrum,
 )
 
@@ -190,8 +194,22 @@ def pair_state() -> DensityOperator:
     return pure_density(PureState(space, psi))
 
 
+def slater_density(orbitals: np.ndarray, space: OrbitalSpace) -> DensityOperator:
+    """Pure density of ``slater_amplitudes(orbitals, space)``."""
+    return pure_density(slater_amplitudes(orbitals, space))
+
+
 # ---------------------------------------------------------------------------
 # references the claims check against
+
+
+def cross_entropy(a: State, b: Reference) -> float:
+    """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
+    _check_pair(a, b)
+    p, q, c = _joint(a, b)
+    mass = p @ np.abs(c) ** 2
+    live, crossing = _support(q, mass)
+    return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 
 def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:

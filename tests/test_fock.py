@@ -14,6 +14,7 @@ import fermifree.fock
 from fermifree import (
     CapacityError,
     OrbitalSpace,
+    PureState,
     ValidationError,
     basis_change_unitary,
     DensityOperator,
@@ -203,7 +204,7 @@ def test_expectations_match_sparse_ladder_products(d):
     creators, annihilators = sparse_ladder(d)
     ops = {"+": creators, "-": annihilators}
     for word in LADDER_WORDS:
-        got = expectations(m, word, d)
+        got = expectations(lambda src, dst: m[src, dst], word, d)
         assert got.shape == (d,) * len(word)
         for orbitals in itertools.product(range(d), repeat=len(word)):
             product = ops[word[0]][orbitals[0]]
@@ -266,16 +267,21 @@ def test_sector_vectors_gather_over_their_sector_table(d, monkeypatch):
 
     monkeypatch.setattr(fermifree.fock, "ladder_table", recording)
     rng = np.random.default_rng(d)
+    space = OrbitalSpace(d)
     counts = np.bitwise_count(np.arange(1 << d))
     for n in range(d + 1):
         psi = (rng.standard_normal(1 << d) + 1j * rng.standard_normal(1 << d)) * (counts == n)
         stray = psi.copy()
         stray[np.flatnonzero(counts != n)[-1]] = 0.3 - 0.1j  # one amplitude outside the sector
+        psi, stray = (PureState(space, a / np.linalg.norm(a)) for a in (psi, stray))
+        rho = DensityOperator(space, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        assert (psi.sector, stray.sector, rho.sector) == ((n,), (), ())
         for word in LADDER_WORDS:
             del asked[:]
-            assert np.array_equal(expectations(psi, word, d), _full_gather(psi, word, d))
-            assert np.array_equal(expectations(stray, word, d), _full_gather(stray, word, d))
-            expectations(np.outer(psi, psi.conj()), word, d)  # a matrix takes the full table
+            for state in (psi, stray):
+                got = expectations(state.entries, word, d, state.sector)
+                assert np.array_equal(got, _full_gather(state.amplitudes, word, d))
+            expectations(rho.entries, word, d, rho.sector)  # a matrix takes the full table
             assert asked == [n, None, None], (word, n)
 
 

@@ -549,7 +549,7 @@ def _wrong_typed_calls():
         "renyi-divergence-str": lambda: renyi_divergence("0.5", rho, rho),
         "renyi-divergence-bool": lambda: renyi_divergence(True, rho, rho),
         "sandwiched-renyi-none": lambda: sandwiched_renyi(None, rho, rho),
-        "mixture-pure-component": lambda: fermifree.mixture([(0.5, rho), (0.5, psi)]),
+        "mixture-spec-component": lambda: fermifree.mixture([(0.5, rho), (0.5, spec)]),
         "search-samples-float": lambda: SearchConfig(samples=1.5),
         "search-refine-steps-negative": lambda: SearchConfig(refine_steps=-1),
         "search-refine-steps-float": lambda: SearchConfig(refine_steps=2.0),
