@@ -341,8 +341,10 @@ def mixture(components, labels=None) -> State:
     if all(isinstance(rho, FactoredState) for rho in states):
         p = np.hstack([w * rho.weights for w, rho in zip(weights, states)])
         return FactoredState(space, np.hstack([rho.vectors for rho in states]), p)
-    acc = sum(w * rho.to_density().matrix for w, rho in zip(weights, states))
-    return DensityOperator(space, acc)
+    # the components' matrices unvalidated, X X^dagger for a factored one: one check of the sum
+    xs = [None if isinstance(rho, DensityOperator) else rho.columns for rho in states]
+    terms = (rho.matrix if x is None else x @ x.conj().T for rho, x in zip(states, xs))
+    return DensityOperator(space, sum(w * m for w, m in zip(weights, terms)))
 
 
 def _probabilities(p, shape=None) -> np.ndarray:

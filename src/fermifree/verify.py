@@ -41,7 +41,6 @@ from .fock import (
     _require_unitary,
     basis_change_unitary,
     ladder_matrices,
-    number_operator,
     split_table,
 )
 from .free import free_from_pdm, purify_free, wick_check
@@ -618,8 +617,8 @@ def _claim_gibbs_log(rng, d_cap):
     p = rng.uniform(0.05, 0.95, space.d)
     quad = np.zeros((space.dim, space.dim), dtype=complex)
     eye = np.eye(space.dim)
-    for i in range(space.d):
-        n_op = number_operator(i + 1, space)
+    for i, (c, a) in enumerate(zip(*ladder_matrices(space))):
+        n_op = c @ a
         quad += np.log(p[i]) * n_op + np.log(1.0 - p[i]) * (eye - n_op)
     # the log from a fresh eigh of the matrix, not the state's carried eigenpairs,
     # so the check stays independent of the weights that built it
@@ -631,11 +630,12 @@ def _claim_independent_occupation(rng, d_cap):
     space = OrbitalSpace(_sample_d(rng, min(d_cap, 4)))
     p = rng.uniform(0.05, 0.95, space.d)
     rho = gibbs_free_density(p, space)
+    numbers = [c @ a for c, a in zip(*ladder_matrices(space))]
     worst = 0.0
     for i in range(space.d):
         for j in range(space.d):
             if i != j:
-                pair = number_operator(i + 1, space) @ number_operator(j + 1, space)
+                pair = numbers[i] @ numbers[j]
                 worst = max(worst, abs((rho.matrix @ pair).trace() - p[i] * p[j]))
     return worst
 

@@ -1,7 +1,7 @@
 """Sparse ladder operators for the tests' references, built apart from `fermifree.fock`.
 
-The library's `creator` is dense, so a d = 10 reference would hold 20 operators
-of 16 MB each; these hold 2^(d-1) entries apiece.  They come from the
+The library's `ladder_matrices` are dense, so a d = 10 reference would hold 20
+operators of 16 MB each; these hold 2^(d-1) entries apiece.  They come from the
 Jordan-Wigner product rather than from the library's index arithmetic: on the
 Fock space with bit i-1 holding orbital i, creator i is the identity on the
 orbitals above i, |1><0| on orbital i and diag(1, -1) on each orbital below,

@@ -23,7 +23,7 @@ from fermifree import (
 )
 from fermifree import io as ffio
 from fermifree.states import FactoredState
-from fermifree.verify import sample_unitary
+from fermifree.verify import sample_density, sample_unitary
 
 # ROADMAP item 2: a free reference whose Bernoulli weights fall under KERNEL_TOL
 # while the state keeps weight there reads a false +inf on either route.  Until
@@ -130,6 +130,21 @@ def test_factored_nonfreeness_allocates_no_dense_matrix():
     assert peak < 8 * 2**20, peak
 
 
+def test_factored_restrict_allocates_no_dense_matrix():
+    # One dense 4096 x 4096 complex matrix is 268 MB; the three columns are 192 kB.
+    rng = np.random.default_rng(14)
+    keep = list(range(1, 13, 2))
+    restrict(_slater_mixture(12, rng), keep)  # warm the cached split table
+    state = _slater_mixture(12, rng)
+    tracemalloc.start()
+    try:
+        restrict(state, keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_mixture_stays_dense_with_a_dense_component():
     rng = np.random.default_rng(12)
     space = OrbitalSpace(3)
@@ -137,10 +152,31 @@ def test_mixture_stays_dense_with_a_dense_component():
     rho = pure_density(slater_amplitudes(sample_unitary(3, rng)[:2], space))
     mixed = mixture([(0.25, psi), (0.75, rho)])
     assert isinstance(mixed, DensityOperator)
+    x = psi.columns  # a pure component adds X X^dagger, not its projector's eigenbasis
+    np.testing.assert_array_equal(mixed.matrix, 0.25 * (x @ x.conj().T) + 0.75 * rho.matrix)
     expected = 0.25 * pure_density(psi).matrix + 0.75 * rho.matrix
-    np.testing.assert_array_equal(mixed.matrix, expected)
+    np.testing.assert_allclose(mixed.matrix, expected, rtol=0, atol=1e-15)
     factored = mixture([(0.5, psi), (0.5, mixture([(0.5, psi), (0.5, psi)]))])
     assert isinstance(factored, FactoredState) and factored.vectors.shape == (8, 3)
+
+
+def test_dense_mixture_validates_only_its_sum(monkeypatch):
+    rng = np.random.default_rng(13)
+    space = OrbitalSpace(9)
+    components = [
+        (0.5, sample_density(space, rng)),
+        (0.3, _slater_mixture(9, rng, k=2)),
+        (0.2, _random_component("pure", 9, rng)),
+    ]
+    # each component as its own validated density operator
+    expected = sum(w * state.to_density().matrix for w, state in components)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, f=solver: solves.append(m.shape) or f(m))
+    mixed = mixture(components)
+    assert isinstance(mixed, DensityOperator) and solves == [(512, 512)]
+    np.testing.assert_allclose(mixed.matrix, expected, rtol=0, atol=1e-15)
 
 
 def test_mixture_documents_keep_pure_components_factored():

@@ -20,17 +20,9 @@ from fermifree import (
     DensityOperator,
     restrict,
 )
-from fermifree.fock import (
-    annihilator,
-    creator,
-    expectations,
-    ladder_matrices,
-    ladder_table,
-    number_operator,
-    split_table,
-)
+from fermifree.fock import expectations, ladder_matrices, ladder_table, split_table
 from fermifree.verify import sample_density, sample_unitary
-from sparse_ladder import sparse_creator, sparse_ladder
+from sparse_ladder import sparse_ladder
 
 
 # --- independent oracles -----------------------------------------------------
@@ -72,7 +64,7 @@ def fock_unitary_by_creator_products(u, space):
 
     Independent of the determinant-minor construction in the library.
     """
-    creators = [creator(i, space) for i in range(1, space.d + 1)]
+    creators, _ = ladder_matrices(space)
 
     def orbital_creator(f):
         return sum(f[j] * creators[j] for j in range(space.d))
@@ -110,24 +102,22 @@ def test_orbital_count_stores_numpy_integers_as_int():
 
 
 def test_creator_single_mode():
-    space = OrbitalSpace(1)
-    c = creator(1, space)
+    (c,), _ = ladder_matrices(OrbitalSpace(1))
     np.testing.assert_allclose(c @ [1, 0], [0, 1])
     np.testing.assert_allclose(c @ [0, 1], [0, 0])
 
 
 def test_creator_sign_on_occupied_lower_orbital():
     # applying the second creator to |10> anticommutes past the first: -|11>
-    space = OrbitalSpace(2)
-    c2 = creator(2, space)
+    (_, c2), _ = ladder_matrices(OrbitalSpace(2))
     np.testing.assert_allclose(c2[:, 0b01], [0, 0, 0, -1])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_creator_matches_symbolic_anticommutation(d):
     space = OrbitalSpace(d)
-    for i in range(1, d + 1):
-        mat = creator(i, space)
+    creators, _ = ladder_matrices(space)
+    for i, mat in enumerate(creators, 1):
         for bits in range(space.dim):
             result = symbolic_create(i, occupied(bits))
             column = mat[:, bits]
@@ -141,55 +131,41 @@ def test_creator_matches_symbolic_anticommutation(d):
             np.testing.assert_allclose(column, expected)
 
 
-def test_annihilator_is_adjoint():
-    space = OrbitalSpace(4)
-    for i in range(1, 5):
-        np.testing.assert_allclose(
-            annihilator(i, space),
-            creator(i, space).conj().T,
-        )
-
-
 def test_annihilator_single_mode():
-    space = OrbitalSpace(1)
-    np.testing.assert_allclose(annihilator(1, space) @ [0, 1], [1, 0])
+    _, (a,) = ladder_matrices(OrbitalSpace(1))
+    np.testing.assert_allclose(a @ [0, 1], [1, 0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_car_relations(d):
     space = OrbitalSpace(d)
+    creators, annihilators = ladder_matrices(space)
     eye = np.eye(space.dim)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            a_i = annihilator(i, space)
-            c_j = creator(j, space)
+    for i, a_i in enumerate(annihilators):
+        for j, (c_j, a_j) in enumerate(zip(creators, annihilators)):
             anti = a_i @ c_j + c_j @ a_i
             target = eye if i == j else np.zeros_like(eye)
             np.testing.assert_allclose(anti, target, atol=1e-12)
-            a_j = annihilator(j, space)
-            np.testing.assert_allclose(
-                a_i @ a_j + a_j @ a_i, 0.0, atol=1e-12
-            )
+            np.testing.assert_allclose(a_i @ a_j + a_j @ a_i, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_dense_ladder_operators_match_sparse_jordan_wigner(d):
     space = OrbitalSpace(d)
     creators, annihilators = ladder_matrices(space)
-    for i in range(1, d + 1):
-        c = creator(i, space)
-        assert type(c) is np.ndarray and c.dtype == complex and c.shape == (space.dim,) * 2
-        np.testing.assert_array_equal(c, sparse_creator(i, d).toarray())
-        np.testing.assert_array_equal(annihilator(i, space), c.conj().T)
-        np.testing.assert_array_equal(number_operator(i, space), c @ annihilator(i, space))
-        np.testing.assert_array_equal(creators[i - 1], c)
-        np.testing.assert_array_equal(annihilators[i - 1], c.conj().T)
+    sparse_creators, sparse_annihilators = sparse_ladder(d)
+    assert len(creators) == len(annihilators) == d
+    for c, a, sparse_c, sparse_a in zip(creators, annihilators, sparse_creators, sparse_annihilators):
+        for op in (c, a):
+            assert type(op) is np.ndarray and op.dtype == complex and op.shape == (space.dim,) * 2
+        np.testing.assert_array_equal(c, sparse_c.toarray())
+        np.testing.assert_array_equal(a, sparse_a.toarray())
+        np.testing.assert_array_equal(a, c.conj().T)
 
 
 def test_dense_ladder_operators_stay_out_of_the_package_namespace():
-    for name in ("creator", "annihilator", "number_operator", "ladder_matrices"):
-        assert name not in fermifree.__all__ and not hasattr(fermifree, name)
-        assert callable(getattr(fermifree.fock, name))
+    assert "ladder_matrices" not in fermifree.__all__ and not hasattr(fermifree, "ladder_matrices")
+    assert callable(fermifree.fock.ladder_matrices)
 
 
 LADDER_WORDS = ("+", "-", "++", "--", "+-", "++-", "+--", "++--")
@@ -285,20 +261,10 @@ def test_sector_vectors_gather_over_their_sector_table(d, monkeypatch):
             assert asked == [n, None, None], (word, n)
 
 
-def test_index_out_of_range():
-    space = OrbitalSpace(3)
-    with pytest.raises(ValidationError):
-        creator(0, space)
-    with pytest.raises(ValidationError):
-        creator(4, space)
-
-
 def test_number_operator_diagonal():
-    space = OrbitalSpace(2)
-    np.testing.assert_allclose(
-        number_operator(1, space), np.diag([0, 1, 0, 1])
-    )
-    total = sum(number_operator(i, space) for i in (1, 2))
+    numbers = [c @ a for c, a in zip(*ladder_matrices(OrbitalSpace(2)))]
+    np.testing.assert_array_equal(numbers[0], np.diag([0, 1, 0, 1]))
+    total = sum(numbers)
     np.testing.assert_allclose(np.diag(total).real, [0, 1, 1, 2])
     # vacuum expectation vanishes
     assert total[0, 0] == 0
@@ -378,9 +344,10 @@ def test_basis_change_ladder_covariance():
     space = OrbitalSpace(4)
     u = sample_unitary(4, rng)
     fock_u = basis_change_unitary(u, space)
-    for i in range(1, 5):
-        lhs = fock_u @ creator(i, space) @ fock_u.conj().T
-        rhs = sum(u[j - 1, i - 1] * creator(j, space) for j in range(1, 5))
+    creators, _ = ladder_matrices(space)
+    for i in range(4):
+        lhs = fock_u @ creators[i] @ fock_u.conj().T
+        rhs = sum(u[j, i] * creators[j] for j in range(4))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

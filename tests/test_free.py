@@ -25,7 +25,7 @@ from fermifree import (
     von_neumann,
     wick_check,
 )
-from fermifree.fock import number_operator
+from fermifree.fock import ladder_matrices
 from fermifree.verify import sample_density, sample_free_spec, sample_unitary, trace_distance
 
 
@@ -190,8 +190,8 @@ def test_gibbs_log_is_quadratic():
     rho = gibbs_free_density(p, space)
     quad = np.zeros((space.dim, space.dim), dtype=complex)
     eye = np.eye(space.dim)
-    for i in range(3):
-        n_op = number_operator(i + 1, space)
+    for i, (c, a) in enumerate(zip(*ladder_matrices(space))):
+        n_op = c @ a
         quad += np.log(p[i]) * n_op + np.log(1 - p[i]) * (eye - n_op)
     np.testing.assert_allclose(logm(rho.matrix), quad, atol=1e-9)
 
@@ -200,13 +200,13 @@ def test_independent_occupation_moments():
     space = OrbitalSpace(3)
     p = np.array([0.15, 0.5, 0.85])
     rho = gibbs_free_density(p, space)
-    for i in range(1, 4):
-        for j in range(1, 4):
+    numbers = [c @ a for c, a in zip(*ladder_matrices(space))]
+    for i in range(3):
+        for j in range(3):
             if i == j:
                 continue
-            op = number_operator(i, space) @ number_operator(j, space)
-            value = (rho.matrix @ op).trace().real
-            assert abs(value - p[i - 1] * p[j - 1]) < 1e-10
+            value = (rho.matrix @ numbers[i] @ numbers[j]).trace().real
+            assert abs(value - p[i] * p[j]) < 1e-10
 
 
 # --- purification ------------------------------------------------------------

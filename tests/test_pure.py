@@ -249,3 +249,18 @@ def test_pure_documents_never_densify(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
         assert peak < 8 * 2**20, (argv, peak)
+
+
+def test_restrict_of_a_pure_state_allocates_no_dense_matrix():
+    # One dense 4096 x 4096 complex matrix is 268 MB; the amplitudes are 64 kB.
+    rng = np.random.default_rng(14)
+    keep = list(range(1, 13, 2))
+    restrict(_random_pure(12, rng), keep)  # warm the cached split table
+    psi = _random_pure(12, rng)
+    tracemalloc.start()
+    try:
+        restrict(psi, keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
