@@ -5,11 +5,12 @@ exact kernel, which makes the +infinity conventions of the divergences
 testable.  A state is a `DensityOperator` or a `FactoredState`, a reference a
 `DensityOperator` or a `FreeStateSpec` (Bernoulli weights on the Fock basis of
 its orbitals).  `von_neumann` reads a state's eigenvalues only.  The three
-divergences read its live eigenpairs in one core, `_divergences`, which also
-scores stacks of references for the searches; a density operator with
-negligible kernel eigenvalues is instead rotated into a spec's Fock basis
-(`_rotated`), which needs none of its eigenvectors and applies the same +inf
-rules.
+divergences read its `eigenpairs`, which every state gives in one form (its
+eigenvalues above KERNEL_TOL and their eigenvectors), in one core,
+`_divergences`, which also scores stacks of references for the searches; a
+density operator with negligible kernel eigenvalues is instead rotated into a
+spec's Fock basis (`_rotated`), which needs none of its eigenvectors and
+applies the same +inf rules.
 """
 
 import numpy as np
@@ -31,13 +32,6 @@ def _live_eigenvalues(a: State) -> np.ndarray:
     return w[w > KERNEL_TOL]
 
 
-def _live(a: State):
-    """The eigenvalues of `a` above KERNEL_TOL and their eigenvectors (columns)."""
-    w, v = a.eigenpairs
-    live = w > KERNEL_TOL
-    return (w, v) if live.all() else (w[live], v[:, live])
-
-
 def _check_pair(a: State, b: Reference):
     """Reject a pair that is not a state and a reference on one space."""
     _require_state(a)
@@ -55,12 +49,21 @@ def _joint(a: State, b: Reference):
 
     A free state given by its spec is diagonal, with its Bernoulli weights, in
     the Fock basis of its orbitals, which the vectors reach by Givens rotations.
+    A density operator's kernel, when it has one, enters as one more eigenvalue
+    0, on which row i holds the part of a_i outside b's support,
+    sqrt(|a_i|^2 - sum_j |c_ij|^2 / |b_j|^2): a pure state's amplitudes may
+    miss unit norm by TOL_NORM, more than KERNEL_TOL.
     """
-    p, va = _live(a)
+    p, va = a.eigenpairs
     if isinstance(b, FreeStateSpec):
         return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
     q, vb = b.eigenpairs
-    return p, q, (vb.conj().T @ va).T
+    c = (vb.conj().T @ va).T
+    if q.size < b.dim:
+        inside = (np.abs(c) ** 2 / np.vecdot(vb, vb, axis=0).real).sum(axis=1)
+        rest = np.sqrt(np.maximum(0.0, np.vecdot(va, va, axis=0).real - inside))
+        q, c = np.append(q, 0.0), np.column_stack([c, rest])
+    return p, q, c
 
 
 def _support(q, mass):

@@ -38,6 +38,8 @@ class OrbitalSpace:
             raise CapacityError(f"orbital count {self.d} exceeds D_MAX = {ceiling}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+            if not all(isinstance(label, str) for label in self.labels):
+                raise ValidationError("labels must be strings")
             if len(self.labels) != self.d:
                 raise ValidationError(f"expected {self.d} labels, got {len(self.labels)}")
 

@@ -28,6 +28,16 @@ def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _live_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues w above KERNEL_TOL and their eigenvectors, columns of v,
+    read-only; w and v themselves when every eigenvalue is live."""
+    live = w > KERNEL_TOL
+    if not live.all():
+        w, v = w[live], v[:, live]
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A Hermitian, positive-semidefinite, unit-trace matrix on a 2^d Fock space,
@@ -53,8 +63,9 @@ class DensityOperator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of the Hermitian part of `matrix`, ascending and
-        read-only: one ``eigvalsh`` unless the constructor supplied them."""
+        """All 2^d eigenvalues of the Hermitian part of `matrix`, read-only, in
+        no set order: ascending from one ``eigvalsh``, or the ones the
+        constructor supplied followed by zeros for the rest of the space."""
         m = self.matrix
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NaN, rejected
             h = m + m.conj().T
@@ -65,10 +76,10 @@ class DensityOperator:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum(matrix)``, computed on first use unless the constructor
-        supplied them (free and pure states); ``entropy._divergence`` reads
-        whether they are at hand."""
-        return spectrum(self.matrix)
+        """The eigenvalues above KERNEL_TOL and their orthonormal eigenvectors,
+        (2^d, k): the live part of ``spectrum(matrix)`` on first use, unless the
+        constructor supplied them; ``entropy._divergence`` reads whether they are at hand."""
+        return _live_pairs(*spectrum(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -95,15 +106,17 @@ def _with_eigenpairs(
     space: OrbitalSpace, matrix: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> DensityOperator:
     """A density operator whose constructor knows its spectrum: `matrix` is
-    v @ diag(w) @ v^dagger with w >= 0 and v unitary.  The eigenpairs are
-    cached as given, so no eigensolve runs; the other checks still run on the
+    v @ diag(w) @ v^dagger with w >= 0 and orthonormal columns v, zero on the
+    rest of the space.  The pairs above KERNEL_TOL are cached as its
+    eigenpairs, so no eigensolve runs; the other checks still run on the
     matrix, and the PSD check reads w.
     """
     rho = object.__new__(DensityOperator)
     object.__setattr__(rho, "space", space)
     object.__setattr__(rho, "matrix", matrix)
-    w.flags.writeable = v.flags.writeable = False
-    rho.__dict__["eigenvalues"], rho.__dict__["eigenpairs"] = w, (w, v)
+    full = np.concatenate([w, np.zeros(space.dim - w.size)])
+    full.flags.writeable = False
+    rho.__dict__["eigenvalues"], rho.__dict__["eigenpairs"] = full, _live_pairs(w, v)
     rho.__post_init__()
     return rho
 
@@ -139,9 +152,8 @@ class FactoredState:
         """The eigenvalues above KERNEL_TOL and their eigenvectors: lambda_i and
         X u_i / sqrt(lambda_i) for the eigenpairs of the k x k Gram matrix X^dagger X."""
         x = self.columns
-        w, u = spectrum(x.conj().T @ x)
-        live = w > KERNEL_TOL
-        return w[live], x @ u[:, live] / np.sqrt(w[live])
+        w, u = _live_pairs(*spectrum(x.conj().T @ x))
+        return w, x @ u / np.sqrt(w)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -163,8 +175,9 @@ class FactoredState:
         return m @ m.conj().T
 
     def to_density(self) -> DensityOperator:
+        """The dense matrix, carrying the Gram eigenpairs: no 2^d x 2^d eigensolve."""
         terms = (p * np.outer(v, v.conj()) for p, v in zip(self.weights, self.vectors.T))
-        return DensityOperator(self.space, sum(terms))
+        return _with_eigenpairs(self.space, sum(terms), *self.eigenpairs)
 
 
 class PureState(FactoredState):
@@ -186,26 +199,6 @@ class PureState(FactoredState):
     @property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.weights, self.vectors
-
-    def to_density(self) -> DensityOperator:
-        """Rank-1 projector |psi><psi|, carrying its eigenpairs.
-
-        The eigenvalue 1 sits at k = argmax |a_k| of the amplitudes a, zeros
-        elsewhere.  The eigenvectors are the columns of the Householder reflector
-        that swaps e_k with a (up to the phase of a_k), with column k set to a
-        exactly; reflecting about a / phase + e_k keeps the pivot away from
-        cancellation.  For a basis vector the reflector is the identity.
-        """
-        a = self.amplitudes
-        k = int(np.argmax(np.abs(a)))
-        u = a * (abs(a[k]) / a[k])
-        u[k] = 1.0 + abs(a[k])
-        v = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
-        v.flat[:: a.size + 1] += 1.0
-        v[:, k] = a
-        w = np.zeros(a.size)
-        w[k] = 1.0
-        return _with_eigenpairs(self.space, np.outer(a, a.conj()), w, v)
 
 
 pure_density = PureState.to_density  # pure_density(psi) is psi's projector
@@ -236,8 +229,9 @@ class FreeStateSpec:
         """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
         fock_u = basis_change_unitary(self.orbitals, self.space)
         w = bernoulli_weights(self.occupations)
-        live = fock_u[:, w > 0]
-        return _with_eigenpairs(self.space, (live * w[w > 0]) @ live.conj().T, w, fock_u)
+        if not w.all():  # boundary occupations: the matrix sums the nonzero weights only
+            fock_u, w = fock_u[:, w > 0], w[w > 0]
+        return _with_eigenpairs(self.space, (fock_u * w) @ fock_u.conj().T, w, fock_u)
 
 
 State = DensityOperator | FactoredState  # what the functionals of a single state accept

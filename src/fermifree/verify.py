@@ -27,7 +27,6 @@ from .entropy import (
     _check_pair,
     _divergences,
     _joint,
-    _live,
     _support,
     relative_entropy,
     renyi_divergence,
@@ -344,7 +343,7 @@ def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool 
     eigenvectors V of `rho` and each Fock unitary F; the value is the winner's
     per-candidate divergence, which must agree with its stacked score within
     GRID_AGREEMENT."""
-    live, vectors = _live(rho)
+    live, vectors = rho.eigenpairs
     best, size = None, max(1, STACK_ENTRIES // rho.space.dim**2)
     for start in range(0, len(p), size):
         block = slice(start, start + size)

@@ -269,6 +269,13 @@ def test_stacked_references_equal_single_calls():
         "orthogonal": _rotated(space, v, [0.0, 0.0, 0.6, 0.4]),
     }
     joints = [_joint(a, b) for b in references.values()]
+    # a dense reference's joint spans its support plus one kernel column, so the
+    # widths differ; columns with q = 0 and c = 0 pad them and change no value
+    width = max(q.size for _, q, _ in joints)
+    joints = [
+        (p, np.pad(q, (0, width - q.size)), np.pad(c, ((0, 0), (0, width - q.size))))
+        for p, q, c in joints
+    ]
     p = joints[0][0]
     q, c = np.stack([j[1] for j in joints]), np.stack([j[2] for j in joints])
     for alpha, sandwiched in itertools.product((0.5, 1.0, 2.0), (False, True)):
@@ -453,17 +460,20 @@ def _dense_masked_eigh(rho):
 def _dense_reference(a, b):
     """von Neumann, relative entropy, Petz and sandwiched Renyi from full-matrix eigh.
 
-    Assumes the support of `b` contains that of `a`, as for every pair below.
+    The divergences from alpha = 1 up are +inf where more than KERNEL_TOL of
+    a's weight lies in the kernel of b.
     """
     p, va = _dense_masked_eigh(a)
     q, vb = _dense_masked_eigh(b)
-    overlap = np.abs(va.conj().T @ vb)[np.ix_(p > 0, q > 0)] ** 2
+    overlaps = np.abs(va.conj().T @ vb)[p > 0] ** 2
+    overlap = overlaps[:, q > 0]
     p_live, q_live = p[p > 0], q[q > 0]
+    crossing = p_live @ overlaps[:, q == 0].sum(axis=1) > KERNEL_TOL
     plogp = (p_live * np.log(p_live)).sum()
     out = {
         "von_neumann": -plogp,
-        "relative": plogp - (p_live[:, None] * overlap * np.log(q_live)).sum()
-        + q.sum() - p.sum(),
+        "relative": np.inf if crossing else plogp
+        - (p_live[:, None] * overlap * np.log(q_live)).sum() + q.sum() - p.sum(),
     }
     for alpha in (0.5, 2.0):
         petz = (p_live[:, None] ** alpha * overlap * q_live ** (1 - alpha)).sum()
@@ -472,6 +482,8 @@ def _dense_reference(a, b):
         core = b_power @ a.matrix @ b_power
         w = np.linalg.eigvalsh((core + core.conj().T) / 2)
         out["sandwiched", alpha] = np.log((w[w > KERNEL_TOL] ** alpha).sum()) / (alpha - 1)
+        if crossing and alpha > 1.0:
+            out["petz", alpha] = out["sandwiched", alpha] = np.inf
     return out
 
 
@@ -529,7 +541,7 @@ def _assert_matches_dense(a, b):
         computed["petz", alpha] = renyi_divergence(alpha, a, b)
         computed["sandwiched", alpha] = sandwiched_renyi(alpha, a, b)
     for key, value in reference.items():
-        assert abs(computed[key] - max(value, 0.0)) <= 1e-10, key
+        _assert_matches(computed[key], value, key, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("pair", _number_conserving_pairs())
@@ -568,8 +580,16 @@ def test_dense_state_takes_no_full_size_eigh(monkeypatch):
 # --- spectra carried from construction against the dense eigensolve -------------
 
 
+def _short_projector(space, x):
+    """The projector onto x scaled 9e-13 short of unit norm, which validation
+    accepts (TOL_NORM) though it exceeds KERNEL_TOL."""
+    return pure_density(PureState(space, x * (1.0 - 9e-13) / np.linalg.norm(x)))
+
+
 def _carried_pairs():
-    """(a, b) pairs whose states carry their eigenpairs; b's support contains a's."""
+    """(a, b) pairs whose states carry their eigenpairs.  b's support contains
+    a's, except that the rank-deficient references, a pure projector and a free
+    state with occupations 0 and 1, are also taken from states outside it."""
     rng = np.random.default_rng(17)
     pairs = {}
     for d in (2, 3, 4, 5):
@@ -591,6 +611,25 @@ def _carried_pairs():
     for sites in (2, 3, 4):  # U = 8: see _number_conserving_pairs
         rho = hubbard_ground_state(sites, 1.0, 8.0, (sites + 1) // 2, sites // 2)
         pairs[f"hubbard-{sites}"] = (rho, free_from_pdm(one_pdm(rho))[0])
+    for d in (2, 3, 4):
+        space = OrbitalSpace(d)
+        full_rank = gibbs_free_density(rng.uniform(0.2, 0.8, d), space)
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        projector = pure_density(PureState(space, psi / np.linalg.norm(psi)))
+        pairs[f"full-projector-d{d}"] = (full_rank, projector)
+        pairs[f"projector-itself-d{d}"] = (projector, projector)
+        orbitals = sample_unitary(d, rng)
+        inside, boundary = (
+            FreeStateSpec(space, [0.0, 1.0, *rng.uniform(0.2, 0.8, d - 2)], orbitals).to_density()
+            for _ in range(2)
+        )
+        pairs[f"inside-boundary-d{d}"] = (inside, boundary)
+        pairs[f"outside-boundary-d{d}"] = (full_rank, boundary)
+        # projectors short of unit norm, from themselves and from a state holding them
+        short = _short_projector(space, psi)
+        pairs[f"short-norm-itself-d{d}"] = (short, short)
+        inside = _short_projector(space, boundary.eigenpairs[1].sum(axis=1))
+        pairs[f"short-norm-boundary-d{d}"] = (inside, boundary)
     return pairs
 
 

@@ -145,6 +145,23 @@ def test_factored_restrict_allocates_no_dense_matrix():
     assert peak < 2 * 2**20, peak
 
 
+def test_to_density_carries_the_gram_eigenpairs(monkeypatch):
+    rng = np.random.default_rng(16)
+    state = _slater_mixture(9, rng)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, f=solver: solves.append(m.shape) or f(m))
+    rho = state.to_density()
+    monkeypatch.undo()
+    assert solves == [(3, 3)]  # the Gram matrix's, never the 512 x 512 matrix's
+    w, v = rho.eigenpairs
+    assert w is state.eigenpairs[0] and v is state.eigenpairs[1]
+    x = state.columns
+    np.testing.assert_allclose(rho.matrix, x @ x.conj().T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho.matrix @ v, v * w, rtol=0, atol=1e-12)
+
+
 def test_mixture_stays_dense_with_a_dense_component():
     rng = np.random.default_rng(12)
     space = OrbitalSpace(3)

@@ -17,6 +17,7 @@ from fermifree import (
     OrbitalSpace,
     ValidationError,
     config,
+    mixture,
     remark_state,
 )
 from fermifree import io as ffio
@@ -755,6 +756,21 @@ def test_mixture_document_keeps_its_labels():
     assert rho.space.labels == ("a", "b")
     with pytest.raises(ValidationError, match="different spaces"):
         ffio.state_from_document(labelled_mixture(None, ["a", "b"], ["c", "d"]))
+
+
+def test_labels_are_strings_wherever_a_space_is_built():
+    rho = sample_density(OrbitalSpace(2), np.random.default_rng(3))
+    for labels in ((1, 2), (None, "x")):
+        with pytest.raises(ValidationError, match="labels must be strings"):
+            OrbitalSpace(2, labels)
+        with pytest.raises(ValidationError, match="labels must be strings"):
+            mixture([(1.0, rho)], labels)
+        doc = dict(ffio.density_to_document(rho), labels=list(labels))
+        with pytest.raises(ValidationError, match="labels must be strings"):
+            ffio.state_from_document(doc)
+    labelled = DensityOperator(OrbitalSpace(2, ("up", "dn")), rho.matrix)
+    again = ffio.state_from_document(ffio.loads(ffio.dumps(ffio.density_to_document(labelled))))
+    assert again.space == labelled.space and np.array_equal(again.matrix, labelled.matrix)
 
 
 def test_cli_mixture_labels_survive_restrict(tmp_path, capsys):

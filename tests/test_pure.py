@@ -264,3 +264,20 @@ def test_restrict_of_a_pure_state_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_pure_density_holds_at_most_three_dense_matrices():
+    # One dense 1024 x 1024 complex matrix is 16 MB: the projector and the two
+    # temporaries of its Hermiticity check.  The eigenpairs are psi itself.
+    rng = np.random.default_rng(15)
+    pure_density(_random_pure(10, rng))
+    psi = _random_pure(10, rng)
+    tracemalloc.start()
+    try:
+        rho = pure_density(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 16 * 2**20, peak
+    w, v = rho.eigenpairs
+    assert np.array_equal(w, [1.0]) and np.array_equal(v, psi.vectors)

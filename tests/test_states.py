@@ -22,8 +22,11 @@ from fermifree import (
     restrict,
     slater_density,
 )
+from fermifree.config import KERNEL_TOL
 from fermifree.fock import ladder_table
-from fermifree.states import _hubbard_sector, bernoulli_weights, hubbard_ground_state
+from fermifree.states import (
+    FactoredState, _hubbard_sector, _with_eigenpairs, bernoulli_weights, hubbard_ground_state,
+)
 from fermifree.verify import sample_density, sample_unitary, tensor_product
 from sparse_ladder import sparse_ladder
 
@@ -460,6 +463,9 @@ def _carried_states():
     basis = np.zeros(16, dtype=complex)
     basis[0b0110] = 1.0
     cases["basis-vector"] = partial(pure_density, PureState(OrbitalSpace(4), basis))
+    columns = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    columns /= np.linalg.norm(columns, axis=0)
+    cases["factored-d4"] = FactoredState(OrbitalSpace(4), columns, [0.5, 0.3, 0.2]).to_density
     return cases
 
 
@@ -479,19 +485,27 @@ def test_carried_eigenpairs_diagonalize_the_state(name, monkeypatch):
         monkeypatch.setattr(np.linalg, solver, recorded)
     rho = CARRIED[name]()
     monkeypatch.undo()
-    # the only eigensolve is the Hubbard Hamiltonian's sector block, never the state
-    assert len(shapes) == name.startswith("hubbard") and all(max(s) < rho.dim for s in shapes)
+    # the only eigensolve is the Hubbard Hamiltonian's sector block or the Gram
+    # matrix of a factored state, never the state
+    solved = name.startswith(("hubbard", "factored"))
+    assert len(shapes) == solved and all(max(s) < rho.dim for s in shapes)
+    # the live pairs only: eigenvalues above KERNEL_TOL, orthonormal columns (2^d, k)
     w, v = rho.eigenpairs
     assert not w.flags.writeable and not v.flags.writeable
+    assert (w > KERNEL_TOL).all() and v.shape == (rho.dim, w.size)
     np.testing.assert_allclose(rho.matrix @ v, v * w, atol=1e-12)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), atol=1e-12)
-    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(rho.matrix), atol=1e-12)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(w.size), atol=1e-12)
+    dense = np.linalg.eigvalsh(rho.matrix)
+    np.testing.assert_allclose(np.sort(w), dense[dense > KERNEL_TOL], atol=1e-12)
+    # eigenvalues: all 2^d of them, as an eigvalsh gives, in no set order
+    assert not rho.eigenvalues.flags.writeable
+    np.testing.assert_allclose(np.sort(rho.eigenvalues), dense, atol=1e-12)
 
 
-def test_basis_vector_reflector_is_the_identity():
+def test_basis_vector_projector_carries_its_amplitudes():
     rho = CARRIED["basis-vector"]()
     w, v = rho.eigenpairs
-    assert np.array_equal(v, np.eye(16)) and w[0b0110] == 1.0 and w.sum() == 1.0
+    assert np.array_equal(w, [1.0]) and np.array_equal(v, np.eye(16)[:, [0b0110]])
 
 
 def test_carried_constructors_still_validate():
@@ -506,3 +520,7 @@ def test_carried_constructors_still_validate():
     a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     with pytest.raises(ValidationError, match="norm"):
         pure_density(PureState(space, a * (1.0 + 1e-6) / np.linalg.norm(a)))
+    # the PSD check reads the eigenvalues supplied, not only the live ones kept
+    w = np.array([-1e-9, 0.5, 0.5 + 1e-9, 0.0])
+    with pytest.raises(ValidationError, match="positive-semidefinite"):
+        _with_eigenpairs(OrbitalSpace(2), np.diag(w).astype(complex), w, np.eye(4))

@@ -31,7 +31,7 @@ from fermifree import (
     slater_density,
     wick_check,
 )
-from fermifree.entropy import _divergences, _live
+from fermifree.entropy import _divergences
 from fermifree.fock import ladder_table
 from fermifree.io import dumps
 from fermifree.states import bernoulli_weights, hubbard_ground_state
@@ -135,7 +135,7 @@ def _stacked(alpha, rho, fock_u, p, sandwiched=False):
     """Divergences from `rho` to the free states with occupations p (n, d) and
     Fock unitaries fock_u, scored as one stack by the divergences' core, as
     the searches score them: c = V^dagger F for the live eigenvectors V."""
-    live, vectors = _live(rho)
+    live, vectors = rho.eigenpairs
     c = vectors.conj().T @ fock_u
     return np.maximum(_divergences(alpha, live, bernoulli_weights(p), c, sandwiched), 0.0)
 
