@@ -8,9 +8,10 @@ its orbitals).  `von_neumann` reads a state's eigenvalues only.  The three
 divergences read its `eigenpairs`, which every state gives in one form (its
 eigenvalues above KERNEL_TOL and their eigenvectors), in one core,
 `_divergences`, which also scores stacks of references for the searches; a
-density operator with negligible kernel eigenvalues is instead rotated into a
-spec's Fock basis (`_rotated`), which needs none of its eigenvectors and
-applies the same +inf rules.
+density operator whose eigenvalues all lie above KERNEL_TOL is instead rotated
+into a spec's Fock basis (`_rotated`), which needs none of its eigenvectors.
+Both routes hand their weights to one function, `_value_or_inf`, which holds
+every +inf rule.
 """
 
 import numpy as np
@@ -23,13 +24,6 @@ from .states import (
 )
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
-
-
-def _live_eigenvalues(a: State) -> np.ndarray:
-    """The eigenvalues of `a` above KERNEL_TOL."""
-    _require_state(a)
-    w = a.eigenvalues
-    return w[w > KERNEL_TOL]
 
 
 def _check_pair(a: State, b: Reference):
@@ -66,40 +60,32 @@ def _joint(a: State, b: Reference):
     return p, q, c
 
 
-def _support(q, mass):
-    """Which eigenvalues of each reference B lie above KERNEL_TOL, and whether
-    more than KERNEL_TOL of A's weights `mass` on B's eigenvectors lies in
-    ker B, where -Tr(A log B) and the divergences from alpha >= 1 are +inf."""
-    live = q > KERNEL_TOL
-    return live, np.where(live, 0.0, mass).sum(axis=-1) > KERNEL_TOL
-
-
 def _powers(q, exponent: float):
     """q ** exponent on B's support (above KERNEL_TOL), 0 on its kernel."""
     live = q > KERNEL_TOL
     return np.where(live, np.where(live, q, 1.0) ** exponent, 0.0)
 
 
-def _relative(p, q, mass) -> np.ndarray:
-    """S(A||B) = sum p log p - sum_j m_j log q_j + sum q - sum p for each
-    reference B, from A's live eigenvalues p, B's spectrum q and A's weights
-    m = `mass` on B's eigenvectors; +inf where ``_support`` finds a crossing."""
-    live, crossing = _support(q, mass)
-    log_q = np.log(np.where(live, q, 1.0))
-    values = (p * np.log(p)).sum() - np.vecdot(log_q, mass) + _powers(q, 1.0).sum(axis=-1) - p.sum()
-    return np.where(crossing, np.inf, values)
+def _value_or_inf(alpha: float, p, q, mass, trace, sandwiched: bool) -> np.ndarray:
+    """D(A||B) for each reference B, unclamped, with every +inf rule, from A's
+    live eigenvalues p, B's spectrum q and A's weights m = `mass` on B's
+    eigenvectors; at alpha != 1 from the `trace` of the divergence as well.
 
-
-def _from_trace(alpha: float, q, mass, trace, sandwiched: bool) -> np.ndarray:
-    """log(trace) / (alpha - 1) for each reference B, alpha != 1, with the +inf
-    rules: a vanishing trace; above alpha = 1 a crossing (``_support``); and for
-    Petz below alpha = 1 orthogonal supports, at most KERNEL_TOL of A's
-    weights `mass` on B's support."""
-    live, crossing = _support(q, mass)
-    positive = trace > 0.0
-    values = np.where(positive, np.log(np.where(positive, trace, 1.0)) / (alpha - 1.0), np.inf)
-    if alpha > 1.0:
-        return np.where(crossing, np.inf, values)
+    alpha = 1: S(A||B) = sum p log p - sum_j m_j log q_j + sum q - sum p;
+    otherwise log(trace) / (alpha - 1), +inf where the trace vanishes.  From
+    alpha = 1 up the value is +inf where more than KERNEL_TOL of m lies in
+    ker B (a crossing), and for Petz below alpha = 1 where at most KERNEL_TOL
+    of m lies on B's support (orthogonal supports).
+    """
+    live = q > KERNEL_TOL
+    if alpha == 1.0:
+        log_q, q_live = np.log(np.where(live, q, 1.0)), np.where(live, q, 0.0)
+        values = (p * np.log(p)).sum() - np.vecdot(log_q, mass) + q_live.sum(axis=-1) - p.sum()
+    else:
+        positive = trace > 0.0
+        values = np.where(positive, np.log(np.where(positive, trace, 1.0)) / (alpha - 1.0), np.inf)
+    if alpha >= 1.0:
+        return np.where(np.where(live, 0.0, mass).sum(axis=-1) > KERNEL_TOL, np.inf, values)
     if not sandwiched:
         return np.where(np.where(live, mass, 0.0).sum(axis=-1) <= KERNEL_TOL, np.inf, values)
     return values
@@ -119,26 +105,25 @@ def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
     conjugates.  With m_j = sum_i p_i |c_ij|^2 the weight of A's support on
     B's j-th eigenvector:
 
-    - alpha = 1: ``_relative``, the double sum over joint eigenpairs of
-      `relative_entropy` summed over i, since each row of |c|^2 sums to 1;
+    - alpha = 1: the double sum over joint eigenpairs of `relative_entropy`
+      summed over i, since each row of |c|^2 sums to 1;
     - Petz: Tr A^alpha B^(1-alpha) = sum_ij p_i^alpha |c_ij|^2 q_j^(1-alpha);
     - sandwiched, e = (1-alpha)/(2 alpha): B^e A B^e = X X^dagger with
       X = B^e V_A sqrt(p), whose nonzero eigenvalues are those of the k x k
       matrix X^dagger X, the conjugate of y y^dagger, y_ij = sqrt(p_i) c_ij q_j^e;
       no 2^d x 2^d core is formed.
 
-    The traces go through ``_from_trace``, which applies the +inf rules.
+    ``_value_or_inf`` turns m and the trace into the values and applies the
+    +inf rules.
     """
     overlap = np.abs(c) ** 2
-    mass = p @ overlap
-    if alpha == 1.0:
-        return _relative(p, q, mass)
-    if sandwiched:
+    trace = None  # alpha = 1 reads no trace
+    if alpha != 1.0 and sandwiched:
         y = np.sqrt(p)[:, None] * c * _powers(q, (1.0 - alpha) / (2.0 * alpha))[..., None, :]
         trace = _power_trace(np.linalg.eigvalsh(y @ y.conj().swapaxes(-1, -2)), alpha)
-    else:
+    elif alpha != 1.0:
         trace = np.vecdot(_powers(q, 1.0 - alpha), p**alpha @ overlap)
-    return _from_trace(alpha, q, mass, trace, sandwiched)
+    return _value_or_inf(alpha, p, q, p @ overlap, trace, sandwiched)
 
 
 def _rotated(alpha: float, a: DensityOperator, b: FreeStateSpec) -> float:
@@ -149,22 +134,23 @@ def _rotated(alpha: float, a: DensityOperator, b: FreeStateSpec) -> float:
     A's weights on B's eigenvectors are diag(T), so the relative entropy reads
     diag(T) and A's eigenvalues.  The sandwiched core B^e A B^e is
     U-hat s T s U-hat^dagger with s = q^e on B's support, so its trace reads
-    ``eigvalsh`` of s T s.  diag(T) also counts A's eigenvalues at or below
-    KERNEL_TOL, which the eigenvector route drops, so ``_divergence`` sends A
-    here only when they are negligible.
+    ``eigvalsh`` of s T s.  diag(T) counts every eigenvalue of A, which
+    ``_divergence`` makes sure all lie above KERNEL_TOL, so the weights are
+    those the eigenvector route counts, and ``_value_or_inf`` applies the same
+    +inf rules.
     """
     q = bernoulli_weights(b.occupations)
     u, d = b.orbitals, b.space.d
     t = _givens_amplitudes(u, _givens_amplitudes(u, a.matrix, d).conj().T, d)
     mass = t.diagonal().real.copy()  # t is overwritten below
-    if alpha == 1.0:
-        return _relative(_live_eigenvalues(a), q, mass)
-    s = _powers(q, (1.0 - alpha) / (2.0 * alpha))
-    t += t.conj().T
-    t *= s[:, None] / 2
-    t *= s
-    trace = _power_trace(np.linalg.eigvalsh(t), alpha)
-    return _from_trace(alpha, q, mass, trace, sandwiched=True)
+    trace = None  # alpha = 1 reads no trace
+    if alpha != 1.0:
+        s = _powers(q, (1.0 - alpha) / (2.0 * alpha))
+        t += t.conj().T
+        t *= s[:, None] / 2
+        t *= s
+        trace = _power_trace(np.linalg.eigvalsh(t), alpha)
+    return _value_or_inf(alpha, a.eigenvalues, q, mass, trace, sandwiched=True)
 
 
 def _clamp(value: float) -> float:
@@ -175,24 +161,23 @@ def _clamp(value: float) -> float:
 
 
 def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) -> float:
-    """One divergence, clamped: ``_divergences`` for a stack of one, or
-    ``_rotated`` for the relative entropy or a sandwiched divergence from a
-    density operator to a spec whose eigenvectors are not at hand, when its
-    eigenvalues at or below KERNEL_TOL sum in magnitude to at most
-    KERNEL_TOL / 1000, so that both routes count the same weights."""
+    """One divergence, clamped: ``_rotated`` for the relative entropy or a
+    sandwiched divergence from a density operator whose eigenvalues all lie
+    above KERNEL_TOL to a spec, so that both routes count the same weights;
+    otherwise ``_divergences`` for a stack of one.  The route depends on the
+    state's spectrum alone, not on what earlier calls computed."""
     _check_pair(a, b)
     dense_to_spec = isinstance(a, DensityOperator) and isinstance(b, FreeStateSpec)
-    if dense_to_spec and (alpha == 1.0 or sandwiched) and "eigenpairs" not in vars(a):
-        w = a.eigenvalues  # vars(a) is where cached_property keeps the eigenpairs
-        # diag(T) and the eigenvector route's weights differ by at most this sum
-        if np.abs(w[w <= KERNEL_TOL]).sum() <= 1e-3 * KERNEL_TOL:
-            return _clamp(float(_rotated(alpha, a, b)))
+    if dense_to_spec and (alpha == 1.0 or sandwiched) and a.eigenvalues.min() > KERNEL_TOL:
+        return _clamp(float(_rotated(alpha, a, b)))
     return _clamp(float(_divergences(alpha, *_joint(a, b), sandwiched)))
 
 
 def von_neumann(rho: State) -> float:
     """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
-    w = _live_eigenvalues(rho)
+    _require_state(rho)
+    w = rho.eigenvalues
+    w = w[w > KERNEL_TOL]
     return _clamp(float(-(w * np.log(w)).sum()))
 
 

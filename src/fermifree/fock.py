@@ -37,6 +37,8 @@ class OrbitalSpace:
         if self.d > ceiling:
             raise CapacityError(f"orbital count {self.d} exceeds D_MAX = {ceiling}")
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)):
+                raise ValidationError(f"labels must be strings in a list or tuple: {self.labels!r}")
             object.__setattr__(self, "labels", tuple(self.labels))
             if not all(isinstance(label, str) for label in self.labels):
                 raise ValidationError("labels must be strings")

@@ -90,8 +90,6 @@ def state_from_document(doc: dict) -> State:
     d = _integer(doc, "d")
     kind = _require(doc, "kind")
     labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ValidationError("labels must be a list of strings")
     if kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {kind!r}")
     if kind == "hubbard":

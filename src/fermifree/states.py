@@ -11,10 +11,10 @@ from .errors import ValidationError
 from .fock import (
     OrbitalSpace,
     _array,
+    _givens_amplitudes,
     _integer,
     _number_sector,
     _require_unitary,
-    basis_change_unitary,
     ladder_table,
 )
 
@@ -78,7 +78,7 @@ class DensityOperator:
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalues above KERNEL_TOL and their orthonormal eigenvectors,
         (2^d, k): the live part of ``spectrum(matrix)`` on first use, unless the
-        constructor supplied them; ``entropy._divergence`` reads whether they are at hand."""
+        constructor supplied them."""
         return _live_pairs(*spectrum(self.matrix))
 
     @property
@@ -226,8 +226,9 @@ class FreeStateSpec:
             object.__setattr__(self, name, array)
 
     def to_density(self) -> DensityOperator:
-        """The density operator, carrying its eigenpairs (Bernoulli weights, Fock unitary)."""
-        fock_u = basis_change_unitary(self.orbitals, self.space)
+        """The density operator, carrying its eigenpairs (Bernoulli weights, Fock
+        unitary F).  F(u) = F(u^dagger)^dagger, so F is one Givens pass over the identity."""
+        fock_u = _givens_amplitudes(self.orbitals.conj().T, np.eye(self.space.dim), self.space.d)
         w = bernoulli_weights(self.occupations)
         if not w.all():  # boundary occupations: the matrix sums the nonzero weights only
             fock_u, w = fock_u[:, w > 0], w[w > 0]

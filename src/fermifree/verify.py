@@ -27,7 +27,6 @@ from .entropy import (
     _check_pair,
     _divergences,
     _joint,
-    _support,
     relative_entropy,
     renyi_divergence,
     sandwiched_renyi,
@@ -205,8 +204,8 @@ def cross_entropy(a: State, b: Reference) -> float:
     """-Tr(A log B); +inf when the kernel of B is not contained in that of A."""
     _check_pair(a, b)
     p, q, c = _joint(a, b)
-    mass = p @ np.abs(c) ** 2
-    live, crossing = _support(q, mass)
+    mass, live = p @ np.abs(c) ** 2, q > KERNEL_TOL
+    crossing = np.where(live, 0.0, mass).sum() > KERNEL_TOL
     return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 

@@ -25,7 +25,6 @@ from fermifree import (
     slater_density,
 )
 from fermifree import fock
-from fermifree import states as states_module
 from fermifree.verify import (
     chain_rule_terms,
     sample_density,
@@ -275,7 +274,6 @@ def test_correlation_functionals_build_no_fock_unitary_or_free_density(monkeypat
         raise AssertionError("a correlation functional built a dense free reference")
 
     monkeypatch.setattr(fock, "basis_change_unitary", forbidden)
-    monkeypatch.setattr(states_module, "basis_change_unitary", forbidden)
     monkeypatch.setattr(FreeStateSpec, "to_density", forbidden)
     report = nonfreeness(rho, cross_check=True)
     assert abs(report.nonfreeness - expected["nonfreeness"]) <= 1e-10

@@ -13,6 +13,7 @@ from fermifree import (
     PureState,
     ValidationError,
     basis_change_unitary,
+    correlation_renyi,
     correlation_sandwiched,
     cross_entropy,
     free_from_pdm,
@@ -351,13 +352,13 @@ def _assert_matches(value, expected, case, rtol=1e-12, atol=0.0):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_rotation_route_matches_dense_eigh_reference(d):
-    """Divergences from a density operator without eigenvectors to a spec,
-    which rotate it into the spec's Fock basis (relative and sandwiched), against
-    the dense reference: full-rank and rank 1 and 3 states; references with
-    random occupations, with occupations 1e-3 and 1 - 1e-9, and with boundary
-    occupations 0 and 1, whose kernel makes the divergences from alpha = 1 up
-    +inf.  Reading the eigenpairs afterwards, which moves the state to the
-    eigenvector route, gives the same values; Petz takes that route anyway."""
+    """Divergences from a density operator to a spec against the dense
+    reference: full-rank states, which the relative and sandwiched divergences
+    rotate into the spec's Fock basis, and rank 1 and 3 states, which take the
+    eigenvector route; references with random occupations, with occupations
+    1e-3 and 1 - 1e-9, and with boundary occupations 0 and 1, whose kernel
+    makes the divergences from alpha = 1 up +inf.  Reading the eigenpairs
+    afterwards changes no value; Petz reads them anyway."""
     rng = np.random.default_rng(40 + d)
     space = OrbitalSpace(d)
     interior = rng.uniform(0.2, 0.8, d)
@@ -370,9 +371,9 @@ def test_rotation_route_matches_dense_eigh_reference(d):
         for name, occupations in specs.items():
             spec = FreeStateSpec(space, occupations, sample_unitary(d, rng))
             rho = sample_density(space, rng, rank)
-            rotated = {}
+            first = {}
             for kind, alpha, sandwiched in ROTATED_DIVERGENCES[:4]:
-                rotated[alpha] = _spec_divergence(rho, spec, alpha, sandwiched)
+                first[alpha] = _spec_divergence(rho, spec, alpha, sandwiched)
             if rank is None:
                 assert "eigenpairs" not in rho.__dict__  # rotated, never diagonalized
             rho.eigenpairs
@@ -385,7 +386,9 @@ def test_rotation_route_matches_dense_eigh_reference(d):
                 value = _spec_divergence(rho, spec, alpha, sandwiched)
                 _assert_matches(value, expected, case, 1e-10 if sandwiched else 1e-12)
                 if kind != "petz":
-                    _assert_matches(rotated[alpha], expected, case)
+                    assert value == first[alpha], case  # the route reads the spectrum only
+                    if rank is None:  # rotated: within the rotation's bound
+                        _assert_matches(value, expected, case)
                 if name != "near-boundary":  # whose smallest weights reach KERNEL_TOL
                     # the boundary spec's kernel holds weight of every state drawn
                     assert math.isinf(expected) == (name == "boundary" and alpha >= 1.0), case
@@ -422,6 +425,18 @@ def test_kernel_eigenvalues_give_one_answer_on_both_routes(kernel, infinite):
         _assert_matches(before, expected, case, atol=1e-14)  # values near 0
         assert _spec_divergence(rho, spec, alpha, sandwiched) == before, case
         rho = DensityOperator(space, rho.matrix)  # eigenpairs not computed
+
+
+def test_a_value_does_not_depend_on_call_history():
+    """The route of a divergence reads the state's spectrum, not what earlier
+    calls computed: a Petz divergence first, which reads the eigenpairs of a
+    full-rank state, moves no later value by a bit."""
+    space = OrbitalSpace(3)
+    matrix = sample_density(space, np.random.default_rng(3)).matrix
+    fresh, used = DensityOperator(space, matrix), DensityOperator(space, matrix)
+    correlation_renyi(used, 2)
+    assert nonfreeness(fresh).cross_check == nonfreeness(used).cross_check
+    assert correlation_sandwiched(fresh, 0.5) == correlation_sandwiched(used, 0.5)
 
 
 # --- joint invariances ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Free-state construction, Wick relations, and the purification round-trip."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -10,10 +12,12 @@ from fermifree import (
     OrbitalSpace,
     PureState,
     ValidationError,
+    basis_change_unitary,
     binary_entropy,
     free_from_pdm,
     gibbs_free_density,
     hubbard_ground_amplitudes,
+    natural_spectrum,
     one_pdm,
     pair_state,
     pure_density,
@@ -26,6 +30,7 @@ from fermifree import (
     wick_check,
 )
 from fermifree.fock import ladder_matrices
+from fermifree.states import bernoulli_weights
 from fermifree.verify import sample_density, sample_free_spec, sample_unitary, trace_distance
 
 
@@ -63,6 +68,31 @@ def test_divergences_against_a_spec_do_not_revalidate_it(monkeypatch):
     relative_entropy(rho, spec)
     sandwiched_renyi(0.5, rho, spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_free_densities_are_built_without_the_minors(d, monkeypatch):
+    """Givens passes build F diag(w) F^dagger: with the minors' Fock unitary
+    raising wherever it is bound, `free_from_pdm` matches the minors-built
+    density and carries eigenpairs that diagonalize it."""
+    pdm = one_pdm(sample_density(OrbitalSpace(d), np.random.default_rng(90 + d)))
+    spec = natural_spectrum(pdm)
+    fock_u = basis_change_unitary(spec.orbitals, spec.space)
+    expected = (fock_u * bernoulli_weights(spec.occupations)) @ fock_u.conj().T
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a free density was built from the minors")
+
+    bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "fermifree"]
+    bound = [m for m in bound if getattr(m, "basis_change_unitary", None) is basis_change_unitary]
+    assert len(bound) >= 2  # fermifree.fock and the package itself at least
+    for module in bound:
+        monkeypatch.setattr(module, "basis_change_unitary", forbidden)
+    rho = free_from_pdm(pdm)[0]
+    assert np.abs(rho.matrix - expected).max() <= 1e-14
+    w, v = rho.eigenpairs
+    assert np.abs(v.conj().T @ v - np.eye(w.size)).max() <= 1e-14
+    assert np.abs(rho.matrix @ v - v * w).max() <= 1e-14
 
 
 def test_free_from_projector_pdm_is_slater():

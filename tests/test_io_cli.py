@@ -760,12 +760,12 @@ def test_mixture_document_keeps_its_labels():
 
 def test_labels_are_strings_wherever_a_space_is_built():
     rho = sample_density(OrbitalSpace(2), np.random.default_rng(3))
-    for labels in ((1, 2), (None, "x")):
+    for labels in ((1, 2), (None, "x"), 5, "ab"):
         with pytest.raises(ValidationError, match="labels must be strings"):
             OrbitalSpace(2, labels)
         with pytest.raises(ValidationError, match="labels must be strings"):
             mixture([(1.0, rho)], labels)
-        doc = dict(ffio.density_to_document(rho), labels=list(labels))
+        doc = dict(ffio.density_to_document(rho), labels=labels)
         with pytest.raises(ValidationError, match="labels must be strings"):
             ffio.state_from_document(doc)
     labelled = DensityOperator(OrbitalSpace(2, ("up", "dn")), rho.matrix)
