@@ -8,6 +8,8 @@ distances, cross entropies and predicates that only these checks need live
 here, not in the library that computes.
 """
 
+import functools
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -86,7 +88,8 @@ class SearchConfig:
         if _integer(self.refine_steps, "refine_steps") < 0:
             raise ValidationError(f"refine_steps must be >= 0, got {self.refine_steps}")
         _require_seed(self.seed)
-        _real(self.tolerance, "tolerance")
+        if _real(self.tolerance, "tolerance") < 0.0:
+            raise ValidationError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -842,18 +845,60 @@ _CLAIMS = (
 )
 
 
+def _run_claim(seed: int, d_max: int, trials: int, index: int) -> VerificationReport:
+    """Run claim `index` of `_CLAIMS` from its own generator, seeded by `seed`
+    and its position, so a claim's report does not depend on where it runs."""
+    claim_id, trial, cap, threshold, *controls = _CLAIMS[index]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    ran = trials if cap is None else min(trials, cap)
+    start = time.perf_counter()
+    worst, states = 0.0, ()
+    for _ in range(ran):
+        outcome = trial(rng, d_max)
+        value, found = outcome if isinstance(outcome, tuple) else (outcome, ())
+        if value > worst or np.isnan(value):  # once NaN, worst stays NaN
+            worst, states = value, found
+    passed = worst <= threshold
+    for control in controls:
+        breach = control()
+        if breach is not None:
+            passed = False
+            worst, *states = breach
+    witness = [io.density_to_document(s) for s in states] if not passed else []
+    return VerificationReport(
+        claim=claim_id,
+        passed=bool(passed),
+        worst=float(worst),
+        threshold=threshold,
+        trials=ran,
+        elapsed_s=time.perf_counter() - start,
+        witness={"states": witness} if witness else None,
+    )
+
+
 def property_suite(seed: int = 42, d_max: int = SUITE_DMAX, trials: int = SUITE_TRIALS):
     """Run every module invariant on randomized instances; deterministic per seed.
 
     Each claim runs `trials` instances, or its cap in `_CLAIMS` if that is
     smaller, and passes when its worst trial value is at most its threshold
     (a NaN value fails) and each of its negative controls passes.  Returns one
-    VerificationReport per claim, in a fixed order, with the threshold, the
-    trials it ran and its wall time; a failing claim carries a witness with
-    the worst trial's states, when its trial names them.  Orbital counts are
-    drawn up to `d_max`, which must lie between 2 and the orbital-count ceiling
-    (`config.d_max()`); the claims that need three orbitals still take three
-    at d_max = 2.
+    VerificationReport per claim, in `_CLAIMS` order, with the threshold, the
+    trials it ran and its wall time in the process that ran it; a failing
+    claim carries a witness with the worst trial's states, when its trial
+    names them.  Orbital counts are drawn up to `d_max`, which must lie
+    between 2 and the orbital-count ceiling (`config.d_max()`); the claims
+    that need three orbitals still take three at d_max = 2.
+
+    Every claim draws from its own generator, so the claims run in forked
+    worker processes, one per CPU this process may run on (capped at the
+    claim count), and the reports equal a serial run's apart from
+    `elapsed_s`.  Workers are forked, not spawned: they see the claims and
+    library functions as the caller has them (tests patch both), and only
+    claim indices and reports cross between processes.  On one CPU, or
+    where the platform reports no CPU affinity (and so may lack `fork`),
+    the claims run in this process.  A claim's exception reaches the caller
+    with its type and message after the pending claims are cancelled and
+    every worker has exited.
     """
     if _integer(trials, "trials") < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -863,33 +908,17 @@ def property_suite(seed: int = 42, d_max: int = SUITE_DMAX, trials: int = SUITE_
     if d_max > ceiling:
         raise ValidationError(f"d_max {d_max} exceeds the orbital ceiling D_MAX = {ceiling}")
     _require_seed(seed)
-    reports = []
-    for index, (claim_id, trial, cap, threshold, *controls) in enumerate(_CLAIMS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        ran = trials if cap is None else min(trials, cap)
-        start = time.perf_counter()
-        worst, states = 0.0, ()
-        for _ in range(ran):
-            outcome = trial(rng, d_max)
-            value, found = outcome if isinstance(outcome, tuple) else (outcome, ())
-            if value > worst or np.isnan(value):  # once NaN, worst stays NaN
-                worst, states = value, found
-        passed = worst <= threshold
-        for control in controls:
-            breach = control()
-            if breach is not None:
-                passed = False
-                worst, *states = breach
-        witness = [io.density_to_document(s) for s in states] if not passed else []
-        reports.append(
-            VerificationReport(
-                claim=claim_id,
-                passed=bool(passed),
-                worst=float(worst),
-                threshold=threshold,
-                trials=ran,
-                elapsed_s=time.perf_counter() - start,
-                witness={"states": witness} if witness else None,
-            )
-        )
-    return reports
+    claim = functools.partial(_run_claim, seed, d_max, trials)
+    indices = range(len(_CLAIMS))
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)), len(indices)) if affinity else 1
+    if workers < 2:
+        return list(map(claim, indices))
+    # imported here: `import fermifree.cli` loads neither module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a claim's exception cancels the claims not yet started, and leaving
+    # `with` joins every worker before it propagates
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(claim, indices))

@@ -30,6 +30,7 @@ from fermifree import (
     slater_density,
     von_neumann,
 )
+from fermifree import entropy
 from fermifree.config import KERNEL_TOL
 from fermifree.entropy import _divergences, _joint
 from fermifree.states import bernoulli_weights, hubbard_ground_state, spectrum
@@ -350,15 +351,36 @@ def _assert_matches(value, expected, case, rtol=1e-12, atol=0.0):
         assert abs(value - max(expected, 0.0)) <= rtol * abs(expected) + atol, case
 
 
+def _rotation_spy(monkeypatch) -> list:
+    """Patch `entropy._rotated` to record each call in the returned list."""
+    calls, rotated = [], entropy._rotated
+
+    def spy(*args):
+        calls.append(args)
+        return rotated(*args)
+
+    monkeypatch.setattr(entropy, "_rotated", spy)
+    return calls
+
+
+def _with_smallest_eigenvalue(rho, floor):
+    """`rho` with its smallest eigenvalue set to `floor`, the rest rescaled to trace 1."""
+    w, v = np.linalg.eigh(rho.matrix)
+    w[0], w[1:] = floor, w[1:] * (1.0 - floor) / w[1:].sum()
+    return DensityOperator(rho.space, (v * w) @ v.conj().T)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_rotation_route_matches_dense_eigh_reference(d):
+def test_rotation_route_matches_dense_eigh_reference(d, monkeypatch):
     """Divergences from a density operator to a spec against the dense
     reference: full-rank states, which the relative and sandwiched divergences
-    rotate into the spec's Fock basis, and rank 1 and 3 states, which take the
-    eigenvector route; references with random occupations, with occupations
-    1e-3 and 1 - 1e-9, and with boundary occupations 0 and 1, whose kernel
-    makes the divergences from alpha = 1 up +inf.  Reading the eigenpairs
-    afterwards changes no value; Petz reads them anyway."""
+    rotate into the spec's Fock basis, among them states whose smallest
+    eigenvalue (2e-12, 1e-11) lies just above KERNEL_TOL, and rank 1 and 3
+    states, which take the eigenvector route; references with random
+    occupations, with occupations 1e-3 and 1 - 1e-9, and with boundary
+    occupations 0 and 1, whose kernel makes the divergences from alpha = 1 up
+    +inf.  Reading the eigenpairs afterwards changes no value; Petz reads them
+    anyway."""
     rng = np.random.default_rng(40 + d)
     space = OrbitalSpace(d)
     interior = rng.uniform(0.2, 0.8, d)
@@ -367,28 +389,41 @@ def test_rotation_route_matches_dense_eigh_reference(d):
         "near-boundary": np.concatenate([[1e-3, 1 - 1e-9], interior[2:]]),
         "boundary": np.concatenate([[0.0, 1.0], interior[2:]]),
     }
-    for rank in (None, 1, 3):
+    rotations = _rotation_spy(monkeypatch)
+    for rank, floor in ((None, None), (1, None), (3, None), (None, 2e-12), (None, 1e-11)):
         for name, occupations in specs.items():
             spec = FreeStateSpec(space, occupations, sample_unitary(d, rng))
             rho = sample_density(space, rng, rank)
+            if floor is not None:
+                rho = _with_smallest_eigenvalue(rho, floor)
+                assert KERNEL_TOL < rho.eigenvalues.min() < 2 * floor
             first = {}
+            rotations.clear()
             for kind, alpha, sandwiched in ROTATED_DIVERGENCES[:4]:
                 first[alpha] = _spec_divergence(rho, spec, alpha, sandwiched)
+            # full rank rotates on every call, never diagonalized; lower rank never rotates
+            assert len(rotations) == (4 if rank is None else 0), (rank, floor, name)
             if rank is None:
-                assert "eigenpairs" not in rho.__dict__  # rotated, never diagonalized
+                assert "eigenpairs" not in rho.__dict__
             rho.eigenpairs
             for kind, alpha, sandwiched in ROTATED_DIVERGENCES:
-                case = (rank, name, kind, alpha)
+                case = (rank, floor, name, kind, alpha)
                 expected = _spec_reference(rho, spec, alpha, sandwiched)
-                # the eigenvector route's k x k core rounds the smallest core
-                # eigenvalues differently, and w^alpha magnifies that below
-                # alpha = 1 (up to 1e-11 relative with Bernoulli weights of 1e-12)
+                if floor is not None and alpha < 1.0:
+                    # every route rounds an eigenvalue near KERNEL_TOL by about eps,
+                    # which w^alpha magnifies: eps / sqrt(2e-12) ~ 1e-10 at alpha = 1/2
+                    tol = 1e-9
+                elif rank is None and kind != "petz":
+                    tol = 1e-12  # rotated: within the rotation's bound
+                else:
+                    # the eigenvector route's k x k core rounds the smallest core
+                    # eigenvalues differently, and w^alpha magnifies that below
+                    # alpha = 1 (up to 1e-11 relative with Bernoulli weights of 1e-12)
+                    tol = 1e-10 if sandwiched else 1e-12
                 value = _spec_divergence(rho, spec, alpha, sandwiched)
-                _assert_matches(value, expected, case, 1e-10 if sandwiched else 1e-12)
+                _assert_matches(value, expected, case, tol)
                 if kind != "petz":
                     assert value == first[alpha], case  # the route reads the spectrum only
-                    if rank is None:  # rotated: within the rotation's bound
-                        _assert_matches(value, expected, case)
                 if name != "near-boundary":  # whose smallest weights reach KERNEL_TOL
                     # the boundary spec's kernel holds weight of every state drawn
                     assert math.isinf(expected) == (name == "boundary" and alpha >= 1.0), case
@@ -401,12 +436,17 @@ def test_rotation_route_matches_dense_eigh_reference(d):
         ([2e-12, -5e-11], True),  # 2e-12 is live and crosses; -5e-11 is dropped
     ],
 )
-def test_kernel_eigenvalues_give_one_answer_on_both_routes(kernel, infinite):
+def test_kernel_eigenvalues_give_one_answer_with_or_without_cached_eigenpairs(
+    kernel, infinite, monkeypatch
+):
     """A Slater reference S and a state (1 - sum(kernel)) |S><S| plus weights
     `kernel` on two other Fock vectors of S's orbitals, which lie in the
-    reference's kernel.  Eigenvalues at or below KERNEL_TOL are exact kernel, so
-    the divergences from alpha = 1 up are +inf exactly when a live eigenvalue
-    lies in that kernel, with or without the eigenpairs cached."""
+    reference's kernel.  The state has eigenvalues at or below KERNEL_TOL, so
+    every divergence takes the eigenvector route, never the rotation, whether
+    the eigenpairs were read before or not.  Those eigenvalues are exact
+    kernel, so the divergences from alpha = 1 up are +inf exactly when a live
+    eigenvalue lies in that kernel."""
+    rotations = _rotation_spy(monkeypatch)
     rng = np.random.default_rng(71)
     space = OrbitalSpace(3)
     spec = FreeStateSpec(space, [1.0, 0.0, 1.0], sample_unitary(3, rng))
@@ -425,6 +465,7 @@ def test_kernel_eigenvalues_give_one_answer_on_both_routes(kernel, infinite):
         _assert_matches(before, expected, case, atol=1e-14)  # values near 0
         assert _spec_divergence(rho, spec, alpha, sandwiched) == before, case
         rho = DensityOperator(space, rho.matrix)  # eigenpairs not computed
+    assert not rotations
 
 
 def test_a_value_does_not_depend_on_call_history():

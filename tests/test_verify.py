@@ -1,8 +1,11 @@
 """Brute-force searches and the randomized property suite."""
 
+import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -390,6 +393,49 @@ def test_property_suite_driver_fails_nan_trials_and_control_breaches(monkeypatch
     assert len(reports["control-breach"].witness["states"]) == 1
 
 
+def _without_elapsed(reports):
+    return [dataclasses.replace(r, elapsed_s=0.0) for r in reports]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_property_suite_on_one_cpu_matches_the_pool(seed, monkeypatch):
+    pooled = property_suite(seed=seed, d_max=4, trials=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = property_suite(seed=seed, d_max=4, trials=5)
+    assert _without_elapsed(serial) == _without_elapsed(pooled)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="on one CPU the claims run in the calling process")
+def test_property_suite_runs_the_claims_in_worker_processes(monkeypatch):
+    caller = os.getpid()
+    claims = tuple(
+        (f"worker-{i}", lambda rng, d_cap: float(os.getpid() == caller), None, 0.0)
+        for i in range(3)
+    )
+    monkeypatch.setattr(fermifree.verify, "_CLAIMS", claims)
+    reports = property_suite(seed=0, d_max=2, trials=2)
+    assert [r.claim for r in reports] == ["worker-0", "worker-1", "worker-2"]
+    assert all(r.passed and r.worst == 0.0 for r in reports)
+
+
+def test_a_claim_raising_in_a_worker_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    def raises(rng, d_cap):
+        raise ValidationError("claim rejected its sample")
+
+    passes = ("passes", lambda rng, d_cap: 0.0, 1, 0.0)
+    claims = (passes, ("raises", raises, 1, 0.0), *[passes] * 6)
+    monkeypatch.setattr(fermifree.verify, "_CLAIMS", claims)
+    with pytest.raises(ValidationError) as raised:
+        property_suite(seed=0, d_max=2, trials=1)
+    assert type(raised.value) is ValidationError
+    assert str(raised.value) == "claim rejected its sample"
+    assert multiprocessing.active_children() == []
+
+
 def test_search_config_validation():
     with pytest.raises(ValidationError, match="samples"):
         SearchConfig(samples=0)
@@ -554,6 +600,7 @@ def _wrong_typed_calls():
         "search-refine-steps-float": lambda: SearchConfig(refine_steps=2.0),
         "search-seed-float": lambda: SearchConfig(seed=1.5),
         "search-tolerance-str": lambda: SearchConfig(tolerance="1e-4"),
+        "search-tolerance-negative": lambda: SearchConfig(tolerance=-1.0),
         "suite-trials-float": lambda: property_suite(seed=0, trials=2.0),
         "suite-dmax-float": lambda: property_suite(seed=0, d_max=2.5, trials=1),
         # arrays that are not rectangular arrays of numbers
