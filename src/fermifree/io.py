@@ -90,7 +90,7 @@ def state_from_document(doc: dict) -> State:
     d = _integer(doc, "d")
     kind = _require(doc, "kind")
     labels = doc.get("labels")
-    if kind not in STATE_KINDS:
+    if not isinstance(kind, str) or kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {kind!r}")
     if kind == "hubbard":
         sites = _integer(doc, "sites")

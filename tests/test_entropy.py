@@ -436,16 +436,16 @@ def test_rotation_route_matches_dense_eigh_reference(d, monkeypatch):
         ([2e-12, -5e-11], True),  # 2e-12 is live and crosses; -5e-11 is dropped
     ],
 )
-def test_kernel_eigenvalues_give_one_answer_with_or_without_cached_eigenpairs(
-    kernel, infinite, monkeypatch
-):
+def test_kernel_eigenvalues_give_one_answer_on_both_routes(kernel, infinite, monkeypatch):
     """A Slater reference S and a state (1 - sum(kernel)) |S><S| plus weights
     `kernel` on two other Fock vectors of S's orbitals, which lie in the
     reference's kernel.  The state has eigenvalues at or below KERNEL_TOL, so
-    every divergence takes the eigenvector route, never the rotation, whether
-    the eigenpairs were read before or not.  Those eigenvalues are exact
-    kernel, so the divergences from alpha = 1 up are +inf exactly when a live
-    eigenvalue lies in that kernel."""
+    it never rotates: both routes of the name are the eigenvector route with
+    the eigenpairs cached before the call and with them computed in it.  The
+    rotation route next to the kernel is checked in
+    test_rotation_route_matches_dense_eigh_reference.  Those eigenvalues are
+    exact kernel, so the divergences from alpha = 1 up are +inf exactly when a
+    live eigenvalue lies in that kernel."""
     rotations = _rotation_spy(monkeypatch)
     rng = np.random.default_rng(71)
     space = OrbitalSpace(3)

@@ -126,6 +126,15 @@ def test_unknown_kind_rejected():
         ffio.density_from_document({"d": 1, "kind": "bogus"})
 
 
+@pytest.mark.parametrize("kind", ["[0, 0]", "[1]", "0", "{}", "null"])
+def test_non_string_kind_rejected(kind):
+    """The text reader turns a numeric list into an array, whose membership
+    test in the kind names has no single truth value."""
+    doc = ffio.loads(f'{{"d": 1, "kind": {kind}, "amplitudes": [[1, 0], [0, 0]]}}')
+    with pytest.raises(ValidationError, match="kind"):
+        ffio.state_from_document(doc)
+
+
 # --- CLI -----------------------------------------------------------------------
 
 
