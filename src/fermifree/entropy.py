@@ -3,19 +3,21 @@
 Everything is in nats.  Eigenvalues at or below `KERNEL_TOL` are treated as
 exact kernel, which makes the +infinity conventions of the divergences
 testable.  A state is a `DensityOperator` or a `FactoredState`, a reference a
-`DensityOperator` or a `FreeStateSpec` (Bernoulli weights on the Fock basis of
-its orbitals).  `von_neumann` reads a state's eigenvalues only.  The three
-divergences read its `eigenpairs`, which every state gives in one form (its
-eigenvalues above KERNEL_TOL and their eigenvectors), in one core,
-`_divergences`, which also scores stacks of references for the searches; a
-density operator whose eigenvalues all lie above KERNEL_TOL is instead rotated
-into a spec's Fock basis (`_rotated`), which needs none of its eigenvectors.
-Both routes hand their weights to one function, `_value_or_inf`, which holds
-every +inf rule.
+`FreeStateSpec` (Bernoulli weights on the Fock basis of its orbitals) or a
+`DensityOperator`.  `von_neumann` reads a state's eigenvalues only.  Against a
+spec, the three divergences read the state's `eigenpairs`, which every state
+gives in one form (its eigenvalues above KERNEL_TOL and their eigenvectors),
+in one core, `_divergences`, which also scores stacks of specs for the
+searches; a density operator whose eigenvalues all lie above KERNEL_TOL is
+instead rotated into the spec's Fock basis (`_rotated`), which needs none of
+its eigenvectors.  Both routes hand their weights to one function,
+`_value_or_inf`, which holds every +inf rule.  A density-operator reference
+goes to `_reference`, which computes the divergences from their definitions.
 """
 
 import numpy as np
 
+from . import _reference
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError
 from .fock import _givens_amplitudes
@@ -37,27 +39,13 @@ def _check_pair(a: State, b: Reference):
         raise ValidationError("divergences require both states on the same space")
 
 
-def _joint(a: State, b: Reference):
-    """Live spectrum p of a, spectrum q of b, and the coefficients
-    c[i, j] = <b_j|a_i> of a's live eigenvectors in b's eigenbasis.
-
-    A free state given by its spec is diagonal, with its Bernoulli weights, in
-    the Fock basis of its orbitals, which the vectors reach by Givens rotations.
-    A density operator's kernel, when it has one, enters as one more eigenvalue
-    0, on which row i holds the part of a_i outside b's support,
-    sqrt(|a_i|^2 - sum_j |c_ij|^2 / |b_j|^2): a pure state's amplitudes may
-    miss unit norm by TOL_NORM, more than KERNEL_TOL.
-    """
+def _joint(a: State, b: FreeStateSpec):
+    """Live spectrum p of a, spectrum q of the free state b, and the coefficients
+    c[i, j] = <b_j|a_i> of a's live eigenvectors in b's eigenbasis: b is
+    diagonal, with its Bernoulli weights, in the Fock basis of its orbitals,
+    which the vectors reach by Givens rotations."""
     p, va = a.eigenpairs
-    if isinstance(b, FreeStateSpec):
-        return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
-    q, vb = b.eigenpairs
-    c = (vb.conj().T @ va).T
-    if q.size < b.dim:
-        inside = (np.abs(c) ** 2 / np.vecdot(vb, vb, axis=0).real).sum(axis=1)
-        rest = np.sqrt(np.maximum(0.0, np.vecdot(va, va, axis=0).real - inside))
-        q, c = np.append(q, 0.0), np.column_stack([c, rest])
-    return p, q, c
+    return p, bernoulli_weights(b.occupations), _givens_amplitudes(b.orbitals, va, b.space.d).T
 
 
 def _powers(q, exponent: float):
@@ -97,13 +85,13 @@ def _power_trace(w, alpha: float):
 
 
 def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
-    """D(A||B) from one state A to a stack of references B, shape (...), unclamped.
+    """D(A||B) from one state A to a stack of free states B, shape (...), unclamped.
 
-    p (k,) holds the live eigenvalues of A, q (..., n) the spectrum of each B
-    (entries at or below KERNEL_TOL are its kernel) and c (..., k, n) the
-    coefficients of A's live eigenvectors in B's eigenbasis, or their complex
-    conjugates.  With m_j = sum_i p_i |c_ij|^2 the weight of A's support on
-    B's j-th eigenvector:
+    p (k,) holds the live eigenvalues of A, q (..., 2^d) the Bernoulli weights
+    of each B (entries at or below KERNEL_TOL are its kernel) and c (..., k, 2^d)
+    the coefficients of A's live eigenvectors in B's Fock eigenbasis, or their
+    complex conjugates.  With m_j = sum_i p_i |c_ij|^2 the weight of A's
+    support on B's j-th eigenvector:
 
     - alpha = 1: the double sum over joint eigenpairs of `relative_entropy`
       summed over i, since each row of |c|^2 sums to 1;
@@ -161,14 +149,17 @@ def _clamp(value: float) -> float:
 
 
 def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) -> float:
-    """One divergence, clamped: ``_rotated`` for the relative entropy or a
+    """One divergence, clamped: ``_reference.divergence`` for a density-operator
+    reference; against a spec, ``_rotated`` for the relative entropy or a
     sandwiched divergence from a density operator whose eigenvalues all lie
-    above KERNEL_TOL to a spec, so that both routes count the same weights;
-    otherwise ``_divergences`` for a stack of one.  The route depends on the
-    state's spectrum alone, not on what earlier calls computed."""
+    above KERNEL_TOL, so that both routes count the same weights, otherwise
+    ``_divergences`` for a stack of one.  The route depends on the state's
+    spectrum alone, not on what earlier calls computed."""
     _check_pair(a, b)
-    dense_to_spec = isinstance(a, DensityOperator) and isinstance(b, FreeStateSpec)
-    if dense_to_spec and (alpha == 1.0 or sandwiched) and a.eigenvalues.min() > KERNEL_TOL:
+    if isinstance(b, DensityOperator):
+        return _clamp(_reference.divergence(alpha, a, b, sandwiched))
+    rotates = alpha == 1.0 or sandwiched
+    if isinstance(a, DensityOperator) and rotates and a.eigenvalues.min() > KERNEL_TOL:
         return _clamp(float(_rotated(alpha, a, b)))
     return _clamp(float(_divergences(alpha, *_joint(a, b), sandwiched)))
 
@@ -209,8 +200,8 @@ def sandwiched_renyi(alpha: float, a: State, b: Reference) -> float:
 
     Defined for finite alpha >= 1/2; alpha = 1 is the relative entropy.  B
     powers are taken on the support of B; for alpha > 1 the value is +inf
-    when ker B is not contained in ker A.  The trace is that of a k x k core,
-    k the rank of A, for either kind of B (see `_divergences`).
+    when ker B is not contained in ker A.  Against a spec the trace is that of
+    a k x k core, k the rank of A (see `_divergences`).
     """
     alpha = _real(alpha, "alpha")
     if alpha < 0.5:

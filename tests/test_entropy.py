@@ -1,7 +1,11 @@
 """Entropy kernel: von Neumann, relative, Renyi, sandwiched Renyi."""
 
+import ast
+import inspect
 import itertools
+import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +34,8 @@ from fermifree import (
     slater_density,
     von_neumann,
 )
-from fermifree import entropy
+from fermifree import _reference, entropy
+from fermifree.cli import main
 from fermifree.config import KERNEL_TOL
 from fermifree.entropy import _divergences, _joint
 from fermifree.states import bernoulli_weights, hubbard_ground_state, spectrum
@@ -250,34 +255,26 @@ def test_sandwiched_kernel_rule():
 # --- one core for a stack of references and for each one ----------------------
 
 
-def _rotated(space, v, weights):
-    """V diag(weights) V^dagger."""
-    return DensityOperator(space, (v * np.asarray(weights, dtype=float)) @ v.conj().T)
-
-
 def test_stacked_references_equal_single_calls():
-    """The core scores a stack of n references as n single calls do, in every
-    branch: a rank-2 state against a full-rank state, a free spec, a reference
-    whose kernel holds half of the state's support (+inf from alpha = 1 on)
-    and one supported on the state's kernel (+inf for every divergence)."""
+    """The core scores a stack of n specs as n single calls do, in every
+    branch: a rank-2 state, built in the Fock basis of the specs' orbitals,
+    against a spec with those orbitals, one with fresh orbitals, one whose 0/1
+    occupation puts part of the state's support in its kernel (+inf from
+    alpha = 1 on) and a Slater state orthogonal to it (+inf for every
+    divergence)."""
     rng = np.random.default_rng(31)
     space = OrbitalSpace(2)
-    v = sample_unitary(4, rng)
-    a = _rotated(space, v, [0.7, 0.3, 0.0, 0.0])
+    u = sample_unitary(2, rng)
+    # eigenvectors in the span of Fock vectors 0 (empty) and 1 (orbital 1 filled)
+    v = basis_change_unitary(u, space)[:, :2] @ sample_unitary(2, rng)
+    a = DensityOperator(space, (v * [0.7, 0.3]) @ v.conj().T)
     references = {
-        "full-rank": sample_density(space, rng),
-        "free-spec": FreeStateSpec(space, rng.uniform(0.2, 0.8, 2), sample_unitary(2, rng)),
-        "kernel-crossing": _rotated(space, v, [0.0, 0.5, 0.25, 0.25]),
-        "orthogonal": _rotated(space, v, [0.0, 0.0, 0.6, 0.4]),
+        "interior": FreeStateSpec(space, rng.uniform(0.2, 0.8, 2), u),
+        "fresh-orbitals": FreeStateSpec(space, rng.uniform(0.2, 0.8, 2), sample_unitary(2, rng)),
+        "kernel-crossing": FreeStateSpec(space, [0.0, 0.5], u),  # kernel: orbital 1 filled
+        "orthogonal": FreeStateSpec(space, [1.0, 1.0], u),  # Fock vector 3 only
     }
     joints = [_joint(a, b) for b in references.values()]
-    # a dense reference's joint spans its support plus one kernel column, so the
-    # widths differ; columns with q = 0 and c = 0 pad them and change no value
-    width = max(q.size for _, q, _ in joints)
-    joints = [
-        (p, np.pad(q, (0, width - q.size)), np.pad(c, ((0, 0), (0, width - q.size))))
-        for p, q, c in joints
-    ]
     p = joints[0][0]
     q, c = np.stack([j[1] for j in joints]), np.stack([j[2] for j in joints])
     for alpha, sandwiched in itertools.product((0.5, 1.0, 2.0), (False, True)):
@@ -695,3 +692,78 @@ CARRIED_PAIRS = _carried_pairs()
 @pytest.mark.parametrize("name", sorted(CARRIED_PAIRS))
 def test_carried_spectra_match_dense_reference(name):
     _assert_matches_dense(*CARRIED_PAIRS[name])
+
+
+# --- density-operator references go to the textbook reference ------------------
+
+
+def _reference_spy(monkeypatch) -> list:
+    """Patch `_reference.joint`, through which every use of the reference
+    module passes, to record the reference of each call in the returned list."""
+    calls, joint = [], _reference.joint
+
+    def spy(a, b):
+        calls.append(b)
+        return joint(a, b)
+
+    monkeypatch.setattr(_reference, "joint", spy)
+    return calls
+
+
+def test_only_density_operator_references_reach_the_reference(monkeypatch):
+    calls = _reference_spy(monkeypatch)
+    rng = np.random.default_rng(81)
+    space = OrbitalSpace(3)
+    spec = FreeStateSpec(space, rng.uniform(0.2, 0.8, 3), sample_unitary(3, rng))
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    states = (sample_density(space, rng), PureState(space, psi / np.linalg.norm(psi)))
+    functions = [relative_entropy, cross_entropy]
+    for f in (renyi_divergence, sandwiched_renyi):
+        functions += [partial(f, 0.5), partial(f, 2.0)]
+    for a, b, f in itertools.product(states, (spec, spec.to_density()), functions):
+        calls.clear()
+        f(a, b)
+        assert calls == ([] if isinstance(b, FreeStateSpec) else [b]), (a, b, f)
+
+
+def test_cli_divergences_never_reach_the_reference(tmp_path, monkeypatch, capsys):
+    calls = _reference_spy(monkeypatch)
+    slaters = [
+        {"d": 2, "kind": "slater", "orbitals": [[[0.6, 0], [0, 0.8]]]},
+        {"d": 2, "kind": "slater", "orbitals": [[[0, 0], [1, 0]]]},
+    ]
+    documents = {
+        "density": {
+            "d": 1, "kind": "density", "matrix": [[[0.25, 0], [0, 0]], [[0, 0], [0.75, 0]]]
+        },
+        "pure": {"d": 2, "kind": "pure", "amplitudes": [[0.6, 0], [0, 0], [0, 0.8], [0, 0]]},
+        "mixture": {
+            "d": 2,
+            "kind": "mixture",
+            "components": [{"weight": w, "state": s} for w, s in zip((0.75, 0.25), slaters)],
+        },
+    }
+    commands = (
+        ["nonfreeness", "--cross-check"],
+        ["renyi", "--alpha", "2"],
+        ["renyi", "--alpha", "0.5", "--sandwiched"],
+    )
+    for (kind, document), (command, *flags) in itertools.product(documents.items(), commands):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), *flags]) == 0, (kind, command)
+        capsys.readouterr()
+    assert calls == []
+
+
+def test_reference_module_shares_nothing_with_the_core():
+    """`_reference` imports nothing from `entropy` and names none of the core's
+    Givens pass, Bernoulli table or +inf rule."""
+    nodes = list(ast.walk(ast.parse(inspect.getsource(_reference))))
+    modules = [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    modules += [alias.name for n in nodes if isinstance(n, ast.Import) for alias in n.names]
+    assert not [m for m in modules if "entropy" in m], modules
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {alias.name for n in nodes if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert not names & {"_givens_amplitudes", "bernoulli_weights", "_value_or_inf"}, names

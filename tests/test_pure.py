@@ -79,7 +79,9 @@ def _assert_same_value(fast, dense, what):
 def test_amplitude_path_matches_dense_path(name):
     psi = PURE_CASES[name]()
     rho = pure_density(psi)
-    gamma = free_from_pdm(one_pdm(rho))[0]
+    # the free reference as its spec: the subject is the amplitude path against
+    # the dense state; dense references are checked against `_reference` at d <= 5
+    gamma = natural_spectrum(one_pdm(rho))
     assert np.array_equal(one_pdm(psi).gamma, one_pdm(rho).gamma)
     fast, dense = nonfreeness(psi), nonfreeness(rho)
     assert fast.nonfreeness == dense.nonfreeness

@@ -555,6 +555,24 @@ def test_split_roundtrip_claim_catches_one_flipped_sign(monkeypatch):
     assert not report.passed and report.worst > 0.0
 
 
+def test_free_reference_core_claim_catches_a_dropped_conjugate(monkeypatch):
+    def core_report():
+        *others, last = property_suite(seed=0, d_max=5, trials=3)
+        assert len(others) == 29 and last.claim == "entropy-free-reference-core"
+        return last
+
+    assert core_report().passed
+    original = fermifree.entropy._givens_amplitudes
+
+    def conjugated(u, vectors, d):
+        return original(u.conj(), vectors, d)  # the Fock image of u^T, not of u^dagger
+
+    # the core's rotations only: the reference state is built from the minors
+    monkeypatch.setattr(fermifree.entropy, "_givens_amplitudes", conjugated)
+    report = core_report()
+    assert not report.passed and report.worst > 1e-3, report
+
+
 PUBLIC_NAMES = [
     "CapacityError", "CorrelationReport", "DensityOperator", "FreeStateSpec",
     "OnePdm", "OrbitalSpace", "PureState", "SearchConfig",
