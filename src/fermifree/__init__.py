@@ -37,7 +37,6 @@ from .states import (
     slater_amplitudes,
 )
 from .verify import (
-    SearchConfig,
     VerificationReport,
     cross_entropy,
     min_relent_search,
@@ -57,7 +56,6 @@ __all__ = [
     "OnePdm",
     "OrbitalSpace",
     "PureState",
-    "SearchConfig",
     "ValidationError",
     "VerificationReport",
     "basis_change_unitary",

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 from .fock import expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
-from .states import DensityOperator, FreeStateSpec, State
+from .states import DensityOperator, FreeStateSpec, State, _real
 
 
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
@@ -29,8 +29,11 @@ def wick_check(state: State, tol: float = 1e-10) -> tuple[bool, float]:
     Covers every monomial with at most four ladder operators: the odd ones and
     the anomalous pairs <a a> and <a* a*> must vanish for a gauge-invariant
     state, <a* a> must be the 1-pdm, and the nonvanishing four-operator ones
-    must equal 2x2 minors of it.  Returns (passed, worst violation).
+    must equal 2x2 minors of it.  Returns (passed, worst violation), passed
+    when the worst is at most `tol`, a finite real >= 0.
     """
+    if _real(tol, "tol") < 0.0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     gamma = one_pdm(state).gamma
 
     def expect(word):

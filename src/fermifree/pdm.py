@@ -43,6 +43,12 @@ class OnePdm:
         return float(self.gamma.trace().real)
 
 
+def _require_pdm(pdm):
+    """Reject anything but a 1-pdm."""
+    if not isinstance(pdm, OnePdm):
+        raise ValidationError(f"expected a OnePdm, not {type(pdm).__name__}")
+
+
 def one_pdm(state: State) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator, or of a
     factored state from its columns alone."""
@@ -59,6 +65,7 @@ def natural_spectrum(pdm: OnePdm) -> FreeStateSpec:
     -1e-16; validation bounds the clip by TOL_OCCUPATION.  Each orbital's first
     component of nonnegligible magnitude is made real and positive.
     """
+    _require_pdm(pdm)
     w, v = pdm.eigenpairs
     w, v = np.clip(w[::-1], 0.0, 1.0), v[:, ::-1]
     big = np.abs(v) > TOL_PHASE_PIVOT

@@ -11,7 +11,7 @@ here, not in the library that computes.
 import functools
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .fock import (
     split_table,
 )
 from .free import free_from_pdm, purify_free, wick_check
-from .pdm import OnePdm, natural_spectrum, one_pdm
+from .pdm import OnePdm, _require_pdm, natural_spectrum, one_pdm
 from .states import (
     DensityOperator,
     FreeStateSpec,
@@ -52,6 +52,7 @@ from .states import (
     State,
     _probabilities,
     _real,
+    _require_state,
     bernoulli_weights,
     gibbs_free_density,
     mixture,
@@ -67,29 +68,15 @@ GRID_RANGE = (0.01, 0.99)
 GRID_AGREEMENT = 1e-10  # stacked score vs per-candidate divergence of its winner
 STACK_ENTRIES = 2**16  # Fock-unitary entries per scored block: 4^d of each candidate
 SUITE_DMAX, SUITE_TRIALS = 4, 50  # the property suite's defaults, here and in the CLI
+SEARCH_SAMPLES = 500  # random free states each search scores
+REFINE_STEPS = 80  # rounds of each search's refinement walk
+IMPROVEMENT_MARGIN = 1e-4  # how far a Renyi search must undercut the reference
 
 
 def _require_seed(seed: int):
     """numpy seeds its generators from nonnegative integers only."""
     if _integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    samples: int = 500
-    refine_steps: int = 80
-    seed: int = 0
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if _integer(self.samples, "samples") < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        if _integer(self.refine_steps, "refine_steps") < 0:
-            raise ValidationError(f"refine_steps must be >= 0, got {self.refine_steps}")
-        _require_seed(self.seed)
-        if _real(self.tolerance, "tolerance") < 0.0:
-            raise ValidationError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +88,6 @@ class VerificationReport:
     trials: int  # instances the claim ran: the requested count or the claim's cap
     elapsed_s: float
     witness: dict | None = None
-
-
-def report_to_document(report: VerificationReport) -> dict:
-    return asdict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +197,8 @@ def cross_entropy(a: State, b: Reference) -> float:
     return float("inf") if crossing else float(-np.log(np.where(live, q, 1.0)) @ mass)
 
 
-def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:
-    """Product state on the concatenated orbital set.
+def tensor_product(rho1: State, rho2: State) -> DensityOperator:
+    """Product state on the concatenated orbital set, of the factors' densities.
 
     The first factor's orbitals come first, so the occupation-list
     correspondence |n> <-> |n1> x |n2> carries no fermionic sign.  The
@@ -223,6 +206,8 @@ def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOpera
     commute with particle-number parity; factors with even-odd coherences
     couple through the fermionic reordering signs.
     """
+    _require_state(rho1)
+    _require_state(rho2)
     d1, d2 = rho1.space.d, rho2.space.d
     l1, l2 = rho1.space.labels, rho2.space.labels
     labels = None
@@ -232,14 +217,16 @@ def tensor_product(rho1: DensityOperator, rho2: DensityOperator) -> DensityOpera
         labels = l1 + l2
     space = OrbitalSpace(d1 + d2, labels)
     # bit i-1 of the joint index holds orbital i, so the first factor varies fastest
-    return DensityOperator(space, np.kron(rho2.matrix, rho1.matrix))
+    return DensityOperator(space, np.kron(rho2.to_density().matrix, rho1.to_density().matrix))
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Half the trace norm of the difference of two density operators."""
+def trace_distance(a: State, b: State) -> float:
+    """Half the trace norm of the difference of two states' densities."""
+    _require_state(a)
+    _require_state(b)
     if a.space.d != b.space.d:
         raise ValidationError("trace distance requires a shared space")
-    return 0.5 * float(np.abs(spectrum(a.matrix - b.matrix)[0]).sum())
+    return 0.5 * float(np.abs(spectrum(a.to_density().matrix - b.to_density().matrix)[0]).sum())
 
 
 def kernel_inclusion_1pdm(
@@ -249,8 +236,12 @@ def kernel_inclusion_1pdm(
 
     Tested eigenvector-wise: every eigenvector of the first 1-pdm with
     eigenvalue below `tol` (resp. above 1 - tol) must be annihilated by the
-    second 1-pdm (resp. by I minus it) within `tol`.
+    second 1-pdm (resp. by I minus it) within `tol`, a finite real >= 0.
     """
+    _require_pdm(gamma_free)
+    _require_pdm(gamma_state)
+    if _real(tol, "tol") < 0.0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     if gamma_free.space.d != gamma_state.space.d:
         raise ValidationError("kernel predicates require a shared space")
     w, v = gamma_free.eigenpairs
@@ -259,29 +250,6 @@ def kernel_inclusion_1pdm(
     ker_ok = all(np.linalg.norm(g2 @ v[:, k]) < tol for k in np.flatnonzero(w < tol))
     coker_ok = all(np.linalg.norm(rest @ v[:, k]) < tol for k in np.flatnonzero(w > 1.0 - tol))
     return bool(ker_ok), bool(coker_ok)
-
-
-def chain_rule_terms(
-    rho: DensityOperator, gamma_free: DensityOperator
-) -> tuple[float, float, float]:
-    """The three relative entropies whose chain identity pins the minimum property.
-
-    Returns (S(rho || free reference), S(free reference || gamma_free),
-    S(rho || gamma_free)); the first two sum to the third, trivially so when
-    any of them is infinite.  `gamma_free` must pass ``wick_check`` within
-    1e-8.
-    """
-    ok, worst = wick_check(gamma_free, tol=1e-8)
-    if not ok:
-        raise ValidationError(
-            f"reference state fails the determinant-correlation check ({worst:.3e})"
-        )
-    reference, _ = free_from_pdm(one_pdm(rho))
-    return (
-        relative_entropy(rho, reference),
-        relative_entropy(reference, gamma_free),
-        relative_entropy(rho, gamma_free),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +266,35 @@ def _rotate_columns(u, i, j, scale, rng):
     return out
 
 
-def min_relent_search(
-    rho: DensityOperator, cfg: SearchConfig = SearchConfig()
-) -> tuple[FreeStateSpec, float]:
+def min_relent_search(rho: DensityOperator, seed: int = 0) -> tuple[FreeStateSpec, float]:
     """Brute-force minimization of S(rho || Gamma) over sampled free states.
 
-    Random (orbitals, occupations) samples, scored as stacks, are followed by
-    greedy local refinement: exact coordinate minimization over the occupations
-    (the objective is separable in them at fixed orbitals) interleaved with
-    random two-column rotations of shrinking scale, every candidate scored
-    against its spec.  Returns (spec of the best free state found, its relative
+    SEARCH_SAMPLES random (orbitals, occupations) samples drawn from `seed`,
+    scored as stacks, are followed by REFINE_STEPS rounds of greedy local
+    refinement: exact coordinate minimization over the occupations (the
+    objective is separable in them at fixed orbitals) interleaved with random
+    two-column rotations of shrinking scale, every candidate scored against
+    its spec.  Returns (spec of the best free state found, its relative
     entropy); the value can never fall below the nonfreeness of `rho` beyond
     numerical noise.
     """
-    rng = np.random.default_rng(cfg.seed)
+    _require_seed(seed)
+    rng = np.random.default_rng(seed)
     space = rho.space
     d = space.d
     gamma = one_pdm(rho).gamma
 
-    best_val, best_spec = _stacked_minimum(rho, 1.0, *sample_free_specs(space, rng, cfg.samples))
+    best_val, best_spec = _stacked_minimum(rho, 1.0, *sample_free_specs(space, rng, SEARCH_SAMPLES))
     scale = STEP_SCALE
-    for _ in range(cfg.refine_steps):
+    for _ in range(REFINE_STEPS):
         u = best_spec.orbitals
         p_opt = np.clip(np.real(np.diag(u.conj().T @ gamma @ u)), 0.0, 1.0)
         cand = FreeStateSpec(space, p_opt, u)
         val = relative_entropy(rho, cand)
         if val < best_val:
             best_val, best_spec = val, cand
-        for _ in range(d):
-            i, j = rng.choice(d, size=2, replace=False) if d > 1 else (0, 0)
-            if i == j:
-                continue
+        for _ in range(d if d > 1 else 0):  # one orbital: no pair to rotate
+            i, j = rng.choice(d, size=2, replace=False)
             u2 = _rotate_columns(best_spec.orbitals, int(i), int(j), scale, rng)
             p2 = np.clip(np.real(np.diag(u2.conj().T @ gamma @ u2)), 0.0, 1.0)
             cand = FreeStateSpec(space, p2, u2)
@@ -371,22 +337,23 @@ def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool 
 
 
 def renyi_min_search(
-    rho: DensityOperator,
-    alpha: float,
-    cfg: SearchConfig = SearchConfig(),
-    sandwiched: bool = False,
+    rho: DensityOperator, alpha: float, seed: int = 0, sandwiched: bool = False
 ) -> tuple[FreeStateSpec, float, bool]:
     """Search for free states beating the free reference under a Renyi divergence.
 
     Returns (spec of the best free state found, its divergence, improved), where
     `improved` records whether the search undercut the divergence at the free
-    reference by more than cfg.tolerance.  On two orbitals a deterministic
+    reference by more than IMPROVEMENT_MARGIN.  On two orbitals a deterministic
     occupation grid over diagonal free states (in the natural-orbital basis)
     runs before random sampling, which reproducibly finds the improvement for
-    the 1-particle mixed state at alpha != 1.  The grid and the random
-    samples are each scored as stacks by `_stacked_minimum`; the baseline and
-    every refined candidate are scored against their specs.
+    the 1-particle mixed state at alpha != 1.  SEARCH_SAMPLES random free
+    states drawn from `seed` follow; the grid and the samples are each scored
+    as stacks by `_stacked_minimum`.  When a sample beats the reference and
+    the grid, a walk of REFINE_STEPS rounds of d random steps in occupations
+    and orbitals refines it.  The baseline and every refined candidate are
+    scored against their specs.
     """
+    _require_seed(seed)
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
     space = rho.space
     d = space.d
@@ -401,15 +368,15 @@ def renyi_min_search(
         if val < best_val:
             best_val, best_spec = val, cand
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     unsampled = best_spec
-    samples = sample_free_specs(space, rng, cfg.samples)
+    samples = sample_free_specs(space, rng, SEARCH_SAMPLES)
     val, spec = _stacked_minimum(rho, alpha, *samples, sandwiched)
     if val < best_val:
         best_val, best_spec = val, spec
     scale = STEP_SCALE
     # refinement walks only from a random sample that beat the reference and grid
-    for _ in range(cfg.refine_steps if best_spec is not unsampled else 0):
+    for _ in range(REFINE_STEPS if best_spec is not unsampled else 0):
         for _ in range(d):
             p2 = np.clip(
                 best_spec.occupations + scale * rng.standard_normal(d),
@@ -425,7 +392,7 @@ def renyi_min_search(
             if val < best_val:
                 best_val, best_spec = val, cand
         scale *= 0.9
-    improved = bool(best_val < baseline - cfg.tolerance)
+    improved = bool(best_val < baseline - IMPROVEMENT_MARGIN)
     return best_spec, float(best_val), improved
 
 
@@ -796,10 +763,8 @@ def _claim_minimum_sampled(rng, d_cap):
     space = OrbitalSpace(_sample_d(rng, min(d_cap, 3)))
     rho = sample_density(space, rng)
     base = nonfreeness(rho, cross_check=False).nonfreeness
-    return max(
-        base - relative_entropy(rho, sample_free_spec(space, rng).to_density())
-        for _ in range(10)
-    )
+    # against each spec, so the core, not `_reference`, computes the divergence
+    return max(base - relative_entropy(rho, sample_free_spec(space, rng)) for _ in range(10))
 
 
 def _claim_purification(rng, d_cap):

@@ -20,6 +20,7 @@ from fermifree import (
     one_pdm,
     pair_state,
     purify_free,
+    relative_entropy,
     remark_state,
     renyi_min_search,
     restrict,
@@ -28,8 +29,6 @@ from fermifree import (
 )
 from fermifree.states import hubbard_ground_state
 from fermifree.verify import (
-    SearchConfig,
-    chain_rule_terms,
     kernel_inclusion_1pdm,
     sample_density,
     sample_even_density,
@@ -95,8 +94,7 @@ def test_criterion_03_minimum_property_search():
         for k in range(count):
             rho = sample_density(space, rng)
             base = nonfreeness(rho, cross_check=False).nonfreeness
-            cfg = SearchConfig(samples=500, refine_steps=80, seed=int(rng.integers(1 << 31)))
-            best_spec, best_value = min_relent_search(rho, cfg)
+            best_spec, best_value = min_relent_search(rho, seed=int(rng.integers(1 << 31)))
             worst_undershoot = max(worst_undershoot, base - best_value)
             if best_value <= base + 1e-3:
                 near_optimal += 1
@@ -120,7 +118,12 @@ def test_criterion_04_chain_rule():
         space = OrbitalSpace(d)
         rho = sample_density(space, rng)
         gamma = sample_free_spec(space, rng).to_density()
-        first, middle, third = chain_rule_terms(rho, gamma)
+        reference, _ = free_from_pdm(one_pdm(rho))
+        first, middle, third = (
+            relative_entropy(rho, reference),
+            relative_entropy(reference, gamma),
+            relative_entropy(rho, gamma),
+        )
         worst = max(worst, abs(first + middle - third))
     _report(
         4,
@@ -132,12 +135,11 @@ def test_criterion_04_chain_rule():
 
 def test_criterion_05_renyi_counterexample():
     rho = remark_state()
-    cfg = SearchConfig(samples=50, refine_steps=10, seed=105, tolerance=1e-4)
     baseline_half = correlation_sandwiched(rho, 0.5)
-    _, best_half, improved_half = renyi_min_search(rho, 0.5, cfg, sandwiched=True)
+    _, best_half, improved_half = renyi_min_search(rho, 0.5, seed=105, sandwiched=True)
     margin = baseline_half - best_half
     base_one = nonfreeness(rho, cross_check=False).nonfreeness
-    _, best_one, improved_one = renyi_min_search(rho, 1.0, cfg)
+    _, best_one, improved_one = renyi_min_search(rho, 1.0, seed=105)
     resolution_gap = best_one - base_one
     ok = (
         improved_half

@@ -26,7 +26,6 @@ from fermifree import (
 )
 from fermifree import fock
 from fermifree.verify import (
-    chain_rule_terms,
     sample_density,
     sample_even_density,
     sample_pure,
@@ -191,16 +190,20 @@ def test_additivity_needs_statistical_independence():
 
 
 def test_chain_rule_collapses_at_reference():
+    # the chain rule S(rho || Gamma) = S(rho || reference) + S(reference || Gamma)
+    # over free states Gamma: at Gamma = reference its middle term vanishes
     rho = remark_state()
-    first, middle, third = chain_rule_terms(rho, free_from_pdm(one_pdm(rho))[0])
-    assert middle < 1e-9
-    assert abs(first - third) < 1e-9
+    reference, _ = free_from_pdm(one_pdm(rho))
+    assert relative_entropy(reference, reference) < 1e-9
 
 
 def test_chain_rule_remark_vs_half_filling():
     rho = remark_state()
     gamma = gibbs_free_density([0.5, 0.5], OrbitalSpace(2))
-    first, middle, third = chain_rule_terms(rho, gamma)
+    reference, _ = free_from_pdm(one_pdm(rho))
+    first = relative_entropy(rho, reference)
+    middle = relative_entropy(reference, gamma)
+    third = relative_entropy(rho, gamma)
     assert all(map(math.isfinite, (first, middle, third)))
     assert abs(first + middle - third) < 1e-7
     # the reference is never beaten by another free state
@@ -214,15 +217,13 @@ def test_chain_rule_kernel_blocked_reference():
     space = OrbitalSpace(2)
     rho = sample_density(space, rng)
     blocked, _ = free_from_pdm(OnePdm(space, np.diag([1.0, 0.5]).astype(complex)))
-    first, middle, third = chain_rule_terms(rho, blocked)
+    reference, _ = free_from_pdm(one_pdm(rho))
+    first = relative_entropy(rho, reference)
+    middle = relative_entropy(reference, blocked)
+    third = relative_entropy(rho, blocked)
     assert math.isfinite(first)
     assert middle == float("inf")
     assert third == float("inf")
-
-
-def test_chain_rule_rejects_correlated_reference():
-    with pytest.raises(ValidationError, match="determinant"):
-        chain_rule_terms(remark_state(), pair_state())
 
 
 def test_chain_rule_random_pairs():
@@ -233,7 +234,10 @@ def test_chain_rule_random_pairs():
     for _ in range(5):
         rho = sample_density(space, rng)
         gamma = sample_free_spec(space, rng).to_density()
-        first, middle, third = chain_rule_terms(rho, gamma)
+        reference, _ = free_from_pdm(one_pdm(rho))
+        first = relative_entropy(rho, reference)
+        middle = relative_entropy(reference, gamma)
+        third = relative_entropy(rho, gamma)
         assert abs(first + middle - third) < 1e-7
 
 

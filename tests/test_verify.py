@@ -15,7 +15,6 @@ import fermifree.cli
 from fermifree import (
     FreeStateSpec,
     OrbitalSpace,
-    SearchConfig,
     ValidationError,
     basis_change_unitary,
     correlation_sandwiched,
@@ -41,12 +40,15 @@ from fermifree.states import bernoulli_weights, hubbard_ground_state
 from fermifree.verify import (
     GRID_POINTS,
     GRID_RANGE,
-    report_to_document,
+    IMPROVEMENT_MARGIN,
+    REFINE_STEPS,
+    kernel_inclusion_1pdm,
     sample_density,
     sample_free_spec,
     sample_free_specs,
     sample_pure,
     sample_unitary,
+    tensor_product,
     trace_distance,
 )
 from sparse_ladder import sparse_ladder
@@ -64,37 +66,32 @@ def test_sampler_free_states_pass_wick():
 
 def test_min_search_on_free_input_finds_zero():
     rho = gibbs_free_density([0.3, 0.7], OrbitalSpace(2))
-    cfg = SearchConfig(samples=200, refine_steps=40, seed=1)
-    best_spec, best_value = min_relent_search(rho, cfg)
+    best_spec, best_value = min_relent_search(rho, seed=1)
     assert best_value < 1e-4
     assert trace_distance(best_spec.to_density(), rho) < 0.05
 
 
 def test_min_search_remark_state():
-    cfg = SearchConfig(samples=500, refine_steps=80, seed=2)
-    best_spec, best_value = min_relent_search(remark_state(), cfg)
+    best_spec, best_value = min_relent_search(remark_state(), seed=2)
     assert abs(best_value - 0.636514) < 1e-3
     assert best_value >= H23 - 1e-6
     assert trace_distance(best_spec.to_density(), free_from_pdm(one_pdm(remark_state()))[0]) < 0.05
 
 
 def test_min_search_pair_state_lower_bound():
-    cfg = SearchConfig(samples=2000, refine_steps=40, seed=3)
-    _, best_value = min_relent_search(pair_state(), cfg)
+    _, best_value = min_relent_search(pair_state(), seed=3)
     assert best_value >= 4 * math.log(2) - 1e-2
 
 
 def test_renyi_search_remark_sandwiched_half_improves():
-    cfg = SearchConfig(samples=200, refine_steps=20, seed=4, tolerance=1e-4)
-    _, best, improved = renyi_min_search(remark_state(), 0.5, cfg, sandwiched=True)
+    _, best, improved = renyi_min_search(remark_state(), 0.5, seed=4, sandwiched=True)
     baseline = correlation_sandwiched(remark_state(), 0.5)
     assert improved
     assert best < baseline - 1e-4
 
 
 def test_renyi_search_remark_alpha_one_no_improvement():
-    cfg = SearchConfig(samples=200, refine_steps=20, seed=5, tolerance=1e-4)
-    _, best, improved = renyi_min_search(remark_state(), 1.0, cfg)
+    _, best, improved = renyi_min_search(remark_state(), 1.0, seed=5)
     assert not improved
     assert best >= H23 - 1e-9
 
@@ -245,7 +242,7 @@ def test_sample_free_specs_equal_single_draws(d):
 
 
 # Outputs of the searches before their random phase was scored as stacks,
-# with SearchConfig(seed=s): the sequential phase kept the first strict minimum
+# from seed s: the sequential phase kept the first strict minimum
 # of the per-candidate divergences, which the stacked phase must reproduce.
 SEQUENTIAL_SEARCH_OUTPUTS = {
     0: ((0.41133156791592307, True), (0.6365141682948126, False), 0.6365141786277848,
@@ -262,24 +259,22 @@ SEQUENTIAL_SEARCH_OUTPUTS = {
 @pytest.mark.parametrize("seed", sorted(SEQUENTIAL_SEARCH_OUTPUTS))
 def test_searches_reproduce_the_sequential_outputs(seed):
     sandwiched_half, alpha_one, remark_min, pair_min = SEQUENTIAL_SEARCH_OUTPUTS[seed]
-    cfg = SearchConfig(seed=seed)
     for alpha, sandwiched, (best, improved) in (
         (0.5, True, sandwiched_half),
         (1.0, False, alpha_one),
     ):
-        _, value, flag = renyi_min_search(remark_state(), alpha, cfg, sandwiched=sandwiched)
+        _, value, flag = renyi_min_search(remark_state(), alpha, seed, sandwiched)
         assert flag is improved
         assert abs(value - best) <= 1e-12
-    assert abs(min_relent_search(remark_state(), cfg)[1] - remark_min) <= 1e-12
-    assert abs(min_relent_search(pair_state(), cfg)[1] - pair_min) <= 1e-12
+    assert abs(min_relent_search(remark_state(), seed)[1] - remark_min) <= 1e-12
+    assert abs(min_relent_search(pair_state(), seed)[1] - pair_min) <= 1e-12
 
 
 def test_renyi_search_remark_pinned_values():
-    cfg = SearchConfig(seed=0, tolerance=1e-4)
-    _, best, improved = renyi_min_search(remark_state(), 0.5, cfg, sandwiched=True)
+    _, best, improved = renyi_min_search(remark_state(), 0.5, seed=0, sandwiched=True)
     assert abs(best - 0.41133156791592335) < 1e-9
     assert improved
-    _, best, improved = renyi_min_search(remark_state(), 1.0, cfg)
+    _, best, improved = renyi_min_search(remark_state(), 1.0, seed=0)
     assert abs(best - 0.6365141682948128) < 1e-9
     assert not improved
 
@@ -288,8 +283,7 @@ def test_renyi_search_slater_input():
     from fermifree import slater_density
 
     rho = slater_density(np.eye(3)[:1], OrbitalSpace(3))
-    cfg = SearchConfig(samples=50, refine_steps=10, seed=6, tolerance=1e-6)
-    _, best, improved = renyi_min_search(rho, 2.0, cfg)
+    _, best, improved = renyi_min_search(rho, 2.0, seed=6)
     assert best < 1e-8
     assert not improved
 
@@ -298,10 +292,29 @@ def test_renyi_search_one_orbital_refines_occupations_only():
     """On one orbital the refinement walk, which runs once a random sample
     beats the reference, draws no rotation: there is no pair to rotate."""
     rho = sample_pure(OrbitalSpace(1), np.random.default_rng(0))
-    cfg = SearchConfig(seed=0, samples=300, refine_steps=10)
-    _, best, improved = renyi_min_search(rho, 0.5, cfg, sandwiched=True)
+    _, best, improved = renyi_min_search(rho, 0.5, seed=0, sandwiched=True)
     baseline = sandwiched_renyi(0.5, rho, natural_spectrum(one_pdm(rho)))
-    assert improved and 0.0 <= best < baseline - cfg.tolerance
+    assert improved and 0.0 <= best < baseline - IMPROVEMENT_MARGIN
+
+
+def test_renyi_search_refinement_walk_rotates_orbitals(monkeypatch):
+    """On three orbitals a random sample beats the reference at Petz alpha = 2,
+    so the walk runs every round and rotates a column pair at each of its d
+    steps; the value it returns is the divergence of the spec it returns."""
+    rho = sample_density(OrbitalSpace(3), np.random.default_rng(1))
+    rotations = []
+    original = fermifree.verify._rotate_columns
+
+    def counted(*args):
+        rotations.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fermifree.verify, "_rotate_columns", counted)
+    spec, best, improved = renyi_min_search(rho, 2.0, seed=0)
+    baseline = renyi_divergence(2.0, rho, natural_spectrum(one_pdm(rho)))
+    assert len(rotations) == REFINE_STEPS * 3
+    assert improved and best < baseline - IMPROVEMENT_MARGIN
+    assert best == renyi_divergence(2.0, rho, spec)
 
 
 def test_property_suite_default_passes():
@@ -316,7 +329,7 @@ def test_property_suite_deterministic():
     second = property_suite(seed=7, d_max=3, trials=5)
     documents = []
     for reports in (first, second):
-        docs = [report_to_document(r) for r in reports]
+        docs = [dataclasses.asdict(r) for r in reports]
         # every field repeats except the wall time, which is measured
         assert all(type(doc.pop("elapsed_s")) is float for doc in docs)
         documents.append(dumps({"reports": docs}))
@@ -437,10 +450,11 @@ def test_a_claim_raising_in_a_worker_reaches_the_caller_and_no_worker_outlives_i
 
 
 def test_search_config_validation():
-    with pytest.raises(ValidationError, match="samples"):
-        SearchConfig(samples=0)
+    # a search's seed is its whole configuration
     with pytest.raises(ValidationError, match="seed must be >= 0"):
-        SearchConfig(seed=-1)
+        min_relent_search(remark_state(), seed=-1)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        renyi_min_search(remark_state(), 0.5, seed=-1)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         property_suite(seed=-1, d_max=2, trials=1)
 
@@ -575,9 +589,9 @@ def test_free_reference_core_claim_catches_a_dropped_conjugate(monkeypatch):
 
 PUBLIC_NAMES = [
     "CapacityError", "CorrelationReport", "DensityOperator", "FreeStateSpec",
-    "OnePdm", "OrbitalSpace", "PureState", "SearchConfig",
-    "ValidationError", "VerificationReport", "__version__", "basis_change_unitary",
-    "binary_entropy", "correlation_renyi", "correlation_sandwiched", "cross_entropy",
+    "OnePdm", "OrbitalSpace", "PureState", "ValidationError", "VerificationReport",
+    "__version__", "basis_change_unitary", "binary_entropy", "correlation_renyi",
+    "correlation_sandwiched", "cross_entropy",
     "free_from_pdm", "gibbs_free_density", "hubbard_ground_amplitudes",
     "min_relent_search", "mixture", "natural_spectrum", "nonfreeness", "one_pdm",
     "pair_state", "property_suite", "pure_density", "purify_free", "relative_entropy",
@@ -592,8 +606,10 @@ def test_public_namespace_is_pinned_and_resolves():
         assert hasattr(fermifree, name), name
     for name in ("split_index", "join_index", "amplitudes_in_basis", "hubbard_ground_state"):
         assert not hasattr(fermifree, name), name
-    for name in ("tensor_product", "trace_distance", "kernel_inclusion_1pdm", "chain_rule_terms"):
+    for name in ("tensor_product", "trace_distance", "kernel_inclusion_1pdm"):
         assert not hasattr(fermifree, name) and callable(getattr(fermifree.verify, name)), name
+    for name in ("SearchConfig", "chain_rule_terms", "report_to_document"):
+        assert not hasattr(fermifree.verify, name), name
     # the benchmark's tracer wraps these two by module and name
     assert callable(fermifree.states.hubbard_ground_state)
     assert callable(fermifree.fock.ladder_matrices)
@@ -604,6 +620,7 @@ def _wrong_typed_calls():
     rho = remark_state()
     psi = slater_amplitudes(np.eye(2)[:1], two)
     spec = FreeStateSpec(two, [0.25, 0.5], np.eye(2))
+    pdm = one_pdm(rho)
     return {
         "binary-entropy-above-1": lambda: fermifree.binary_entropy([1.5]),
         "binary-entropy-nan": lambda: fermifree.binary_entropy([float("nan")]),
@@ -613,12 +630,11 @@ def _wrong_typed_calls():
         "renyi-divergence-bool": lambda: renyi_divergence(True, rho, rho),
         "sandwiched-renyi-none": lambda: sandwiched_renyi(None, rho, rho),
         "mixture-spec-component": lambda: fermifree.mixture([(0.5, rho), (0.5, spec)]),
-        "search-samples-float": lambda: SearchConfig(samples=1.5),
-        "search-refine-steps-negative": lambda: SearchConfig(refine_steps=-1),
-        "search-refine-steps-float": lambda: SearchConfig(refine_steps=2.0),
-        "search-seed-float": lambda: SearchConfig(seed=1.5),
-        "search-tolerance-str": lambda: SearchConfig(tolerance="1e-4"),
-        "search-tolerance-negative": lambda: SearchConfig(tolerance=-1.0),
+        "search-seed-float": lambda: renyi_min_search(rho, 0.5, seed=1.5),
+        "min-search-seed-str": lambda: min_relent_search(rho, seed="0"),
+        "wick-check-tol-str": lambda: wick_check(rho, tol="a"),
+        "wick-check-tol-nan": lambda: wick_check(rho, tol=float("nan")),
+        "wick-check-tol-negative": lambda: wick_check(rho, tol=-1.0),
         "suite-trials-float": lambda: property_suite(seed=0, trials=2.0),
         "suite-dmax-float": lambda: property_suite(seed=0, d_max=2.5, trials=1),
         # arrays that are not rectangular arrays of numbers
@@ -658,6 +674,14 @@ def _wrong_typed_calls():
         "von-neumann-spec": lambda: fermifree.von_neumann(spec),
         "relative-entropy-pure-reference": lambda: fermifree.relative_entropy(rho, psi),
         "purify-free-density": lambda: fermifree.purify_free(rho),
+        "tensor-product-spec": lambda: tensor_product(spec, rho),
+        "trace-distance-spec": lambda: trace_distance(rho, spec),
+        # a state where a 1-pdm belongs, though it too has eigenpairs
+        "kernel-inclusion-states": lambda: kernel_inclusion_1pdm(rho, rho),
+        "kernel-inclusion-tol-nan": lambda: kernel_inclusion_1pdm(pdm, pdm, tol=float("nan")),
+        "kernel-inclusion-tol-str": lambda: kernel_inclusion_1pdm(pdm, pdm, tol="a"),
+        "natural-spectrum-state": lambda: natural_spectrum(rho),
+        "free-from-pdm-state": lambda: free_from_pdm(rho),
     }
 
 
@@ -665,6 +689,16 @@ def _wrong_typed_calls():
 def test_wrong_typed_arguments_raise_validation_error(case):
     with pytest.raises(ValidationError):
         _wrong_typed_calls()[case]()
+
+
+def test_oracle_helpers_take_any_state_and_name_a_wrong_type():
+    psi, rho = slater_amplitudes(np.eye(2)[:1], OrbitalSpace(2)), remark_state()
+    dense = psi.to_density()
+    product = tensor_product(psi, rho).matrix
+    np.testing.assert_array_equal(product, tensor_product(dense, rho).matrix)
+    assert trace_distance(psi, rho) == trace_distance(dense, rho)
+    with pytest.raises(ValidationError, match="expected a OnePdm, not DensityOperator"):
+        natural_spectrum(rho)
 
 
 def test_free_entropy_claim_reads_the_matrix_not_the_carried_weights(monkeypatch):
