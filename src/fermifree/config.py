@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 # Hard ceiling on the number of reference orbitals.  Fock dimension is 2**d,
 # so the default keeps dense 2^d x 2^d complex matrices at desk scale.
@@ -35,6 +35,4 @@ def d_max() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{ENV_D_MAX} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{ENV_D_MAX} must be >= 1, got {value}")
-    return value
+    return integer(value, ENV_D_MAX, 1)

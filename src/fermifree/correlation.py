@@ -10,10 +10,10 @@ import numpy as np
 
 from .config import TOL_NONFREENESS
 from .entropy import relative_entropy, renyi_divergence, sandwiched_renyi, von_neumann
-from .errors import ValidationError
+from .errors import ValidationError, instance
 from .fock import OrbitalSpace, split_table
 from .pdm import natural_spectrum, one_pdm
-from .states import DensityOperator, State, _probabilities, _require_state
+from .states import DensityOperator, State, _probabilities
 
 
 def binary_entropy(p: np.ndarray) -> float:
@@ -91,8 +91,7 @@ def restrict(state: State, keep) -> DensityOperator:
     ``partial_trace``); the result's 1-pdm is the keep x keep compression of
     the input's.
     """
-    _require_state(state)
-    space = state.space
+    space = instance(state, State).space
     try:
         keep = tuple(keep)
     except TypeError as exc:

@@ -19,23 +19,16 @@ import numpy as np
 
 from . import _reference
 from .config import KERNEL_TOL, TOL_DIVERGENCE
-from .errors import ValidationError
+from .errors import ValidationError, instance, real
 from .fock import _givens_amplitudes
-from .states import (
-    DensityOperator, FreeStateSpec, State, _real, _require_state, bernoulli_weights,
-)
+from .states import DensityOperator, FreeStateSpec, State, bernoulli_weights
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
 
 
 def _check_pair(a: State, b: Reference):
     """Reject a pair that is not a state and a reference on one space."""
-    _require_state(a)
-    if not isinstance(b, Reference):
-        raise ValidationError(
-            f"expected a DensityOperator or FreeStateSpec, not {type(b).__name__}"
-        )
-    if a.space.d != b.space.d:
+    if instance(a, State).space.d != instance(b, Reference).space.d:
         raise ValidationError("divergences require both states on the same space")
 
 
@@ -166,8 +159,7 @@ def _divergence(alpha: float, a: State, b: Reference, sandwiched: bool = False) 
 
 def von_neumann(rho: State) -> float:
     """-Tr(rho log rho), in nats; always finite at finite dimension, 0 for a pure state."""
-    _require_state(rho)
-    w = rho.eigenvalues
+    w = instance(rho, State).eigenvalues
     w = w[w > KERNEL_TOL]
     return _clamp(float(-(w * np.log(w)).sum()))
 
@@ -189,7 +181,7 @@ def renyi_divergence(alpha: float, a: State, b: Reference) -> float:
     orthogonal, that is when the weight of A's support on B's support is at
     most KERNEL_TOL.
     """
-    alpha = _real(alpha, "alpha")
+    alpha = real(alpha, "alpha")
     if not 0.0 < alpha <= 2.0:
         raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
     return _divergence(alpha, a, b)
@@ -203,7 +195,5 @@ def sandwiched_renyi(alpha: float, a: State, b: Reference) -> float:
     when ker B is not contained in ker A.  Against a spec the trace is that of
     a k x k core, k the rank of A (see `_divergences`).
     """
-    alpha = _real(alpha, "alpha")
-    if alpha < 0.5:
-        raise ValidationError(f"alpha must be >= 1/2, got {alpha}")
+    alpha = real(alpha, "alpha", 0.5)
     return _divergence(alpha, a, b, sandwiched=True)

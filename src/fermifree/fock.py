@@ -14,12 +14,12 @@ from the tables alone.
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .config import TOL_UNITARY, d_max
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, array, instance, integer
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class OrbitalSpace:
     labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer(self.d, "orbital count"))
-        if self.d < 1:
-            raise ValidationError(f"orbital count must be >= 1, got {self.d}")
+        object.__setattr__(self, "d", integer(self.d, "orbital count", 1))
         ceiling = d_max()
         if self.d > ceiling:
             raise CapacityError(f"orbital count {self.d} exceeds D_MAX = {ceiling}")
@@ -44,6 +42,8 @@ class OrbitalSpace:
                 raise ValidationError("labels must be strings")
             if len(self.labels) != self.d:
                 raise ValidationError(f"expected {self.d} labels, got {len(self.labels)}")
+            if len(set(self.labels)) != self.d:
+                raise ValidationError("labels must be distinct")
 
     @property
     def dim(self) -> int:
@@ -97,8 +97,8 @@ def ladder_table(word: str, d: int, n: int | None = None) -> tuple[np.ndarray, .
         src, dst = src[rows], dst[rows] ^ bits[orbs]
         mono = mono[rows] + orbs * d**position
     table = (mono, src, dst, sign)
-    for array in table:
-        array.flags.writeable = False
+    for part in table:
+        part.flags.writeable = False
     return table
 
 
@@ -120,7 +120,7 @@ def expectations(entries, word: str, d: int, sector: tuple = ()) -> np.ndarray:
 def _require_unitary(u: np.ndarray, d: int, stacked: bool = False):
     """`u` as a complex d x d unitary within TOL_UNITARY, or a stack (..., d, d)
     of them if `stacked`."""
-    u = _array(u, "orbital unitary", (..., d, d) if stacked else (d, d))
+    u = array(u, "orbital unitary", (..., d, d) if stacked else (d, d))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN, rejected
         err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(initial=0.0)
     if not err <= TOL_UNITARY:
@@ -138,7 +138,7 @@ def basis_change_unitary(u: np.ndarray, space: OrbitalSpace) -> np.ndarray:
     from the first columns of u.  A stack of basis changes, shape (..., d, d),
     gives the stack of their Fock unitaries, shape (..., 2^d, 2^d).
     """
-    d = space.d
+    d = instance(space, OrbitalSpace).d
     u = _require_unitary(u, d, stacked=True)
     out = np.zeros(u.shape[:-2] + (space.dim, space.dim), dtype=complex)
     out[..., 0, 0] = 1.0
@@ -184,53 +184,11 @@ def _givens_amplitudes(u: np.ndarray, vectors: np.ndarray, d: int) -> np.ndarray
     return out
 
 
-def _integer(value, what: str) -> int:
-    """`value` as an int; Python and numpy integers only, so no bool, float or str."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _array(value, what: str, shape=None, dtype=complex) -> np.ndarray:
-    """`value` as a finite array of `dtype` (not copied if it already is one), of
-    `shape` when given, where None matches any length and a leading ... any
-    leading axes.  Only rectangular arrays of numbers pass: integers, reals and,
-    unless `dtype` is float, complex numbers; no str, bool or object entries."""
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:  # ragged, or nested deeper than numpy allows
-        raise ValidationError(f"{what} is not a rectangular array: {exc}") from exc
-    if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
-        raise ValidationError(f"{what} must be numbers, got dtype {array.dtype}")
-    if isinstance(value, (list, tuple)):
-        # numpy reads True or False among numbers as 1 or 0, so look at the
-        # leaves: Python and numpy booleans, and 0-d arrays of booleans
-        leaves = [value]
-        for _ in range(array.ndim):
-            leaves = chain.from_iterable(leaves)
-        leaves = list(leaves)
-        kinds = set(map(type, leaves))
-        arrays = any(issubclass(kind, np.ndarray) for kind in kinds) and any(
-            isinstance(leaf, np.ndarray) and leaf.dtype == bool for leaf in leaves
-        )
-        if arrays or not {bool, np.bool_}.isdisjoint(kinds):
-            raise ValidationError(f"{what} must be numbers, not true or false")
-    array = array.astype(dtype, copy=False)
-    if shape is not None and array.shape != shape:
-        if shape[:1] == (...,):
-            shape = (None,) * (array.ndim + 1 - len(shape)) + shape[1:]
-        if len(shape) != array.ndim or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-            raise ValidationError(f"{what} has shape {array.shape}, expected {shape}")
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{what} has non-finite entries")
-    return array
-
-
 def _keep_mask(keep, d: int) -> int:
     """Bitmask of a kept orbital subset: distinct orbital indices in 1..d, at least one."""
     mask = 0
     for i in keep:
-        i = _integer(i, "orbital index")
+        i = integer(i, "orbital index")
         if not 1 <= i <= d:
             raise ValidationError(f"orbital index {i} out of range 1..{d}")
         if (mask >> (i - 1)) & 1:
@@ -267,6 +225,6 @@ def _split_table(mask: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         else:
             n2 |= occupied << (i - kept)
     table = (n1, n2, 1 - 2 * (crossings % 2))
-    for array in table:
-        array.flags.writeable = False
+    for part in table:
+        part.flags.writeable = False
     return table

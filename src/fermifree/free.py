@@ -7,10 +7,10 @@ determinant formula with that 1-pdm.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import instance, real
 from .fock import expectations
 from .pdm import OnePdm, natural_spectrum, one_pdm
-from .states import DensityOperator, FreeStateSpec, State, _real
+from .states import DensityOperator, FreeStateSpec, State
 
 
 def free_from_pdm(q: OnePdm) -> tuple[DensityOperator, FreeStateSpec]:
@@ -32,8 +32,7 @@ def wick_check(state: State, tol: float = 1e-10) -> tuple[bool, float]:
     must equal 2x2 minors of it.  Returns (passed, worst violation), passed
     when the worst is at most `tol`, a finite real >= 0.
     """
-    if _real(tol, "tol") < 0.0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    real(tol, "tol", 0)
     gamma = one_pdm(state).gamma
 
     def expect(word):
@@ -56,7 +55,5 @@ def purify_free(spec: FreeStateSpec) -> np.ndarray:
     Row i is sqrt(p_i) times natural orbital i on the first d coordinates plus
     sqrt(1 - p_i) times an extraneous orbital on coordinate d + i.
     """
-    if not isinstance(spec, FreeStateSpec):
-        raise ValidationError(f"expected a FreeStateSpec, not {type(spec).__name__}")
-    p = spec.occupations
+    p = instance(spec, FreeStateSpec).occupations
     return np.hstack([np.sqrt(p)[:, None] * spec.orbitals.T, np.diag(np.sqrt(1.0 - p))])

@@ -11,9 +11,8 @@ import re
 
 import numpy as np
 
-from . import fock
 from ._version import __version__
-from .errors import ValidationError
+from .errors import ValidationError, array, integer
 from .fock import OrbitalSpace
 from .free import FreeStateSpec
 from .pdm import OnePdm
@@ -38,7 +37,7 @@ def matrix_to_json(m) -> list:
 
 def _complex(data, ndim: int) -> np.ndarray:
     """[re, im] pairs in rectangular lists `ndim` deep, as a complex array."""
-    pairs = fock._array(data, "complex array", (None,) * ndim + (2,), float)
+    pairs = array(data, "complex array", (None,) * ndim + (2,), float)
     return pairs.view(complex)[..., 0]
 
 
@@ -58,19 +57,19 @@ def value_to_json(value):
 
 def _require(doc: dict, key: str):
     if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+        raise ValidationError(f"a JSON object is required here, got {type(doc).__name__}")
     if key not in doc:
         raise ValidationError(f"document is missing required field {key!r}")
     return doc[key]
 
 
-def _integer(doc: dict, key: str) -> int:
-    return fock._integer(_require(doc, key), f"field {key!r}")
+def _integer_field(doc: dict, key: str) -> int:
+    return integer(_require(doc, key), f"field {key!r}")
 
 
 def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
     """A numeric field: a number (ndim 0) or rectangular lists of numbers, as floats."""
-    return fock._array(_require(doc, key), f"field {key!r}", (None,) * ndim, float)
+    return array(_require(doc, key), f"field {key!r}", (None,) * ndim, float)
 
 
 def density_to_document(rho: DensityOperator) -> dict:
@@ -87,13 +86,13 @@ def state_from_document(doc: dict) -> State:
     `PureState`, a `mixture` of those or of such mixtures a `FactoredState`,
     and every other kind, or a mixture with one, a `DensityOperator`.
     """
-    d = _integer(doc, "d")
+    d = _integer_field(doc, "d")
     kind = _require(doc, "kind")
     labels = doc.get("labels")
     if not isinstance(kind, str) or kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {kind!r}")
     if kind == "hubbard":
-        sites = _integer(doc, "sites")
+        sites = _integer_field(doc, "sites")
         if d != 2 * sites:
             raise ValidationError(
                 f"hubbard documents need d = 2 * sites, got d={d}, sites={sites}"
@@ -102,8 +101,8 @@ def state_from_document(doc: dict) -> State:
             sites,
             float(_field(doc, "t", 0)),
             float(_field(doc, "u", 0)),
-            _integer(doc, "n_up"),
-            _integer(doc, "n_down"),
+            _integer_field(doc, "n_up"),
+            _integer_field(doc, "n_down"),
         )
         return psi if labels is None else PureState(OrbitalSpace(d, labels), psi.amplitudes)
     space = OrbitalSpace(d, labels)
@@ -136,7 +135,7 @@ def density_from_document(doc: dict) -> DensityOperator:
 
 
 def pdm_from_document(doc: dict) -> OnePdm:
-    d = _integer(doc, "d")
+    d = _integer_field(doc, "d")
     return OnePdm(OrbitalSpace(d), matrix_from_json(_require(doc, "gamma")))
 
 
@@ -150,7 +149,7 @@ def free_spec_to_document(spec: FreeStateSpec) -> dict:
 
 
 def free_spec_from_document(doc: dict) -> FreeStateSpec:
-    d = _integer(doc, "d")
+    d = _integer_field(doc, "d")
     return FreeStateSpec(
         OrbitalSpace(d),
         _field(doc, "occupations", 1),

@@ -6,9 +6,9 @@ from functools import cached_property
 import numpy as np
 
 from .config import TOL_HERM, TOL_OCCUPATION, TOL_PHASE_PIVOT
-from .errors import ValidationError
-from .fock import OrbitalSpace, _array, expectations
-from .states import FreeStateSpec, State, _require_state, spectrum
+from .errors import ValidationError, array, instance
+from .fock import OrbitalSpace, expectations
+from .states import FreeStateSpec, State, spectrum
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class OnePdm:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = _array(self.gamma, "1-pdm", (self.space.d,) * 2)
+        g = array(self.gamma, "1-pdm", (instance(self.space, OrbitalSpace).d,) * 2)
         object.__setattr__(self, "gamma", g)
         with np.errstate(over="ignore"):  # overflow: inf, rejected
             herm = np.abs(g - g.conj().T).max()
@@ -43,16 +43,10 @@ class OnePdm:
         return float(self.gamma.trace().real)
 
 
-def _require_pdm(pdm):
-    """Reject anything but a 1-pdm."""
-    if not isinstance(pdm, OnePdm):
-        raise ValidationError(f"expected a OnePdm, not {type(pdm).__name__}")
-
-
 def one_pdm(state: State) -> OnePdm:
     """Extract the 1-particle density matrix of a density operator, or of a
     factored state from its columns alone."""
-    _require_state(state)
+    instance(state, State)
     g = expectations(state.entries, "+-", state.space.d, state.sector).T  # Tr(rho a*_j a_i)
     return OnePdm(state.space, (g + g.conj().T) / 2)
 
@@ -65,8 +59,7 @@ def natural_spectrum(pdm: OnePdm) -> FreeStateSpec:
     -1e-16; validation bounds the clip by TOL_OCCUPATION.  Each orbital's first
     component of nonnegligible magnitude is made real and positive.
     """
-    _require_pdm(pdm)
-    w, v = pdm.eigenpairs
+    w, v = instance(pdm, OnePdm).eigenpairs
     w, v = np.clip(w[::-1], 0.0, 1.0), v[:, ::-1]
     big = np.abs(v) > TOL_PHASE_PIVOT
     pivot = np.where(big.any(axis=0), v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)

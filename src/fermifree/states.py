@@ -7,16 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from .config import KERNEL_TOL, TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
-from .errors import ValidationError
-from .fock import (
-    OrbitalSpace,
-    _array,
-    _givens_amplitudes,
-    _integer,
-    _number_sector,
-    _require_unitary,
-    ladder_table,
-)
+from .errors import ValidationError, array, instance, integer, real
+from .fock import OrbitalSpace, _givens_amplitudes, _number_sector, _require_unitary, ladder_table
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +40,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _array(self.matrix, "density matrix", (self.space.dim,) * 2)
+        m = array(self.matrix, "density matrix", (instance(self.space, OrbitalSpace).dim,) * 2)
         object.__setattr__(self, "matrix", m)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected below
             herm = np.abs(m - m.conj().T).max()
@@ -80,10 +72,6 @@ class DensityOperator:
         (2^d, k): the live part of ``spectrum(matrix)`` on first use, unless the
         constructor supplied them."""
         return _live_pairs(*spectrum(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     sector = ()  # the full ladder tables: finding a matrix's sector blocks costs O(4^d)
 
@@ -132,8 +120,8 @@ class FactoredState:
     weights: np.ndarray
 
     def __post_init__(self):
-        v = _array(self.vectors, "amplitude vectors", (self.space.dim, None))
-        p = _array(self.weights, "weights", v.shape[1:], float)
+        v = array(self.vectors, "amplitude vectors", (instance(self.space, OrbitalSpace).dim, None))
+        p = array(self.weights, "weights", v.shape[1:], float)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected
             err = np.abs(np.linalg.norm(v, axis=0) - 1.0).max(initial=0.0)
         if not err <= TOL_NORM:
@@ -185,7 +173,7 @@ class PureState(FactoredState):
     factored state with k = 1 and p = [1], its own column and eigenvector."""
 
     def __init__(self, space: OrbitalSpace, amplitudes):
-        a = _array(amplitudes, "amplitude vector", (space.dim,))
+        a = array(amplitudes, "amplitude vector", (instance(space, OrbitalSpace).dim,))
         super().__init__(space, a[:, None], np.ones(1))
 
     @property
@@ -219,11 +207,11 @@ class FreeStateSpec:
     orbitals: np.ndarray
 
     def __post_init__(self):
-        p = _probabilities(self.occupations, (self.space.d,))
+        p = _probabilities(self.occupations, (instance(self.space, OrbitalSpace).d,))
         orbitals = np.array(_require_unitary(self.orbitals, self.space.d))
-        for name, array in (("occupations", p), ("orbitals", orbitals)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        for name, part in (("occupations", p), ("orbitals", orbitals)):
+            part.flags.writeable = False
+            object.__setattr__(self, name, part)
 
     def to_density(self) -> DensityOperator:
         """The density operator, carrying its eigenpairs (Bernoulli weights, Fock
@@ -238,13 +226,6 @@ class FreeStateSpec:
 State = DensityOperator | FactoredState  # what the functionals of a single state accept
 
 
-def _require_state(state):
-    """Reject anything but a density operator or a factored state."""
-    if not isinstance(state, State):
-        kind = type(state).__name__
-        raise ValidationError(f"expected a DensityOperator or FactoredState, not {kind}")
-
-
 def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
     """Amplitudes of the Slater determinant built from n orthonormal orbitals.
 
@@ -255,8 +236,8 @@ def slater_amplitudes(orbitals: np.ndarray, space: OrbitalSpace) -> PureState:
     TOL_UNITARY; the squared norm, their Gram determinant, must then lie within
     TOL_TRACE of 1, and the vector is normalized.
     """
-    d = space.d
-    rows = _array(orbitals, "orbitals", (None, d))
+    d = instance(space, OrbitalSpace).d
+    rows = array(orbitals, "orbitals", (None, d))
     n = rows.shape[0]
     if n > d:
         raise ValidationError(f"cannot occupy {n} orbitals in a {d}-orbital space")
@@ -297,7 +278,7 @@ def gibbs_free_density(p, space: OrbitalSpace) -> DensityOperator:
     Boundary occupations belong to ``free.free_from_pdm``, which handles them
     structurally instead of as Gibbs limits.
     """
-    p = _array(p, "occupation probabilities", (space.d,), float)
+    p = array(p, "occupation probabilities", (instance(space, OrbitalSpace).d,), float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValidationError(
             "occupation probabilities must lie strictly inside (0, 1);"
@@ -318,16 +299,14 @@ def mixture(components, labels=None) -> State:
         raise ValidationError("mixture components must be (weight, state) pairs") from exc
     if not components:
         raise ValidationError("mixture needs at least one component")
-    weights = _array([w for w, _ in components], "mixture weights", (len(components),), float)
+    weights = array([w for w, _ in components], "mixture weights", (len(components),), float)
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > TOL_TRACE:
         raise ValidationError(
             f"mixture weights sum deviates from 1 by {abs(weights.sum() - 1.0):.3e}"
         )
-    states = [rho for _, rho in components]
-    if not all(isinstance(rho, State) for rho in states):
-        raise ValidationError("mixture components must be density operators or factored states")
+    states = [instance(rho, State) for _, rho in components]
     space = states[0].space
     if any(rho.space != space for rho in states):
         raise ValidationError("mixture components live on different spaces")
@@ -345,19 +324,10 @@ def mixture(components, labels=None) -> State:
 def _probabilities(p, shape=None) -> np.ndarray:
     """A float copy of the occupation probabilities `p`, each in [0, 1], of
     `shape` when given."""
-    p = np.array(_array(p, "occupation probabilities", shape, float))
+    p = np.array(array(p, "occupation probabilities", shape, float))
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValidationError("occupation probabilities must lie in [0, 1]")
     return p
-
-
-def _real(value, what: str) -> float:
-    """`value` as a finite float; Python and numpy reals only, so no bool or str."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
-    if not np.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value}")
-    return float(value)
 
 
 @cache
@@ -380,8 +350,8 @@ def _hubbard_sector(sites: int, n_up: int, n_down: int) -> tuple[np.ndarray, ...
     rows, cols = np.searchsorted(sector, dst[hops]), np.searchsorted(sector, src[hops])
     doubly_occupied = np.bitwise_count(sector & (sector >> 1) & up_mask)
     table = (sector, rows, cols, sign[hops], doubly_occupied)
-    for array in table:
-        array.flags.writeable = False
+    for part in table:
+        part.flags.writeable = False
     return table
 
 
@@ -396,9 +366,9 @@ def hubbard_ground_amplitudes(
     entries of ``_hubbard_sector``: a real symmetric matrix, solved as one.
     Degeneracies are resolved deterministically by its eigensolve's first column.
     """
-    sites = _integer(sites, "site count")
-    n_up, n_down = _integer(n_up, "N_up"), _integer(n_down, "N_down")
-    t, u_int = _real(t, "hopping t"), _real(u_int, "interaction U")
+    sites = integer(sites, "site count")
+    n_up, n_down = integer(n_up, "N_up"), integer(n_down, "N_down")
+    t, u_int = real(t, "hopping t"), real(u_int, "interaction U")
     if sites < 1 or sites > 5:
         raise ValidationError(f"site count must be within 1..5, got {sites}")
     if not (0 <= n_up <= sites and 0 <= n_down <= sites):

@@ -34,25 +34,22 @@ from .entropy import (
     sandwiched_renyi,
     von_neumann,
 )
-from .errors import ValidationError
+from .errors import ValidationError, instance, integer, real
 from .fock import (
     OrbitalSpace,
-    _integer,
     _require_unitary,
     basis_change_unitary,
     ladder_matrices,
     split_table,
 )
 from .free import free_from_pdm, purify_free, wick_check
-from .pdm import OnePdm, _require_pdm, natural_spectrum, one_pdm
+from .pdm import OnePdm, natural_spectrum, one_pdm
 from .states import (
     DensityOperator,
     FreeStateSpec,
     PureState,
     State,
     _probabilities,
-    _real,
-    _require_state,
     bernoulli_weights,
     gibbs_free_density,
     mixture,
@@ -71,12 +68,6 @@ SUITE_DMAX, SUITE_TRIALS = 4, 50  # the property suite's defaults, here and in t
 SEARCH_SAMPLES = 500  # random free states each search scores
 REFINE_STEPS = 80  # rounds of each search's refinement walk
 IMPROVEMENT_MARGIN = 1e-4  # how far a Renyi search must undercut the reference
-
-
-def _require_seed(seed: int):
-    """numpy seeds its generators from nonnegative integers only."""
-    if _integer(seed, "seed") < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +197,7 @@ def tensor_product(rho1: State, rho2: State) -> DensityOperator:
     commute with particle-number parity; factors with even-odd coherences
     couple through the fermionic reordering signs.
     """
-    _require_state(rho1)
-    _require_state(rho2)
-    d1, d2 = rho1.space.d, rho2.space.d
+    d1, d2 = instance(rho1, State).space.d, instance(rho2, State).space.d
     l1, l2 = rho1.space.labels, rho2.space.labels
     labels = None
     if l1 is not None and l2 is not None:
@@ -222,9 +211,7 @@ def tensor_product(rho1: State, rho2: State) -> DensityOperator:
 
 def trace_distance(a: State, b: State) -> float:
     """Half the trace norm of the difference of two states' densities."""
-    _require_state(a)
-    _require_state(b)
-    if a.space.d != b.space.d:
+    if instance(a, State).space.d != instance(b, State).space.d:
         raise ValidationError("trace distance requires a shared space")
     return 0.5 * float(np.abs(spectrum(a.to_density().matrix - b.to_density().matrix)[0]).sum())
 
@@ -238,11 +225,8 @@ def kernel_inclusion_1pdm(
     eigenvalue below `tol` (resp. above 1 - tol) must be annihilated by the
     second 1-pdm (resp. by I minus it) within `tol`, a finite real >= 0.
     """
-    _require_pdm(gamma_free)
-    _require_pdm(gamma_state)
-    if _real(tol, "tol") < 0.0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
-    if gamma_free.space.d != gamma_state.space.d:
+    real(tol, "tol", 0)
+    if instance(gamma_free, OnePdm).space.d != instance(gamma_state, OnePdm).space.d:
         raise ValidationError("kernel predicates require a shared space")
     w, v = gamma_free.eigenpairs
     g2 = gamma_state.gamma
@@ -266,7 +250,7 @@ def _rotate_columns(u, i, j, scale, rng):
     return out
 
 
-def min_relent_search(rho: DensityOperator, seed: int = 0) -> tuple[FreeStateSpec, float]:
+def min_relent_search(rho: State, seed: int = 0) -> tuple[FreeStateSpec, float]:
     """Brute-force minimization of S(rho || Gamma) over sampled free states.
 
     SEARCH_SAMPLES random (orbitals, occupations) samples drawn from `seed`,
@@ -278,9 +262,9 @@ def min_relent_search(rho: DensityOperator, seed: int = 0) -> tuple[FreeStateSpe
     entropy); the value can never fall below the nonfreeness of `rho` beyond
     numerical noise.
     """
-    _require_seed(seed)
+    integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    space = rho.space
+    space = instance(rho, State).space
     d = space.d
     gamma = one_pdm(rho).gamma
 
@@ -337,7 +321,7 @@ def _stacked_minimum(rho: DensityOperator, alpha: float, p, u, sandwiched: bool 
 
 
 def renyi_min_search(
-    rho: DensityOperator, alpha: float, seed: int = 0, sandwiched: bool = False
+    rho: State, alpha: float, seed: int = 0, sandwiched: bool = False
 ) -> tuple[FreeStateSpec, float, bool]:
     """Search for free states beating the free reference under a Renyi divergence.
 
@@ -353,9 +337,9 @@ def renyi_min_search(
     and orbitals refines it.  The baseline and every refined candidate are
     scored against their specs.
     """
-    _require_seed(seed)
+    integer(seed, "seed", 0)
     divergence = sandwiched_renyi if sandwiched else renyi_divergence
-    space = rho.space
+    space = instance(rho, State).space
     d = space.d
     reference = natural_spectrum(one_pdm(rho))
     baseline = divergence(alpha, rho, reference)
@@ -895,14 +879,12 @@ def property_suite(seed: int = 42, d_max: int = SUITE_DMAX, trials: int = SUITE_
     with its type and message after the pending claims are cancelled and
     every worker has exited.
     """
-    if _integer(trials, "trials") < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if _integer(d_max, "d_max") < 2:
-        raise ValidationError(f"d_max must be >= 2, got {d_max}")
+    integer(trials, "trials", 1)
+    integer(d_max, "d_max", 2)
     ceiling = config.d_max()
     if d_max > ceiling:
         raise ValidationError(f"d_max {d_max} exceeds the orbital ceiling D_MAX = {ceiling}")
-    _require_seed(seed)
+    integer(seed, "seed", 0)
     claim = functools.partial(_run_claim, seed, d_max, trials)
     indices = [i for i, c in enumerate(_CLAIMS) if d_max >= 5 or c[0] not in _FROM_DMAX_5]
     affinity = getattr(os, "sched_getaffinity", None)

@@ -584,7 +584,7 @@ def _assert_matches_dense(a, b):
         w, v = spectrum(rho.matrix)
         np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(rho.matrix), atol=1e-10)
         np.testing.assert_allclose(rho.matrix @ v, v * w, atol=1e-10)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), atol=1e-10)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.space.dim), atol=1e-10)
     reference = _dense_reference(a, b)
     computed = {
         "von_neumann": von_neumann(a),
@@ -607,7 +607,7 @@ def test_hubbard_nonfreeness_makes_no_full_size_eigh(monkeypatch):
     rho = hubbard_ground_state(4, 1.0, 4.0, 2, 2)
     report = nonfreeness(rho, cross_check=True)
     assert report.cross_check < 1e-7
-    assert shapes and max(max(shape) for shape in shapes) < rho.dim
+    assert shapes and max(max(shape) for shape in shapes) < rho.space.dim
 
 
 def test_dense_state_takes_no_full_size_eigh(monkeypatch):

@@ -411,7 +411,7 @@ def partial_trace_by_inversion_parity(rho, keep):
         n2 = sum(1 << pos for pos, i in enumerate(comp) if i in occ)
         return n1, n2, inversion_parity([i for i in keep + comp if i in occ])
 
-    factors = [factor(bits) for bits in range(rho.dim)]
+    factors = [factor(bits) for bits in range(rho.space.dim)]
     out = np.zeros((1 << len(keep), 1 << len(keep)), dtype=complex)
     for m, (a, b, s) in enumerate(factors):
         for n, (a2, b2, s2) in enumerate(factors):

@@ -782,6 +782,20 @@ def test_labels_are_strings_wherever_a_space_is_built():
     assert again.space == labelled.space and np.array_equal(again.matrix, labelled.matrix)
 
 
+def test_repeated_labels_are_rejected_and_a_document_with_them_exits_2(tmp_path, capsys):
+    rho = sample_density(OrbitalSpace(2), np.random.default_rng(3))
+    with pytest.raises(ValidationError, match="labels must be distinct"):
+        OrbitalSpace(2, ["a", "a"])
+    with pytest.raises(ValidationError, match="labels must be distinct"):
+        mixture([(1.0, rho)], ["a", "a"])
+    path = tmp_path / "repeated.json"
+    path.write_text(ffio.dumps(dict(ffio.density_to_document(rho), labels=["a", "a"])))
+    code, out, err = run_cli(capsys, ["nonfreeness", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: labels must be distinct\n"
+
+
 def test_cli_mixture_labels_survive_restrict(tmp_path, capsys):
     path = tmp_path / "mixture.json"
     path.write_text(ffio.dumps(labelled_mixture(["up", "dn"], None, None)))

@@ -488,11 +488,11 @@ def test_carried_eigenpairs_diagonalize_the_state(name, monkeypatch):
     # the only eigensolve is the Hubbard Hamiltonian's sector block or the Gram
     # matrix of a factored state, never the state
     solved = name.startswith(("hubbard", "factored"))
-    assert len(shapes) == solved and all(max(s) < rho.dim for s in shapes)
+    assert len(shapes) == solved and all(max(s) < rho.space.dim for s in shapes)
     # the live pairs only: eigenvalues above KERNEL_TOL, orthonormal columns (2^d, k)
     w, v = rho.eigenpairs
     assert not w.flags.writeable and not v.flags.writeable
-    assert (w > KERNEL_TOL).all() and v.shape == (rho.dim, w.size)
+    assert (w > KERNEL_TOL).all() and v.shape == (rho.space.dim, w.size)
     np.testing.assert_allclose(rho.matrix @ v, v * w, atol=1e-12)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(w.size), atol=1e-12)
     dense = np.linalg.eigvalsh(rho.matrix)

@@ -36,7 +36,7 @@ from fermifree import (
 from fermifree.entropy import _divergences
 from fermifree.fock import ladder_table
 from fermifree.io import dumps
-from fermifree.states import bernoulli_weights, hubbard_ground_state
+from fermifree.states import FactoredState, bernoulli_weights, hubbard_ground_state
 from fermifree.verify import (
     GRID_POINTS,
     GRID_RANGE,
@@ -676,6 +676,17 @@ def _wrong_typed_calls():
         "purify-free-density": lambda: fermifree.purify_free(rho),
         "tensor-product-spec": lambda: tensor_product(spec, rho),
         "trace-distance-spec": lambda: trace_distance(rho, spec),
+        # an orbital count where an orbital space belongs, and no state at all
+        "density-space-int": lambda: fermifree.DensityOperator(1, np.eye(2) / 2),
+        "factored-space-int": lambda: FactoredState(1, np.eye(2)[:, :1], [1.0]),
+        "pure-space-int": lambda: fermifree.PureState(1, [1.0, 0.0]),
+        "spec-space-int": lambda: FreeStateSpec(1, [0.5], np.eye(1)),
+        "pdm-space-int": lambda: fermifree.OnePdm(1, [[0.5]]),
+        "slater-space-int": lambda: slater_amplitudes([[1.0]], 1),
+        "gibbs-space-int": lambda: gibbs_free_density([0.5], 1),
+        "basis-change-space-int": lambda: basis_change_unitary(np.eye(1), 1),
+        "min-search-state-int": lambda: min_relent_search(5),
+        "renyi-search-state-int": lambda: renyi_min_search(5, 2.0),
         # a state where a 1-pdm belongs, though it too has eigenpairs
         "kernel-inclusion-states": lambda: kernel_inclusion_1pdm(rho, rho),
         "kernel-inclusion-tol-nan": lambda: kernel_inclusion_1pdm(pdm, pdm, tol=float("nan")),
