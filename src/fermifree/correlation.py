@@ -48,8 +48,10 @@ def nonfreeness(state: State, cross_check: bool = True) -> CorrelationReport:
     sum over the natural occupations.  Values in [-TOL_NONFREENESS, 0) are
     float noise, clamped to 0; lower ones are a hard error, since the free
     entropy never falls below the state entropy.  The cross-check evaluates
-    the relative entropy against the reference's spec, reached by Givens
-    rotations; no Fock unitary or free density is built.
+    the relative entropy against the reference's spec: a density operator
+    is rotated by the particle-number blocks of the spec's Fock unitary, the
+    live eigenvectors of any other state by Givens rotations; no free
+    density is built.
     """
     reference = natural_spectrum(one_pdm(state))
     entropy_free = binary_entropy(reference.occupations)

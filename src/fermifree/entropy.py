@@ -9,8 +9,9 @@ spec, the three divergences read the state's `eigenpairs`, which every state
 gives in one form (its eigenvalues above KERNEL_TOL and their eigenvectors),
 in one core, `_divergences`, which also scores stacks of specs for the
 searches; a density operator whose eigenvalues all lie above KERNEL_TOL is
-instead rotated into the spec's Fock basis (`_rotated`), which needs none of
-its eigenvectors.  Both routes hand their weights to one function,
+instead rotated into the spec's Fock basis through the particle-number
+blocks of its Fock unitary (`_rotated`), which needs none of its
+eigenvectors.  Both routes hand their weights to one function,
 `_value_or_inf`, which holds every +inf rule.  A density-operator reference
 goes to `_reference`, which computes the divergences from their definitions.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from . import _reference
 from .config import KERNEL_TOL, TOL_DIVERGENCE
 from .errors import ValidationError, instance, real
-from .fock import _givens_amplitudes
+from .fock import _fock_blocks, _givens_amplitudes
 from .states import DensityOperator, FreeStateSpec, State, bernoulli_weights
 
 Reference = DensityOperator | FreeStateSpec  # what a divergence accepts as its second state
@@ -109,23 +110,35 @@ def _divergences(alpha: float, p, q, c, sandwiched: bool = False) -> np.ndarray:
 
 def _rotated(alpha: float, a: DensityOperator, b: FreeStateSpec) -> float:
     """The relative entropy (alpha = 1) or sandwiched divergence from a density
-    operator A to a spec B = diag(q), unclamped, through T = U-hat^dagger A U-hat,
-    two Givens passes ``G(G(A)^dagger)`` with G(M) = U-hat^dagger M.
+    operator A to a spec B = diag(q), unclamped, through T = U-hat^dagger A U-hat.
 
-    A's weights on B's eigenvectors are diag(T), so the relative entropy reads
-    diag(T) and A's eigenvalues.  The sandwiched core B^e A B^e is
-    U-hat s T s U-hat^dagger with s = q^e on B's support, so its trace reads
-    ``eigvalsh`` of s T s.  diag(T) counts every eigenvalue of A, which
-    ``_divergence`` makes sure all lie above KERNEL_TOL, so the weights are
-    those the eigenvector route counts, and ``_value_or_inf`` applies the same
-    +inf rules.
+    U-hat is block-diagonal over particle number (``_fock_blocks``), so in
+    sector order T's block (n, m) is F_n^dagger A[lists_n, lists_m] F_m.  A's
+    weights on B's eigenvectors are diag(T), which the diagonal blocks alone
+    give, so the relative entropy reads those and A's eigenvalues: a
+    gauge-invariant reference never sees A's coherences between sectors.  The
+    sandwiched core B^e A B^e is U-hat s T s U-hat^dagger with s = q^e on B's
+    support, so its trace reads ``eigvalsh`` of s T s, with A permuted once
+    into sector order and multiplied by the blocks on the right and left.
+    diag(T) counts every eigenvalue of A, which ``_divergence`` makes sure all
+    lie above KERNEL_TOL, so the weights are those the eigenvector route
+    counts, and ``_value_or_inf`` applies the same +inf rules.
     """
-    q = bernoulli_weights(b.occupations)
-    u, d = b.orbitals, b.space.d
-    t = _givens_amplitudes(u, _givens_amplitudes(u, a.matrix, d).conj().T, d)
-    mass = t.diagonal().real.copy()  # t is overwritten below
+    blocks = _fock_blocks(b.orbitals, b.space.d)
+    order = np.concatenate([lists for lists, _ in blocks])
+    q = bernoulli_weights(b.occupations)[order]  # in sector order, as T
     trace = None  # alpha = 1 reads no trace
-    if alpha != 1.0:
+    if alpha == 1.0:
+        mass = np.concatenate(
+            [np.vecdot(f, a.matrix[np.ix_(lists, lists)] @ f, axis=0) for lists, f in blocks]
+        ).real
+    else:
+        t, start = a.matrix[np.ix_(order, order)], 0
+        for lists, f in blocks:  # left and right products commute: one pass per sector
+            sector, start = slice(start, start + lists.size), start + lists.size
+            t[:, sector] = t[:, sector] @ f
+            t[sector] = f.conj().T @ t[sector]
+        mass = t.diagonal().real.copy()  # t is overwritten below
         s = _powers(q, (1.0 - alpha) / (2.0 * alpha))
         t += t.conj().T
         t *= s[:, None] / 2

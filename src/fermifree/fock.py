@@ -9,7 +9,10 @@ anticommuting through that normal form.
 
 The dense ladder operators of `ladder_matrices` are the oracle's 2^d x 2^d
 reference for the signed index tables; outside the oracle the package computes
-from the tables alone.
+from the tables alone.  Likewise the minors of `basis_change_unitary` are the
+oracle's reference for the Fock unitary of a basis change, which the package
+builds by particle-number blocks (`_fock_blocks`) or applies to amplitude
+vectors by Givens rotations (`_givens_amplitudes`).
 """
 
 from dataclasses import dataclass, field
@@ -150,6 +153,48 @@ def basis_change_unitary(u: np.ndarray, space: OrbitalSpace) -> np.ndarray:
             minors = u[..., list(col_occ)][..., rows, :]  # (..., m, k, k)
             out[..., bits, col_bits] = np.linalg.det(minors)
     return out
+
+
+@cache
+def _block_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the n-particle block of a Fock unitary, n >= 1, read-only:
+    the lists holding n particles, in increasing order; each one's occupied
+    orbitals, ascending, (C(d, n), n); and the index among the (n-1)-particle
+    lists of the list without each of them, (C(d, n), n).  The first columns
+    are each list's lowest orbital and the list without it."""
+    lists = _number_sector(d, n)
+    occupied = np.nonzero(lists[:, None] >> np.arange(d) & 1)[1].reshape(-1, n)
+    index = np.zeros(1 << d, dtype=np.int64)
+    fewer = _number_sector(d, n - 1)
+    index[fewer] = np.arange(fewer.size)
+    table = (lists, occupied, index[lists[:, None] ^ 1 << occupied])
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _fock_blocks(u: np.ndarray, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The particle-number blocks (lists_n, F_n), n = 0..d, of the Fock unitary
+    of a d x d unitary `u` already validated: F_n[i, j] is the minor
+    det u[occupied(lists_n[i]), occupied(lists_n[j])], as in
+    ``basis_change_unitary``, whose other entries all vanish.
+
+    Each minor is expanded along the lowest orbital of its row list into
+    minors of F_(n-1), sum_t (-1)^t u[lowest, t-th column orbital] times the
+    minor without both, so the blocks cost O(sum_n n C(d, n)^2) and no
+    determinant.
+    """
+    blocks = [(_number_sector(d, 0), np.ones((1, 1), dtype=complex))]
+    for n in range(1, d + 1):
+        lists, occupied, without = _block_table(d, n)
+        lowest = u[occupied[:, 0]]  # (C(d, n), d): the row of each list's lowest orbital
+        below = blocks[-1][1][without[:, 0]]  # F_(n-1) on the rows without it
+        f = lowest[:, occupied[:, 0]] * below[:, without[:, 0]]
+        for t in range(1, n):
+            term = lowest[:, occupied[:, t]] * below[:, without[:, t]]
+            f += term if t % 2 == 0 else -term
+        blocks.append((lists, f))
+    return blocks
 
 
 def _givens_amplitudes(u: np.ndarray, vectors: np.ndarray, d: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import KERNEL_TOL, TOL_HERM, TOL_NORM, TOL_PSD, TOL_TRACE, TOL_UNITARY
 from .errors import ValidationError, array, instance, integer, real
-from .fock import OrbitalSpace, _givens_amplitudes, _number_sector, _require_unitary, ladder_table
+from .fock import OrbitalSpace, _fock_blocks, _number_sector, _require_unitary, ladder_table
 
 
 def spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +215,15 @@ class FreeStateSpec:
 
     def to_density(self) -> DensityOperator:
         """The density operator, carrying its eigenpairs (Bernoulli weights, Fock
-        unitary F).  F(u) = F(u^dagger)^dagger, so F is one Givens pass over the identity."""
-        fock_u = _givens_amplitudes(self.orbitals.conj().T, np.eye(self.space.dim), self.space.d)
+        unitary F).  F and the matrix are block-diagonal over particle number:
+        F_n and (F_n w_n) F_n^dagger on the n-particle lists (``_fock_blocks``)."""
+        fock_u = np.zeros((self.space.dim,) * 2, dtype=complex)
+        matrix = np.zeros_like(fock_u)
         w = bernoulli_weights(self.occupations)
-        if not w.all():  # boundary occupations: the matrix sums the nonzero weights only
-            fock_u, w = fock_u[:, w > 0], w[w > 0]
-        return _with_eigenpairs(self.space, (fock_u * w) @ fock_u.conj().T, w, fock_u)
+        for lists, f in _fock_blocks(self.orbitals, self.space.d):
+            block = np.ix_(lists, lists)
+            fock_u[block], matrix[block] = f, (f * w[lists]) @ f.conj().T
+        return _with_eigenpairs(self.space, matrix, w, fock_u)
 
 
 State = DensityOperator | FactoredState  # what the functionals of a single state accept

@@ -763,8 +763,8 @@ def _claim_purification(rng, d_cap):
 def _claim_free_reference_core(rng, d_cap):
     """The core's divergences to a spec against `_reference`'s to the same free
     state, built from the minors of `basis_change_unitary` and Bernoulli
-    weights written out here: no Givens pass, Bernoulli table or +inf rule is
-    shared.  Both values +inf agree; one alone is an infinite gap."""
+    weights written out here: no Fock block, Givens pass, Bernoulli table or
+    +inf rule is shared.  Both values +inf agree; one alone is an infinite gap."""
     space = OrbitalSpace(_sample_d(rng, min(d_cap, 5)))
     spec = FreeStateSpec(space, rng.uniform(0.05, 0.95, space.d), sample_unitary(space.d, rng))
     filled = np.arange(space.dim)[:, None] >> np.arange(space.d) & 1  # bit i - 1: orbital i

@@ -72,7 +72,7 @@ def test_divergences_against_a_spec_do_not_revalidate_it(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_free_densities_are_built_without_the_minors(d, monkeypatch):
-    """Givens passes build F diag(w) F^dagger: with the minors' Fock unitary
+    """Particle-number blocks build F diag(w) F^dagger: with the minors' Fock unitary
     raising wherever it is bound, `free_from_pdm` matches the minors-built
     density and carries eigenpairs that diagonalize it."""
     pdm = one_pdm(sample_density(OrbitalSpace(d), np.random.default_rng(90 + d)))

@@ -32,7 +32,7 @@ from fermifree import (
 from fermifree import io as ffio
 from fermifree.cli import main
 from fermifree.config import KERNEL_TOL
-from fermifree.fock import _givens_amplitudes
+from fermifree.fock import _fock_blocks, _givens_amplitudes
 from fermifree.verify import sample_density, sample_unitary
 
 
@@ -111,13 +111,17 @@ def test_kernel_crossing_is_kept_on_the_amplitude_path():
     assert nonfreeness(pure_density(psi)).cross_check == float("inf")
 
 
+def _orbital_unitaries(d, rng):
+    """Three random d x d unitaries, a permutation and diagonal phases."""
+    unitaries = [sample_unitary(d, rng) for _ in range(3)]
+    return unitaries + [np.eye(d)[rng.permutation(d)], np.diag(np.exp(1j * rng.uniform(0, 6, d)))]
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_givens_rotation_matches_fock_unitary(d):
     rng = np.random.default_rng(100 + d)
     space = OrbitalSpace(d)
-    unitaries = [sample_unitary(d, rng) for _ in range(3)]
-    unitaries += [np.eye(d)[rng.permutation(d)], np.diag(np.exp(1j * rng.uniform(0, 6, d)))]
-    for u in unitaries:
+    for u in _orbital_unitaries(d, rng):
         fock_adjoint = basis_change_unitary(u, space).conj().T
         psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         stack = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
@@ -127,6 +131,27 @@ def test_givens_rotation_matches_fock_unitary(d):
         np.testing.assert_allclose(
             _givens_amplitudes(u, stack, d), fock_adjoint @ stack, rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_fock_blocks_match_the_minors(d):
+    """Every particle-number block is the minors' block, and the minors vanish
+    outside the blocks."""
+    space = OrbitalSpace(d)
+    for u in _orbital_unitaries(d, np.random.default_rng(100 + d)):
+        outside = basis_change_unitary(u, space)
+        blocks = _fock_blocks(u, d)
+        assert sorted(np.concatenate([lists for lists, _ in blocks])) == list(range(space.dim))
+        for lists, f in blocks:
+            block = np.ix_(lists, lists)
+            np.testing.assert_allclose(f, outside[block], rtol=0, atol=1e-12)
+            outside[block] = 0.0
+        assert not outside.any()
+
+
+def test_fock_blocks_are_unitary_at_ten_orbitals():
+    for lists, f in _fock_blocks(sample_unitary(10, np.random.default_rng(110)), 10):
+        assert np.abs(f.conj().T @ f - np.eye(lists.size)).max() <= 1e-12, lists.size
 
 
 def _full_core_sandwiched(alpha, a, b):

@@ -569,20 +569,24 @@ def test_split_roundtrip_claim_catches_one_flipped_sign(monkeypatch):
     assert not report.passed and report.worst > 0.0
 
 
-def test_free_reference_core_claim_catches_a_dropped_conjugate(monkeypatch):
+@pytest.mark.parametrize("name", ["_givens_amplitudes", "_fock_blocks"])
+def test_free_reference_core_claim_catches_a_dropped_conjugate(name, monkeypatch):
+    """Either Fock image the core reads, of a state's eigenvectors (Givens) or
+    of a dense state (blocks), taken for conj(u) fails the claim."""
+
     def core_report():
         *others, last = property_suite(seed=0, d_max=5, trials=3)
         assert len(others) == 29 and last.claim == "entropy-free-reference-core"
         return last
 
     assert core_report().passed
-    original = fermifree.entropy._givens_amplitudes
+    original = getattr(fermifree.entropy, name)
 
-    def conjugated(u, vectors, d):
-        return original(u.conj(), vectors, d)  # the Fock image of u^T, not of u^dagger
+    def conjugated(u, *args):
+        return original(u.conj(), *args)  # the Fock image of u^T, not of u^dagger
 
     # the core's rotations only: the reference state is built from the minors
-    monkeypatch.setattr(fermifree.entropy, "_givens_amplitudes", conjugated)
+    monkeypatch.setattr(fermifree.entropy, name, conjugated)
     report = core_report()
     assert not report.passed and report.worst > 1e-3, report
 
